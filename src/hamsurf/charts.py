@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .cellmap import word_match
 from .corecomplex import (
     Complex2,
     Face,
@@ -74,19 +75,6 @@ def _parse_word(tokens, lineno):
             raise ChartError(f"line {lineno}: bad oriented symbol {tok!r}")
         word.append((tok[:-1], 1 if tok[-1] == "+" else -1))
     return tuple(word)
-
-
-def cyclic_words_equal(w1, w2):
-    """True iff the boundary words agree up to rotation and reversal."""
-    if len(w1) != len(w2):
-        return False
-    n = len(w1)
-    rev = tuple((sym, -sign) for sym, sign in reversed(w1))
-    for cand in (tuple(w1), rev):
-        for r in range(n):
-            if cand[r:] + cand[:r] == tuple(w2):
-                return True
-    return False
 
 
 def parse_charts(text, path=""):
@@ -151,7 +139,7 @@ def validate_chartdata(cd):
     for fid, word in cd.rechecks.items():
         if fid not in cd.lozenges:
             raise ChartError(f"recheck {fid}: no lozenge of that name")
-        if not cyclic_words_equal(word, cd.lozenges[fid]):
+        if word_match(word, cd.lozenges[fid], False) is None:
             raise ChartError(
                 f"recheck {fid}: word differs from the face record "
                 f"(not a rotation or reversal)")

@@ -31,9 +31,20 @@ MAX_RADIUS = 3
 
 
 def _load(args):
-    if args.charts:
-        return load_charts(args.charts)
-    return load_default_charts()
+    """The chart data and V; raises ChartError or OSError."""
+    cd = load_charts(args.charts) if args.charts else load_default_charts()
+    return cd, build_V(cd)
+
+
+def _radius_error(ref, radius, least, why, digest):
+    """Error certificate for a radius outside [least, MAX_RADIUS], or None."""
+    if radius > MAX_RADIUS:
+        reason = f"radius {radius} exceeds cap {MAX_RADIUS}"
+    elif radius < least:
+        reason = f"radius {radius} is below {least}: {why}"
+    else:
+        return None
+    return error_certificate("expansion radius within configured bounds", ref, reason, digest)
 
 
 def cmd_check_ladder(args):
@@ -149,7 +160,8 @@ def _tutte_parity(L, cycles):
 def cmd_check_quotient(args):
     certs = []
     try:
-        cd = _load(args)
+        cd, V = _load(args)
+        S, Sp = build_S(cd), build_Sprime(cd)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "quotient.fixture", str(exc))]
     d = cd.digest
@@ -159,9 +171,6 @@ def cmd_check_quotient(args):
         and len(cd.triangles) == 4 and len(cd.lozenge_records()) == 9,
         {"edges": len(cd.edges), "vertices": len(cd.vertices),
          "triangles": len(cd.triangles), "lozenge_records": len(cd.lozenge_records())}, d))
-    V = build_V(cd)
-    S = build_S(cd)
-    Sp = build_Sprime(cd)
     certs.append(check(
         "the ten-face complex passes validation",
         "quotient.valid", not validate_complex(V), {}, d))
@@ -212,16 +221,15 @@ def cmd_check_quotient(args):
 def cmd_check_cover(args):
     certs = []
     try:
-        cd = _load(args)
+        cd, V = _load(args)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "cover.fixture", str(exc))]
-    radius = args.radius
-    if radius > MAX_RADIUS:
-        return [error_certificate(
-            "expansion radius within configured cap", "cover.radius",
-            f"radius {radius} exceeds cap {MAX_RADIUS}", cd.digest)]
-    V = build_V(cd)
-    d = cd.digest
+    radius, d = args.radius, cd.digest
+    error = _radius_error(
+        "cover.radius", radius, 1,
+        "a smaller ball has no interior cell, so every cover claim would hold vacuously", d)
+    if error:
+        return [error]
     for base in V.vertices:
         ball = expand_to_radius(V, base, radius)
         rep = verify_cover(ball)
@@ -237,30 +245,28 @@ def cmd_check_cover(args):
             f"interior links from {base} have angular girth six",
             "cover.girth", all(g == 6 for g in girths.values()),
             {"base": base, "girths": sorted(set(girths.values()))}, d))
-        if radius >= 1:
-            smaller = expand_to_radius(V, base, radius - 1)
-            again = restrict_ball(ball, radius - 1)
-            certs.append(check(
-                f"restricting the radius-{radius} ball reproduces radius {radius-1}",
-                "cover.idempotent",
-                serialize_ball(again) == serialize_ball(smaller),
-                {"base": base}, d))
+        smaller = expand_to_radius(V, base, radius - 1)
+        again = restrict_ball(ball, radius - 1)
+        certs.append(check(
+            f"restricting the radius-{radius} ball reproduces radius {radius-1}",
+            "cover.idempotent",
+            serialize_ball(again) == serialize_ball(smaller),
+            {"base": base}, d))
     return certs
 
 
 def cmd_find_surfaces(args):
     certs = []
     try:
-        cd = _load(args)
+        cd, V = _load(args)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "surfaces.fixture", str(exc))]
-    radius = args.radius
-    if radius > MAX_RADIUS:
-        return [error_certificate(
-            "expansion radius within configured cap", "surfaces.radius",
-            f"radius {radius} exceeds cap {MAX_RADIUS}", cd.digest)]
-    V = build_V(cd)
-    d = cd.digest
+    radius, d = args.radius, cd.digest
+    error = _radius_error(
+        "surfaces.radius", radius, 2,
+        "a smaller ball has no interior triangle, so its surfaces are only link germs", d)
+    if error:
+        return [error]
     ball = expand_to_radius(V, V.vertices[0], radius)
     cx = ball.complex
     seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
@@ -317,10 +323,9 @@ def cmd_find_surfaces(args):
 def cmd_check_aut(args):
     certs = []
     try:
-        cd = _load(args)
+        cd, V = _load(args)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "aut.fixture", str(exc))]
-    V = build_V(cd)
     d = cd.digest
     group = automorphism_group(V)
     rep = verify_theta_relations(V, group)

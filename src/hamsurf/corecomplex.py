@@ -93,6 +93,7 @@ class Complex2:
         self._vertex_set = set(self.vertices)
         self._sides = None
         self._corners = None
+        self._germs = None
 
     def __repr__(self):
         return (f"Complex2({len(self.vertices)} vertices, "
@@ -123,8 +124,14 @@ class Complex2:
                 v = self.src(word[i]) if s in self.edges else None
                 if v in corners:
                     corners[v].append((fid, i))
+        germs = {v: [] for v in self.vertices}
+        for sym in self.edge_symbols():
+            s, t = self.edges[sym]
+            germs.setdefault(s, []).append((sym, 1))
+            germs.setdefault(t, []).append((sym, -1))
         self._sides = sides
         self._corners = corners
+        self._germs = germs
 
     def edge_sides(self, sym):
         """All face-sides through edge sym: list of (fid, position, sign)."""
@@ -147,15 +154,11 @@ class Complex2:
         return list(self._corners[v])
 
     def germs_at(self, v):
-        """Oriented edges leaving v, sorted."""
-        germs = []
-        for sym in self.edge_symbols():
-            s, t = self.edges[sym]
-            if s == v:
-                germs.append((sym, 1))
-            if t == v:
-                germs.append((sym, -1))
-        return germs
+        """Oriented edges leaving v: edge symbols in ``str`` order, an
+        outgoing germ before an incoming one."""
+        if self._germs is None:
+            self._build_indexes()
+        return list(self._germs.get(v, ()))
 
     def corner_germs(self, fid, i):
         """The two germs flanking corner i of face fid (both leave the
@@ -173,17 +176,6 @@ class Complex2:
             g_in, g_out = self.corner_germs(fid, i)
             link.add_edge(g_in, g_out, self.faces[fid].corner_label(i), tag=(fid, i))
         return link
-
-    def face_adjacency(self):
-        """Face ids adjacent through shared edges: fid -> sorted fid list."""
-        adj = {fid: set() for fid in self.faces}
-        for sym in self.edges:
-            sides = self.edge_sides(sym)
-            for a in range(len(sides)):
-                for b in range(a + 1, len(sides)):
-                    adj[sides[a][0]].add(sides[b][0])
-                    adj[sides[b][0]].add(sides[a][0])
-        return {fid: sorted(s, key=str) for fid, s in adj.items()}
 
 
 def validate_complex(cx):

@@ -3,9 +3,10 @@
 A Ball wraps a Complex2 together with a cellwise covering map into V, the
 base vertex, per-vertex depths (graph distance on the 1-skeleton; lozenge
 diagonals are not edges) and interior flags.  A cell is interior when its
-full star is present: a vertex once its link realizes every corner of its
-image's link exactly once, an edge once all three incident face-sides
-exist.
+full star is present: a vertex once the covering map lifts its image's link
+onto its own (``Ball.corner_lift``), an edge once all three incident
+face-sides exist.  Facts about V's links (Hamiltonian cycles, girth) then
+hold at every interior vertex through that lift.
 
 Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a fresh copy of the
@@ -61,7 +62,7 @@ class Ball:
         self.depth = self._depths()
         if interior_vertices is None:
             interior_vertices = (
-                v for v in complex2.vertices if self._vertex_complete(v))
+                v for v in complex2.vertices if self.corner_lift(v) is not None)
         if interior_edges is None:
             interior_edges = (
                 e for e in complex2.edges
@@ -85,19 +86,28 @@ class Ball:
                     queue.append(w)
         return dist
 
-    def _vertex_complete(self, v):
+    def corner_lift(self, v):
+        """The corner bijection (f, i) -> (face_image[f], i) at v, or None.
+
+        Returns the bijection when the covering map sends the germs at v
+        one-to-one onto the germs at its image p in V, the corners at v
+        one-to-one onto the corners at p, and the two germs of every corner
+        onto the two germs of its image corner.  The bijection is then a
+        label-preserving isomorphism of v's link onto p's link (corner
+        labels depend only on the face kind and the corner index).
+        """
+        cx, V = self.complex, self.v_complex
         p = self.vertex_image[v]
-        germs = self.complex.germs_at(v)
-        imgs = [self.map_oedge(g) for g in germs]
-        if len(set(imgs)) != len(imgs):
-            return False
-        if len(imgs) != len(self.v_complex.germs_at(p)):
-            return False
-        corners = self.complex.corners_at(v)
-        cimgs = [(self.face_image[f], i) for f, i in corners]
-        if len(set(cimgs)) != len(cimgs):
-            return False
-        return len(cimgs) == len(self.v_complex.corners_at(p))
+        if sorted(map(self.map_oedge, cx.germs_at(v))) != sorted(V.germs_at(p)):
+            return None
+        lift = {(f, i): (self.face_image[f], i) for f, i in cx.corners_at(v)}
+        if sorted(lift.values()) != sorted(V.corners_at(p)):
+            return None
+        for corner, image in lift.items():
+            germs = tuple(map(self.map_oedge, cx.corner_germs(*corner)))
+            if germs != V.corner_germs(*image):
+                return None
+        return lift
 
     def map_oedge(self, oedge):
         eid, sign = oedge
@@ -111,12 +121,6 @@ class Ball:
         s, t = self.complex.edges[eid]
         return min(self.depth[s], self.depth[t])
 
-    def interior_faces(self):
-        return frozenset(
-            f for f in self.complex.faces
-            if all(self.complex.src(oe) in self.interior_vertices
-                   for oe in self.complex.faces[f].word))
-
 
 def base_ball(v_complex, base_vertex):
     """The radius-0 ball: a single vertex over the chosen V vertex."""
@@ -125,6 +129,14 @@ def base_ball(v_complex, base_vertex):
     cx = Complex2(vertices=["v0"], edges={}, faces=[])
     return Ball(cx, v_complex, "v0", 0,
                 vertex_image={"v0": base_vertex}, edge_image={}, face_image={})
+
+
+def _find(parent, a):
+    """Union-find root of a in the parent array, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 class _Builder:
@@ -136,25 +148,6 @@ class _Builder:
         self.epar, self.esrc, self.etgt, self.esym, self.egen = [], [], [], [], []
         self.fpar, self.fimg, self.fword, self.fgen = [], [], [], []
         self.gen = 0
-
-    # union-find -----------------------------------------------------------
-    def vfind(self, a):
-        while self.vpar[a] != a:
-            self.vpar[a] = self.vpar[self.vpar[a]]
-            a = self.vpar[a]
-        return a
-
-    def efind(self, a):
-        while self.epar[a] != a:
-            self.epar[a] = self.epar[self.epar[a]]
-            a = self.epar[a]
-        return a
-
-    def ffind(self, a):
-        while self.fpar[a] != a:
-            self.fpar[a] = self.fpar[self.fpar[a]]
-            a = self.fpar[a]
-        return a
 
     def new_vertex(self, image):
         self.vpar.append(len(self.vpar))
@@ -178,7 +171,7 @@ class _Builder:
         return len(self.fpar) - 1
 
     def vunion(self, a, b):
-        a, b = self.vfind(a), self.vfind(b)
+        a, b = _find(self.vpar, a), _find(self.vpar, b)
         if a == b:
             return False
         if self.vimg[a] != self.vimg[b]:
@@ -191,7 +184,7 @@ class _Builder:
         return True
 
     def eunion(self, a, b):
-        a, b = self.efind(a), self.efind(b)
+        a, b = _find(self.epar, a), _find(self.epar, b)
         if a == b:
             return False
         if self.esym[a] != self.esym[b]:
@@ -206,7 +199,7 @@ class _Builder:
         return True
 
     def funion(self, a, b):
-        a, b = self.ffind(a), self.ffind(b)
+        a, b = _find(self.fpar, a), _find(self.fpar, b)
         if a == b:
             return False
         if self.fimg[a] != self.fimg[b]:
@@ -223,10 +216,10 @@ class _Builder:
 
     # folding --------------------------------------------------------------
     def live_edges(self):
-        return [e for e in range(len(self.epar)) if self.efind(e) == e]
+        return [e for e in range(len(self.epar)) if _find(self.epar, e) == e]
 
     def live_faces(self):
-        return [f for f in range(len(self.fpar)) if self.ffind(f) == f]
+        return [f for f in range(len(self.fpar)) if _find(self.fpar, f) == f]
 
     def fold(self):
         """Identify to a fixpoint; returns number of merges performed."""
@@ -235,8 +228,9 @@ class _Builder:
             changed = False
             groups = {}
             for e in self.live_edges():
-                groups.setdefault((self.vfind(self.esrc[e]), self.esym[e], 0), []).append(e)
-                groups.setdefault((self.vfind(self.etgt[e]), self.esym[e], 1), []).append(e)
+                src, tgt = _find(self.vpar, self.esrc[e]), _find(self.vpar, self.etgt[e])
+                groups.setdefault((src, self.esym[e], 0), []).append(e)
+                groups.setdefault((tgt, self.esym[e], 1), []).append(e)
             for members in groups.values():
                 for other in members[1:]:
                     if self.eunion(members[0], other):
@@ -245,7 +239,7 @@ class _Builder:
             fgroups = {}
             for f in self.live_faces():
                 for pos, (e, _s) in enumerate(self.fword[f]):
-                    fgroups.setdefault((self.fimg[f], pos, self.efind(e)), []).append(f)
+                    fgroups.setdefault((self.fimg[f], pos, _find(self.epar, e)), []).append(f)
             for members in fgroups.values():
                 for other in members[1:]:
                     if self.funion(members[0], other):
@@ -292,15 +286,15 @@ class _Builder:
             n = len(word)
             for i in range(n):
                 eid, sign = word[i]
-                root = self.efind(eid)
+                root = _find(self.epar, eid)
                 start = self.esrc[root] if sign > 0 else self.etgt[root]
-                if self.vfind(start) == v:
+                if _find(self.vpar, start) == v:
                     out.append((self.fimg[f], i))
         return out
 
     def complete_star(self, v):
         """Attach copies for every missing corner at v; returns count."""
-        v = self.vfind(v)
+        v = _find(self.vpar, v)
         present = set(self.vertex_corners(v))
         p = self.vimg[v]
         missing = [c for c in self.V.corners_at(p) if c not in present]
@@ -315,7 +309,7 @@ def _canonical_ball(builder, base_root, radius):
     # adjacency over live roots
     germs = {}
     for e in builder.live_edges():
-        s, t = builder.vfind(builder.esrc[e]), builder.vfind(builder.etgt[e])
+        s, t = _find(builder.vpar, builder.esrc[e]), _find(builder.vpar, builder.etgt[e])
         germs.setdefault(s, []).append((builder.esym[e], 1, e, t))
         germs.setdefault(t, []).append((builder.esym[e], -1, e, s))
     for v in germs:
@@ -341,14 +335,15 @@ def _canonical_ball(builder, base_root, radius):
     edge_image = {}
     for e in edge_order:
         eid = f"e{enum[e]}"
-        edges[eid] = (f"v{vnum[builder.vfind(builder.esrc[e])]}",
-                      f"v{vnum[builder.vfind(builder.etgt[e])]}")
+        edges[eid] = (f"v{vnum[_find(builder.vpar, builder.esrc[e])]}",
+                      f"v{vnum[_find(builder.vpar, builder.etgt[e])]}")
         edge_image[eid] = builder.esym[e]
 
     face_rows = []
     for f in builder.live_faces():
-        word = tuple((f"e{enum[builder.efind(e)]}", s) for e, s in builder.fword[f])
-        face_rows.append((builder.fimg[f], tuple(enum[builder.efind(e)] for e, _s in builder.fword[f]), word))
+        nums = [(enum[_find(builder.epar, e)], s) for e, s in builder.fword[f]]
+        word = tuple((f"e{n}", s) for n, s in nums)
+        face_rows.append((builder.fimg[f], tuple(n for n, _s in nums), word))
     face_rows.sort()
     faces = []
     face_image = {}
@@ -379,7 +374,7 @@ def expand_ball(ball):
             break
     else:
         raise FoldConflictError("ball", ("expansion did not stabilize",))
-    return _canonical_ball(builder, builder.vfind(vmap[ball.base]), ball.radius + 1)
+    return _canonical_ball(builder, _find(builder.vpar, vmap[ball.base]), ball.radius + 1)
 
 
 def expand_to_radius(v_complex, base_vertex, radius):
@@ -636,12 +631,14 @@ def verify_cover(ball):
     """Certificate of the Ball invariants; violations are content, not errors.
 
     Checks the covering map commutes with sources, targets and boundary
-    words, that interior links are labeled-isomorphic to the image links in
-    V (with their angular girth reported), that interior edges carry all
-    three face-sides, and that depths agree with a fresh traversal.
+    words, that the covering map lifts the image link in V onto every
+    interior link (``Ball.corner_lift``, so the link is labeled-isomorphic
+    to its image and has its image's angular girth, reported per vertex),
+    that interior edges carry all three face-sides, and that depths agree
+    with a fresh traversal.
     """
     from .corecomplex import validate_complex
-    from .hamgraph import angular_girth, labeled_isomorphic
+    from .hamgraph import angular_girth
 
     cx, V = ball.complex, ball.v_complex
     problems = list(validate_complex(cx))
@@ -655,6 +652,7 @@ def verify_cover(ball):
         target = V.faces[ball.face_image[fid]].word
         if tuple(ball.map_oedge(oe) for oe in word) != tuple(target):
             problems.append(f"face {fid}: boundary word image is misaligned")
+    image_girth = {p: angular_girth(V.vertex_link(p)) for p in V.vertices}
     vertex_rows = {}
     for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
         interior = v in ball.interior_vertices
@@ -664,12 +662,10 @@ def verify_cover(ball):
                 f"at radius {ball.radius}")
         row = {"depth": ball.depth[v], "interior": interior}
         if interior:
-            link = cx.vertex_link(v)
-            image_link = V.vertex_link(ball.vertex_image[v])
-            iso = labeled_isomorphic(link, image_link)
-            row["link_matches_image"] = iso is not None
-            row["girth"] = angular_girth(link)
-            if iso is None:
+            lifts = ball.corner_lift(v) is not None
+            row["link_matches_image"] = lifts
+            row["girth"] = image_girth[ball.vertex_image[v]] if lifts else None
+            if not lifts:
                 problems.append(f"vertex {v}: interior link does not match its image link")
         vertex_rows[v] = row
     for eid in sorted(cx.edges, key=lambda s: int(s[1:])):

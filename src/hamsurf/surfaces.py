@@ -325,26 +325,38 @@ class Contradiction(Exception):
         self.trail = trail or []
 
 
-class _TypeCycleCache:
-    """Per-vertex admissible cycles: the type-3 Hamiltonian link cycles."""
+def lifted_cycles(ball, trail=None):
+    """The admissible link cycles at interior vertices, lifted from V.
 
-    def __init__(self, cx):
-        self.cx = cx
-        self._cache = {}
+    Returns a function v -> (cycles, corners): the type-3 Hamiltonian
+    cycles of v's link as sets of corner tags (fid, i), and all corners at
+    v.  The cycles are enumerated once per V vertex, on V's own link, and
+    carried to v by the inverse of ``Ball.corner_lift``, a label-preserving
+    isomorphism of the links.  Raises Contradiction at a vertex whose link
+    does not lift.
+    """
+    V = ball.v_complex
+    image_cycles = {}
+    table = {}
 
-    def corner_cycles(self, v):
-        if v not in self._cache:
-            link = self.cx.vertex_link(v)
-            tag_sets = []
-            all_tags = set()
-            for cyc in enumerate_hamiltonian_cycles(link):
-                tags = frozenset(link.edges[i][3] for i in cyc.edge_indices)
-                if classify_cycle(cyc) is CycleType.TYPE3:
-                    tag_sets.append(tags)
-            for _u, _v2, _lbl, tag in link.edges:
-                all_tags.add(tag)
-            self._cache[v] = (tag_sets, frozenset(all_tags))
-        return self._cache[v]
+    def at(v):
+        if v not in table:
+            lift = ball.corner_lift(v)
+            if lift is None:
+                raise Contradiction(v, "link does not lift to its image link in V", trail)
+            p = ball.vertex_image[v]
+            if p not in image_cycles:
+                link = V.vertex_link(p)
+                image_cycles[p] = [
+                    [link.edges[i][3] for i in cyc.edge_indices]
+                    for cyc in enumerate_hamiltonian_cycles(link)
+                    if classify_cycle(cyc) is CycleType.TYPE3]
+            corner = {image: c for c, image in lift.items()}
+            table[v] = ([frozenset(corner[t] for t in cyc) for cyc in image_cycles[p]],
+                        frozenset(lift))
+        return table[v]
+
+    return at
 
 
 IN, OUT, UNKNOWN = 1, 0, -1
@@ -391,8 +403,9 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         raise SurfaceError("seed lozenge has no interior corner vertex")
     anchor = min(anchors, key=lambda v: (ball.depth[v], int(v[1:])))
 
-    cache = _TypeCycleCache(cx)
-    cycles, _all_tags = cache.corner_cycles(anchor)
+    trail = []
+    cycles_at = lifted_cycles(ball, trail)
+    cycles, all_tags = cycles_at(anchor)
     with_seed = [c for c in cycles if any(tag[0] == seed_lozenge for tag in c)]
     without = [c for c in cycles if not any(tag[0] == seed_lozenge for tag in c)]
     if len(with_seed) != 1 or len(without) != len(cycles) - 1:
@@ -407,7 +420,6 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         raise SurfaceError(f"unknown choice {choice!r}")
 
     state = {fid: UNKNOWN for fid in cx.faces}
-    trail = []
 
     face_vertices = {
         fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
@@ -431,12 +443,11 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
                 work.append(("e", sym))
 
     # seed the anchor: its trace is exactly the chosen cycle
-    _cycles, all_tags = cache.corner_cycles(anchor)
     for tag in sorted(all_tags):
         settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
 
     def check_vertex(v):
-        cycles, all_tags = cache.corner_cycles(v)
+        cycles, all_tags = cycles_at(v)
         admissible = []
         for c in cycles:
             if any(state[tag[0]] == OUT for tag in c):
@@ -497,17 +508,6 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
 
     members = frozenset(f for f, s in state.items() if s == IN)
     return make_face_set(ball, members)
-
-
-def local_surface_germs(ball):
-    """The admissible surface germs at the base vertex: one face set per
-    type-3 cycle of the base link (the radius-1 count)."""
-    cache = _TypeCycleCache(ball.complex)
-    cycles, all_tags = cache.corner_cycles(ball.base)
-    out = []
-    for c in cycles:
-        out.append(frozenset(tag[0] for tag in c))
-    return sorted(out, key=sorted)
 
 
 def periodicity_check(ball, fs, face_twist=None):

@@ -21,6 +21,11 @@ def test_word_match_parity():
     assert word_match(w, rot2, even_rotation_only=True) is not None
     assert word_match(w, rot1, even_rotation_only=True) is None
     assert word_match(w, rot1, even_rotation_only=False) is not None
+    rev = tuple((s, -sg) for s, sg in reversed(w))
+    assert word_match(w, rot2, even_rotation_only=False) is not None
+    assert word_match(w, rev, even_rotation_only=False) is not None
+    assert word_match(w, (("a", 1), ("b", 1), ("c", 1), ("d", 1)),
+                      even_rotation_only=False) is None
 
 
 def test_theta_tables_are_automorphisms(V):

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -107,6 +108,43 @@ def test_radius_cap(capsys):
     code, out = run(capsys, "check-cover", "--radius", "7")
     assert code == 1
     assert json.loads(out)[0]["status"] == "error"
+
+
+def test_chart_that_fails_to_build_yields_error_certificates(tmp_path, capsys):
+    # parses, but triangle a's boundary word no longer closes up
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    bad = tmp_path / "open.charts"
+    bad.write_text(text.replace("face a triangle : x_a+", "face a triangle : x_a-"))
+    code, out = run(capsys, "check-all", "--charts", str(bad))
+    assert code == 1
+    by_ref = {c["ref"]: c for c in json.loads(out) if c["status"] == "error"}
+    assert {"quotient.fixture", "cover.fixture", "surfaces.fixture",
+            "aut.fixture"} <= set(by_ref)
+    assert "not closed" in by_ref["cover.fixture"]["witness"]["error"]
+
+
+@pytest.mark.parametrize("radius", [-1, 0])
+def test_cover_radius_below_one_is_an_error(capsys, radius):
+    code, out = run(capsys, "check-cover", "--radius", str(radius))
+    assert code == 1
+    certs = json.loads(out)
+    assert [(c["ref"], c["status"]) for c in certs] == [("cover.radius", "error")]
+    assert "below 1" in certs[0]["witness"]["error"]
+
+
+def test_cover_radius_one_passes(capsys):
+    code, out = run(capsys, "check-cover", "--radius", "1")
+    assert code == 0
+    assert len(json.loads(out)) == 9
+
+
+@pytest.mark.parametrize("radius", [-1, 0, 1])
+def test_surfaces_radius_below_two_is_an_error(capsys, radius):
+    code, out = run(capsys, "find-surfaces", "--radius", str(radius))
+    assert code == 1
+    certs = json.loads(out)
+    assert [(c["ref"], c["status"]) for c in certs] == [("surfaces.radius", "error")]
+    assert "below 2" in certs[0]["witness"]["error"]
 
 
 def test_census_budget_propagates(capsys):

@@ -146,6 +146,30 @@ def test_deleted_face_fails_verification(ball1):
     assert any("complete star" in p for p in rep["problems"])
 
 
+def test_corner_lift(V, ball2):
+    for v in ball2.interior_vertices:
+        lift = ball2.corner_lift(v)
+        image = ball2.vertex_image[v]
+        assert sorted(lift.values()) == sorted(V.corners_at(image))
+        assert set(lift) == set(ball2.complex.corners_at(v))
+    boundary = set(ball2.complex.vertices) - ball2.interior_vertices
+    assert boundary and all(ball2.corner_lift(v) is None for v in boundary)
+
+
+def test_verify_cover_rechecks_claimed_interior(ball1):
+    # the annotation still claims the base is interior after a face is gone
+    broken = _delete_face(ball1, ball1.complex.face_ids()[0])
+    claimed = Ball(broken.complex, ball1.v_complex, ball1.base, ball1.radius,
+                   ball1.vertex_image, ball1.edge_image, broken.face_image,
+                   interior_vertices=ball1.interior_vertices,
+                   interior_edges=ball1.interior_edges)
+    rep = verify_cover(claimed)
+    row = rep["vertices"][claimed.base]
+    assert row["interior"] and not row["link_matches_image"]
+    assert row["girth"] is None
+    assert any("does not match its image link" in p for p in rep["problems"])
+
+
 def test_restrict_rejects_larger_radius(ball1):
     with pytest.raises(ValueError):
         restrict_ball(ball1, 5)

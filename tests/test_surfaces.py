@@ -3,10 +3,11 @@ import pytest
 from hamsurf.cellmap import theta_maps
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE
-from hamsurf.cover import Ball
-from hamsurf.hamgraph import CycleType
+from hamsurf.cover import Ball, expand_ball, expand_to_radius
+from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
+                              enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, SurfaceError, is_enveloping,
-                              is_hamiltonian, link_states, local_surface_germs,
+                              is_hamiltonian, lifted_cycles, link_states,
                               make_face_set, periodicity_check, propagate_surface,
                               relevant_faces, shuriken_check, shuriken_completion,
                               trace_status, vertex_trace_types)
@@ -134,6 +135,35 @@ def test_shuriken_completion_in_ball(ball2):
         assert forced == lozs[0]
 
 
+# --- link facts lifted from V ---------------------------------------------------
+
+def test_lifted_cycles_match_direct_enumeration(V):
+    """At every interior vertex the type-3 cycles carried over from V's link
+    are exactly those enumerated on the vertex's own link, and the link is
+    labeled-isomorphic to its image with angular girth six."""
+    balls = []
+    for base in V.vertices:
+        b2 = expand_to_radius(V, base, 2)
+        balls += [b2, expand_ball(b2)]
+    checked = 0
+    for ball in balls:
+        cycles_at = lifted_cycles(ball)
+        for v in sorted(ball.interior_vertices, key=str):
+            link = ball.complex.vertex_link(v)
+            direct = {frozenset(link.edges[i][3] for i in cyc.edge_indices)
+                      for cyc in enumerate_hamiltonian_cycles(link)
+                      if classify_cycle(cyc) is CycleType.TYPE3}
+            cycles, corners = cycles_at(v)
+            assert len(direct) == 2
+            assert set(cycles) == direct and len(cycles) == len(direct), v
+            assert corners == {tag for _u, _w, _lbl, tag in link.edges}
+            image_link = V.vertex_link(ball.vertex_image[v])
+            assert labeled_isomorphic(link, image_link) is not None
+            assert angular_girth(link) == 6
+            checked += 1
+    assert checked == 3 * (9 + 49)
+
+
 # --- propagation -------------------------------------------------------------
 
 def test_two_choices_two_surfaces(ball2):
@@ -231,12 +261,14 @@ def test_census_matches_propagation(ball2):
 def test_census_radius_one(ball1):
     # only the base vertex is interior at radius 1, so every Hamiltonian
     # link cycle yields a valid local face set: five raw solutions, two of
-    # which are the admissible type-3 germs
+    # which are the admissible type-3 germs that propagation picks
     sols, _nodes = count_surfaces_exhaustive(ball1, budget=10**7)
     assert len(sols) == 5
-    germs = local_surface_germs(ball1)
+    seed = interior_lozenge_seeds(ball1)[0]
+    germs = {tuple(sorted(propagate_surface(ball1, seed, c).members))
+             for c in ("with", "other")}
     assert len(germs) == 2
-    assert all(tuple(sorted(g)) in sols for g in germs)
+    assert germs <= set(sols)
 
 
 def test_census_budget_guard(ball2):
