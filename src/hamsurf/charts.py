@@ -212,8 +212,10 @@ def build_Sprime(cd):
 
 
 def build_V(cd):
-    """The full ten-face quotient complex."""
-    return _build(cd, tuple(sorted(cd.triangles)) + tuple(sorted(cd.lozenges)))
+    """The full ten-face quotient complex, carrying the chart's facesets."""
+    V = _build(cd, tuple(sorted(cd.triangles)) + tuple(sorted(cd.lozenges)))
+    V.facesets = dict(cd.facesets)
+    return V
 
 
 def lozenge_families(cx):

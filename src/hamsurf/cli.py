@@ -20,7 +20,8 @@ from .cellmap import theta_maps, verify_theta_relations, automorphism_group
 from .census import BudgetExceeded, count_surfaces_exhaustive
 from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
                           surface_report, validate_complex)
-from .cover import expand_to_radius, restrict_ball, serialize_ball, verify_cover
+from .cover import (expand_ball, expand_to_radius, restrict_ball, serialize_ball,
+                    verify_cover)
 from .hamgraph import (angular_girth, classify_cycle, CycleType,
                        enumerate_hamiltonian_cycles, is_vertex_transitive,
                        labeled_isomorphic, moebius_ladder, parse_graph_file)
@@ -157,6 +158,36 @@ def _tutte_parity(L, cycles):
             "per_edge": sorted(counts.values())}
 
 
+def quotient_surface_certs(S, d=""):
+    """The surface report of a quotient surface S and the claims on it.
+
+    ``check-quotient`` issues these for the chart's S; acceptance criterion
+    3 also runs them on candidate surfaces outside the shipped charts.
+    """
+    rep = surface_report(S)
+    lengths, not_circles = {}, []
+    for v in S.vertices:
+        try:
+            lengths[v] = link_circle_length(S, v)
+        except ValueError:
+            lengths[v] = None
+            not_circles.append(v)
+    links = {"lengths": lengths}
+    if not_circles:
+        links["not_one_circle"] = not_circles
+    return rep, [
+        check("S is a closed surface with Euler characteristic -2",
+              "quotient.surface", rep.is_closed_surface and rep.euler_characteristic == -2,
+              {"closed": rep.is_closed_surface, "chi": rep.euler_characteristic}, d),
+        check("every link of S is one circle of angular length 10 units",
+              "quotient.links-ten", all(n == 10 for n in lengths.values()), links, d),
+        check("S is orientable of genus two",
+              "quotient.genus", bool(rep.orientable) and rep.genus_or_crosscaps == 2,
+              {"orientable": rep.orientable, "genus_or_crosscaps": rep.genus_or_crosscaps},
+              d),
+    ]
+
+
 def cmd_check_quotient(args):
     certs = []
     try:
@@ -174,21 +205,8 @@ def cmd_check_quotient(args):
     certs.append(check(
         "the ten-face complex passes validation",
         "quotient.valid", not validate_complex(V), {}, d))
-    rep = surface_report(S)
-    lengths = {v: link_circle_length(S, v) for v in S.vertices}
-    certs.append(check(
-        "S is a closed surface with Euler characteristic -2",
-        "quotient.surface", rep.is_closed_surface and rep.euler_characteristic == -2,
-        {"closed": rep.is_closed_surface, "chi": rep.euler_characteristic}, d))
-    certs.append(check(
-        "every link of S is one circle of angular length 10 units",
-        "quotient.links-ten", all(n == 10 for n in lengths.values()),
-        {"lengths": lengths}, d))
-    certs.append(check(
-        "S is orientable of genus two",
-        "quotient.genus", bool(rep.orientable) and rep.genus_or_crosscaps == 2,
-        {"orientable": rep.orientable, "genus_or_crosscaps": rep.genus_or_crosscaps},
-        d))
+    rep, claims = quotient_surface_certs(S, d)
+    certs += claims
     rep_p = surface_report(Sp)
     certs.append(check(
         "S' matches the surface report of S",
@@ -231,7 +249,8 @@ def cmd_check_cover(args):
     if error:
         return [error]
     for base in V.vertices:
-        ball = expand_to_radius(V, base, radius)
+        smaller = expand_to_radius(V, base, radius - 1)
+        ball = expand_ball(smaller)
         rep = verify_cover(ball)
         certs.append(check(
             f"ball of radius {radius} from {base} verifies as a cover chunk",
@@ -245,7 +264,6 @@ def cmd_check_cover(args):
             f"interior links from {base} have angular girth six",
             "cover.girth", all(g == 6 for g in girths.values()),
             {"base": base, "girths": sorted(set(girths.values()))}, d))
-        smaller = expand_to_radius(V, base, radius - 1)
         again = restrict_ball(ball, radius - 1)
         certs.append(check(
             f"restricting the radius-{radius} ball reproduces radius {radius-1}",
@@ -256,7 +274,6 @@ def cmd_check_cover(args):
 
 
 def cmd_find_surfaces(args):
-    certs = []
     try:
         cd, V = _load(args)
     except (ChartError, OSError) as exc:
@@ -267,7 +284,18 @@ def cmd_find_surfaces(args):
         "a smaller ball has no interior triangle, so its surfaces are only link germs", d)
     if error:
         return [error]
-    ball = expand_to_radius(V, V.vertices[0], radius)
+    return ball_surface_certs(expand_to_radius(V, V.vertices[0], radius), args.budget, d)
+
+
+def ball_surface_certs(ball, budget, d=""):
+    """The two-surface claims on a ball of the universal cover of V.
+
+    ``find-surfaces`` issues these for the ball around V's first vertex;
+    the acceptance suite also runs them on a ball too small for the claims
+    to hold, to see that they can fail.
+    """
+    certs = []
+    radius = ball.radius
     cx = ball.complex
     seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
              and any(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)]
@@ -304,7 +332,7 @@ def cmd_find_surfaces(args):
         {"projections": projections}, d))
     if radius <= 2:
         try:
-            sols, nodes = count_surfaces_exhaustive(ball, budget=args.budget)
+            sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
             certs.append(check(
                 "the exhaustive census returns the same two face sets",
                 "surfaces.census", set(sols) == set(surfaces),

@@ -31,21 +31,6 @@ LOZENGE = "lozenge"
 _WORD_LENGTH = {TRIANGLE: 3, LOZENGE: 4}
 
 
-@dataclass(frozen=True)
-class AngleLabel:
-    """A corner angle: kind in {t, l, L}, weight in units of pi/3."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("t", "l", "L"):
-            raise ValueError(f"bad angle kind {self.kind!r}")
-
-    @property
-    def weight(self):
-        return label_weight(self.kind)
-
-
 def reverse(oedge):
     sym, sign = oedge
     return (sym, -sign)
@@ -90,6 +75,7 @@ class Complex2:
         self.vertices = tuple(sorted(vertices, key=str))
         self.edges = dict(edges)
         self.faces = {f.fid: f for f in faces}
+        self.facesets = {}  # name -> face ids, as charts.build_V records them
         self._vertex_set = set(self.vertices)
         self._sides = None
         self._corners = None
@@ -346,11 +332,6 @@ def subcomplex(cx, face_ids):
         edges={sym: cx.edges[sym] for sym in syms},
         faces=[cx.faces[fid] for fid in face_ids],
     )
-
-
-def total_side_count(cx):
-    """Sum of boundary-word lengths over all faces."""
-    return sum(len(f.word) for f in cx.faces.values())
 
 
 def link_circle_length(cx, v):

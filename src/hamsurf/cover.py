@@ -117,10 +117,6 @@ class Ball:
         word = self.complex.faces[fid].word
         return min(self.depth[self.complex.src(oe)] for oe in word)
 
-    def edge_depth(self, eid):
-        s, t = self.complex.edges[eid]
-        return min(self.depth[s], self.depth[t])
-
 
 def base_ball(v_complex, base_vertex):
     """The radius-0 ball: a single vertex over the chosen V vertex."""
@@ -407,26 +403,6 @@ def restrict_ball(ball, radius):
             word.append((emap[eid], sign))
         builder.new_face(ball.face_image[fid], word)
     return _canonical_ball(builder, base_root, radius)
-
-
-def ball_census(ball):
-    """Counts per depth: vertices by exact depth, edges and faces by the
-    depth of their nearest vertex, faces split by kind."""
-    census = {}
-    for v in ball.complex.vertices:
-        d = ball.depth[v]
-        census.setdefault(d, {"vertices": 0, "edges": 0, "triangles": 0, "lozenges": 0})
-        census[d]["vertices"] += 1
-    for e in ball.complex.edges:
-        d = ball.edge_depth(e)
-        census.setdefault(d, {"vertices": 0, "edges": 0, "triangles": 0, "lozenges": 0})
-        census[d]["edges"] += 1
-    for f in ball.complex.face_ids():
-        d = ball.face_depth(f)
-        census.setdefault(d, {"vertices": 0, "edges": 0, "triangles": 0, "lozenges": 0})
-        kind = ball.complex.faces[f].kind
-        census[d]["triangles" if kind == "triangle" else "lozenges"] += 1
-    return dict(sorted(census.items()))
 
 
 def ball_isomorphisms(b1, b2, limit=None):

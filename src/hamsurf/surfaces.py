@@ -13,8 +13,6 @@ faces in each (interior) vertex link is one spanning cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corecomplex import Complex2, LOZENGE, TRIANGLE
 from .cover import Ball
 from .hamgraph import CycleType, classify_cycle, enumerate_hamiltonian_cycles
@@ -24,46 +22,32 @@ class SurfaceError(ValueError):
     pass
 
 
-class Ambient:
-    """Uniform view of a Complex2 or Ball for surface predicates."""
-
-    def __init__(self, obj):
-        if isinstance(obj, Ball):
-            self.ball = obj
-            self.cx = obj.complex
-            self.interior_vertices = sorted(obj.interior_vertices, key=str)
-            self.interior_edges = sorted(obj.interior_edges, key=str)
-        elif isinstance(obj, Complex2):
-            self.ball = None
-            self.cx = obj
-            self.interior_vertices = list(obj.vertices)
-            self.interior_edges = obj.edge_symbols()
-        else:
-            raise SurfaceError(f"unsupported ambient {type(obj).__name__}")
-
-    def face_ids(self):
-        return self.cx.face_ids()
-
-
-@dataclass(frozen=True)
 class FaceSet:
-    """A candidate surface: member face ids inside an ambient complex."""
+    """A candidate surface: member face ids inside an ambient complex.
 
-    ambient: object
-    members: frozenset
+    The ambient is a Complex2, where every cell is interior, or a Ball,
+    whose star flags mark the interior cells; both are resolved once here.
+    """
 
-    def __post_init__(self):
-        view = Ambient(self.ambient)
-        unknown = [f for f in self.members if f not in view.cx.faces]
+    def __init__(self, ambient, members):
+        if isinstance(ambient, Ball):
+            self.cx = ambient.complex
+            self.interior_vertices = sorted(ambient.interior_vertices, key=str)
+            self.interior_edges = sorted(ambient.interior_edges, key=str)
+        elif isinstance(ambient, Complex2):
+            self.cx = ambient
+            self.interior_vertices = list(ambient.vertices)
+            self.interior_edges = ambient.edge_symbols()
+        else:
+            raise SurfaceError(f"unsupported ambient {type(ambient).__name__}")
+        self.members = frozenset(members)
+        unknown = [f for f in self.members if f not in self.cx.faces]
         if unknown:
             raise SurfaceError(f"faces not in ambient: {sorted(unknown)}")
 
-    def view(self):
-        return Ambient(self.ambient)
-
 
 def make_face_set(ambient, members):
-    return FaceSet(ambient=ambient, members=frozenset(members))
+    return FaceSet(ambient, members)
 
 
 def trace_status(link, members):
@@ -121,23 +105,13 @@ def trace_status(link, members):
     return "violation", "trace closes a cycle that misses part of the link"
 
 
-def link_states(fs):
-    """PartialLinkState: per interior vertex, the trace status of fs."""
-    view = fs.view()
-    out = {}
-    for v in view.interior_vertices:
-        link = view.cx.vertex_link(v)
-        out[v] = trace_status(link, fs.members)
-    return out
-
-
-def _members_connected(view, members):
+def _members_connected(cx, members):
     if not members:
         return True
     members = set(members)
     adj = {f: set() for f in members}
-    for sym in view.cx.edges:
-        inc = [fid for fid, _i, _s in view.cx.edge_sides(sym) if fid in members]
+    for sym in cx.edges:
+        inc = [fid for fid, _i, _s in cx.edge_sides(sym) if fid in members]
         for a in inc:
             for b in inc:
                 if a != b:
@@ -156,14 +130,13 @@ def _members_connected(view, members):
 
 def is_enveloping(fs):
     """(ok, witness): every interior edge in exactly 2 members, connected."""
-    view = fs.view()
     if not fs.members:
         return False, {"reason": "empty face set"}
-    for sym in view.interior_edges:
-        cov = sum(1 for fid, _i, _s in view.cx.edge_sides(sym) if fid in fs.members)
+    for sym in fs.interior_edges:
+        cov = sum(1 for fid, _i, _s in fs.cx.edge_sides(sym) if fid in fs.members)
         if cov != 2:
             return False, {"reason": "edge coverage", "edge": sym, "coverage": cov}
-    if not _members_connected(view, fs.members):
+    if not _members_connected(fs.cx, fs.members):
         return False, {"reason": "member faces not connected through shared edges"}
     return True, {"reason": "ok"}
 
@@ -173,9 +146,8 @@ def is_hamiltonian(fs):
     ok, witness = is_enveloping(fs)
     if not ok:
         return False, witness
-    view = fs.view()
-    for v in view.interior_vertices:
-        link = view.cx.vertex_link(v)
+    for v in fs.interior_vertices:
+        link = fs.cx.vertex_link(v)
         status, detail = trace_status(link, fs.members)
         if status != "cycle":
             return False, {"reason": "vertex trace", "vertex": v,
@@ -185,10 +157,9 @@ def is_hamiltonian(fs):
 
 def vertex_trace_types(fs):
     """Cycle type of the trace at each interior vertex (requires cycles)."""
-    view = fs.view()
     out = {}
-    for v in view.interior_vertices:
-        link = view.cx.vertex_link(v)
+    for v in fs.interior_vertices:
+        link = fs.cx.vertex_link(v)
         status, _detail = trace_status(link, fs.members)
         if status != "cycle":
             raise SurfaceError(f"trace at {v} is not a single cycle")
@@ -247,8 +218,7 @@ def shuriken_check(fs, triangle_fid):
     at the heads of the triangle's boundary word, or all three at the
     tails (the mirror spin).  Returns (ok, spin_or_witness).
     """
-    view = fs.view()
-    cx = view.cx
+    cx = fs.cx
     face = cx.faces[triangle_fid]
     if face.kind != TRIANGLE:
         raise SurfaceError(f"{triangle_fid} is not a triangle")
@@ -280,8 +250,7 @@ def shuriken_completion(fs, triangle_fid):
     with a consistent spin; returns the unique lozenge on the third side
     attaching with the same spin.
     """
-    view = fs.view()
-    cx = view.cx
+    cx = fs.cx
     face = cx.faces[triangle_fid]
     if face.kind != TRIANGLE:
         raise SurfaceError(f"{triangle_fid} is not a triangle")
@@ -362,20 +331,6 @@ def lifted_cycles(ball, trail=None):
 IN, OUT, UNKNOWN = 1, 0, -1
 
 
-def relevant_faces(ball):
-    """Faces constrained by some interior cell, in decision order."""
-    view = Ambient(ball)
-    cx = view.cx
-    rel = set()
-    for v in view.interior_vertices:
-        for fid, _i in cx.corners_at(v):
-            rel.add(fid)
-    for sym in view.interior_edges:
-        for fid, _i, _s in cx.edge_sides(sym):
-            rel.add(fid)
-    return sorted(rel, key=lambda f: (ball.face_depth(f), int(f[1:])))
-
-
 def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     """Grow the unique surface compatible with a local choice at a seed.
 
@@ -427,6 +382,13 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
 
     from collections import deque
     work = deque()
+    pending = set()
+
+    def push(cell):
+        # a queued cell reads the state when it is popped, so one entry is enough
+        if cell not in pending:
+            pending.add(cell)
+            work.append(cell)
 
     def settle(fid, value, why):
         if state[fid] == value:
@@ -437,10 +399,10 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         trail.append((fid, "in" if value == IN else "out", why))
         for v in face_vertices[fid]:
             if v in ball.interior_vertices:
-                work.append(("v", v))
+                push(("v", v))
         for sym, _sign in cx.faces[fid].word:
             if sym in ball.interior_edges:
-                work.append(("e", sym))
+                push(("e", sym))
 
     # seed the anchor: its trace is exactly the chosen cycle
     for tag in sorted(all_tags):
@@ -488,9 +450,9 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
                 settle(f, IN, f"edge {sym} needs both")
 
     for v in sorted(ball.interior_vertices, key=lambda v: (ball.depth[v], int(v[1:]))):
-        work.append(("v", v))
+        push(("v", v))
     for sym in sorted(ball.interior_edges, key=str):
-        work.append(("e", sym))
+        push(("e", sym))
 
     rng = None
     if order_seed is not None:
@@ -500,7 +462,8 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     while work:
         if rng is not None and len(work) > 1:
             rng.shuffle(work)
-        kind, cell = work.popleft()
+        kind, cell = item = work.popleft()
+        pending.discard(item)
         if kind == "v":
             check_vertex(cell)
         else:
@@ -513,8 +476,9 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
 def periodicity_check(ball, fs, face_twist=None):
     """Project a ball surface through the covering map: S, S' or neither.
 
-    ``face_twist`` optionally post-composes the projection with a face
-    permutation of V (an automorphism's face map).
+    S and S' are the face sets of those names in the chart that V was built
+    from (``V.facesets``).  ``face_twist`` optionally post-composes the
+    projection with a face permutation of V (an automorphism's face map).
     """
     images = set()
     for fid in fs.members:
@@ -522,10 +486,8 @@ def periodicity_check(ball, fs, face_twist=None):
         if face_twist is not None:
             img = face_twist[img]
         images.add(img)
-    s_faces = {"a", "b", "c", "d", "x", "y", "z"}
-    sp_faces = {"a", "b", "c", "d", "x'", "y'", "z'"}
-    if images == s_faces:
-        return "S"
-    if images == sp_faces:
-        return "S'"
+    named = ball.v_complex.facesets
+    for name in ("S", "S'"):
+        if images == set(named.get(name, ())):
+            return name
     return "neither"

@@ -1,72 +1,128 @@
-"""Acceptance suite: every criterion checked exactly, one line per criterion.
+"""Acceptance suite: the ten criteria, read off the certificates of
+``hamsurf check-all``.
 
-Each test evaluates all sub-claims of its criterion, prints
+The CLI's claims are the one implementation of each criterion.  The
+module-scoped ``certs`` fixture runs ``check-all`` once; each criterion
+asserts the status and the witness of its own certificates, prints
 
     ACCEPTANCE <n> <name>: PASS|FAIL (<seconds>)
 
-and fails if any sub-claim does not hold.
+and fails if any of them does not hold.  ``CLAIMS`` maps each criterion to
+its certificates, keyed ``ref`` or ``ref@base``:
 
-Two criteria assert the structure that V's charts force, which differs
-from the transcribed claims:
+- 1: ladder.census, omitted-rungs, used-rung-distance, vertex-transitive, girth
+- 2: ladder.types
+- 3: quotient.surface, links-ten, genus (fails), sibling, intersection
+- 4: quotient.fixture, valid, order-two, links-ladder
+- 5: quotient.flat-pieces
+- 6: cover.verify, girth, idempotent, each from P, Q and R
+- 7: surfaces.two, hamiltonian, type-three, triangles, census
+- 8: surfaces.periodicity
+- 9: aut.order, tables, generate, swap, exponent-two (fails), commute (fails)
+- 10: ladder.edge-parity, coxeter
 
-- Criterion 3: S is a closed surface with chi = -2 and ten-unit links, and
-  it is non-orientable with 4 crosscaps, not orientable of genus 2.  Every
-  triangle reads x_k+ y_k+ z_k+, so each lozenge splits {a,b,c,d} into its
-  + and - subscripts, and a coherent orientation of S would need the splits
-  of its x, y and z lozenges to agree; they do not.
-- Criterion 9: Aut(V) is the dihedral group of order 8, not a group of
-  exponent two.  The theta tables are involutions that generate it, theta1
-  is central, and theta2*theta3 has order 4 with square theta1.
+Every certificate belongs to exactly one criterion: a criterion reads only
+its own rows and must assert all of them, and
+``test_every_certificate_belongs_to_one_criterion`` holds ``CLAIMS`` to what
+``check-all`` emits.  Independent checks stay beside the certificates: the
+brute-force orientability oracle (3), the census claim failing on a ball too
+small for it (7), and the random-graph corpus against the permutation
+oracle (10).
 
-The transcribed claims live on as the failing certificates `quotient.genus`,
-`aut.exponent-two` and `aut.commute` of `hamsurf check-all`, pinned in
-`tests/test_cli.py`.  The evidence that they cannot hold for the shipped
-charts or for any chart with ladder links and the two-tori-one-Klein-bottle
-census is in:
-
-- `test_charts.py::test_surface_reports`: the brute-force orientability
-  oracle agrees that S and S' are non-orientable;
-- `test_cellmap.py::test_theta23_squares_to_theta1`: the order-4 witness;
-- `test_charts.py::test_no_transcription_meets_criteria_3_and_9_as_transcribed`:
-  over all 30 ladder-compatible lozenge assignments, no Aut(V) has order 8
-  and exponent two, and with the right flat pieces no closed surface with
-  ten-unit links is orientable;
-- `test_charts.py::test_criterion_03_fails_on_orientable_survivors`: the
-  criterion 3 check rejects every orientable candidate the search finds.
+Criteria 3 and 9 assert the structure that V's charts force, which differs
+from the transcribed claims: S is non-orientable with 4 crosscaps, not
+orientable of genus 2 (every triangle reads x_k+ y_k+ z_k+, so an
+orientation would need the +/- splits of {a,b,c,d} in the x, y and z
+lozenges to agree; they do not), and Aut(V) is dihedral of order 8, not of
+exponent two.  The transcribed claims live on as the failing certificates
+``quotient.genus``, ``aut.exponent-two`` and ``aut.commute``.  The evidence
+that no chart with ladder links and the two-tori-one-Klein-bottle census
+meets them is in ``test_charts.py``
+(``test_no_transcription_meets_criteria_3_and_9_as_transcribed``, and
+``test_criterion_03_fails_on_orientable_survivors``, which runs criterion
+3 on the orientable candidates) and ``test_cellmap.py``
+(``test_theta23_squares_to_theta1``, the order-4 witness).
 """
 
 import random
 import time
 from collections import Counter
-from importlib import resources
 
 import pytest
 
-from hamsurf.cellmap import automorphism_group, theta_maps, verify_theta_relations
-from hamsurf.census import count_surfaces_exhaustive
-from hamsurf.corecomplex import LOZENGE, TRIANGLE, link_circle_length, surface_report
-from hamsurf.cover import expand_to_radius, restrict_ball, serialize_ball, verify_cover
-from hamsurf.hamgraph import (CycleType, LabeledGraph, classify_cycle,
-                              enumerate_hamiltonian_cycles, labeled_isomorphic,
-                              parse_graph_file)
-from hamsurf.surfaces import periodicity_check, propagate_surface
+from hamsurf.certs import FAIL, PASS
+from hamsurf.cli import (ball_surface_certs, build_parser, cmd_check_all,
+                         quotient_surface_certs)
+from hamsurf.hamgraph import LabeledGraph, enumerate_hamiltonian_cycles
 from oracles import brute_orientable, naive_hamiltonian_cycles
 
-CENSUS_BUDGET = 10**8
+CLAIMS = {
+    1: ["ladder.census", "ladder.omitted-rungs", "ladder.used-rung-distance",
+        "ladder.vertex-transitive", "ladder.girth"],
+    2: ["ladder.types"],
+    3: ["quotient.surface", "quotient.links-ten", "quotient.genus",
+        "quotient.sibling", "quotient.intersection"],
+    4: ["quotient.fixture", "quotient.valid", "quotient.order-two",
+        "quotient.links-ladder"],
+    5: ["quotient.flat-pieces"],
+    6: [f"cover.{c}@{b}" for b in "PQR" for c in ("verify", "girth", "idempotent")],
+    7: ["surfaces.two", "surfaces.hamiltonian", "surfaces.type-three",
+        "surfaces.triangles", "surfaces.census"],
+    8: ["surfaces.periodicity"],
+    9: ["aut.order", "aut.exponent-two", "aut.tables", "aut.generate",
+        "aut.commute", "aut.swap"],
+    10: ["ladder.edge-parity", "ladder.coxeter"],
+}
+
+
+def key(cert):
+    base = cert.witness.get("base")
+    return f"{cert.ref}@{base}" if base else cert.ref
+
+
+@pytest.fixture(scope="module")
+def certs():
+    return cmd_check_all(build_parser().parse_args(["check-all"]))
+
+
+@pytest.fixture(scope="module")
+def table(certs):
+    return {key(c): c for c in certs}
+
+
+def _fmt(witness):
+    return ", ".join(f"{k}={v}" for k, v in witness.items())
 
 
 class Criterion:
-    def __init__(self, number, name):
+    def __init__(self, number, name, table=None):
         self.number = number
         self.name = name
         self.failures = []
         self.start = time.perf_counter()
+        self.rows = {k: table.get(k) for k in CLAIMS[number]} if table else {}
+        self.unread = set(self.rows)
 
     def expect(self, condition, message):
         if not condition:
             self.failures.append(message)
 
+    def row(self, ref, status=PASS, **witness):
+        """Expect the certificate to have this status and these witness
+        entries, as one expectation; returns its whole witness."""
+        self.unread.discard(ref)
+        cert = self.rows[ref]  # KeyError: the row is another criterion's
+        if cert is None:
+            self.expect(False, f"check-all emits no {ref}")
+            return {}
+        got = {k: cert.witness.get(k) for k in witness}
+        self.expect(cert.status == status and got == witness,
+                    f"{ref}: {status} with {_fmt(witness)} expected, "
+                    f"got {cert.status} with {_fmt(got)}")
+        return cert.witness
+
     def finish(self):
+        self.expect(not self.unread, f"rows never asserted: {sorted(self.unread)}")
         took = time.perf_counter() - self.start
         status = "FAIL" if self.failures else "PASS"
         print(f"ACCEPTANCE {self.number} {self.name}: {status} ({took:.2f}s)")
@@ -75,187 +131,121 @@ class Criterion:
                         + "; ".join(self.failures), pytrace=False)
 
 
-def test_criterion_01_ladder_census(ladder):
-    crit = Criterion(1, "ladder census")
-    cycles = enumerate_hamiltonian_cycles(ladder)
-    crit.expect(len(cycles) == 5, f"expected 5 cycles, got {len(cycles)}")
-    by_rungs = Counter(c.rung_count for c in cycles)
-    crit.expect(by_rungs == Counter({0: 1, 2: 4}),
-                f"rung profile {dict(by_rungs)} != {{0:1, 2:4}}")
-    rim = {frozenset((i, (i + 1) % 8)) for i in range(8)}
-    for c in cycles:
-        if c.rung_count != 2:
-            continue
-        edges = {frozenset((ladder.edges[i][0], ladder.edges[i][1]))
-                 for i in c.edge_indices}
-        omitted = sorted((r for r in ladder.rungs if r not in edges), key=sorted)
-        (a1, a2), (b1, b2) = (sorted(r) for r in omitted)
-        consecutive = ((frozenset((a1, b1)) in rim and frozenset((a2, b2)) in rim)
-                       or (frozenset((a1, b2)) in rim and frozenset((a2, b1)) in rim))
-        crit.expect(consecutive, f"omitted rungs {omitted} are not consecutive")
+def test_every_certificate_belongs_to_one_criterion(certs):
+    emitted = Counter(key(c) for c in certs)
+    claimed = Counter(k for keys in CLAIMS.values() for k in keys)
+    assert emitted == claimed, (emitted - claimed, claimed - emitted)
+    assert set(claimed.values()) == {1}
+
+
+def test_criterion_01_ladder_census(table):
+    crit = Criterion(1, "ladder census", table)
+    crit.row("ladder.census", count=5, by_rung_count={0: 1, 2: 4})
+    crit.row("ladder.omitted-rungs", omitted_consecutive=True)
+    crit.row("ladder.used-rung-distance", used_distance_three=True)
+    crit.row("ladder.vertex-transitive")
+    crit.row("ladder.girth", girth=6)
     crit.finish()
 
 
-def test_criterion_02_type_census(ladder):
-    crit = Criterion(2, "type census")
-    cycles = enumerate_hamiltonian_cycles(ladder)
-    types = Counter(classify_cycle(c) for c in cycles)
-    crit.expect(
-        types == Counter({CycleType.TYPE1: 1, CycleType.TYPE2: 2, CycleType.TYPE3: 2}),
-        f"type census {types} != 1/2/2")
-    admissible = types.get(CycleType.TYPE3, 0)
-    crit.expect(admissible == 2, f"{admissible} admissible link types, expected 2")
+def test_criterion_02_type_census(table):
+    crit = Criterion(2, "type census", table)
+    crit.row("ladder.types", types={"type1": 1, "type2": 2, "type3": 2})
     crit.finish()
 
 
-def check_quotient_surface(crit, S):
-    """Criterion 3's sub-claims on a candidate quotient surface S."""
-    rep = surface_report(S)
-    crit.expect(rep.is_closed_surface, "S is not a closed surface")
-    crit.expect(rep.euler_characteristic == -2,
-                f"chi = {rep.euler_characteristic} != -2")
-    for v in S.vertices:
-        try:
-            length = link_circle_length(S, v)
-            crit.expect(length == 10, f"link length at {v} is {length} != 10")
-        except ValueError as exc:
-            crit.expect(False, str(exc))
-    crit.expect(rep.orientable is False and rep.genus_or_crosscaps == 4,
-                f"4 crosscaps expected, computed genus_or_crosscaps="
-                f"{rep.genus_or_crosscaps} with orientable={rep.orientable}")
+def expect_surface_claims(crit, S):
+    """Criterion 3's claims on S, from the certificates in crit's rows, and
+    the brute-force orientability oracle."""
+    crit.row("quotient.surface", closed=True, chi=-2)
+    crit.row("quotient.links-ten", lengths={v: 10 for v in S.vertices})
+    crit.row("quotient.genus", FAIL, orientable=False, genus_or_crosscaps=4)
     brute = brute_orientable(S)
     crit.expect(brute is False,
                 f"brute-force orientability oracle gives {brute}, expected False")
 
 
-def test_criterion_03_quotient_surface(S):
-    crit = Criterion(3, "quotient surface")
-    check_quotient_surface(crit, S)
+def check_quotient_surface(crit, S):
+    """Criterion 3's sub-claims on a candidate quotient surface S, from the
+    certificates ``check-quotient`` issues for a surface."""
+    crit.rows.update((c.ref, c) for c in quotient_surface_certs(S)[1])
+    expect_surface_claims(crit, S)
+
+
+def test_criterion_03_quotient_surface(table, S):
+    crit = Criterion(3, "quotient surface", table)
+    expect_surface_claims(crit, S)
+    crit.row("quotient.sibling", closed=True, chi=-2)
+    crit.row("quotient.intersection", shared=["a", "b", "c", "d"])
     crit.finish()
 
 
-def test_criterion_04_order_two_and_links(V, ladder):
-    crit = Criterion(4, "order two and ladder links")
-    for sym in V.edges:
-        deg = V.edge_face_degree(sym)
-        crit.expect(deg == 3, f"edge {sym} has degree {deg} != 3")
-    for v in V.vertices:
-        iso = labeled_isomorphic(V.vertex_link(v), ladder)
-        crit.expect(iso is not None, f"link at {v} is not the labeled ladder")
+def test_criterion_04_order_two_and_links(table):
+    crit = Criterion(4, "order two and ladder links", table)
+    crit.row("quotient.fixture", edges=12, vertices=3, triangles=4, lozenge_records=9)
+    crit.row("quotient.valid")
+    crit.row("quotient.order-two", degrees=[3])
+    crit.row("quotient.links-ladder", links={"P": True, "Q": True, "R": True})
     crit.finish()
 
 
-def test_criterion_05_flat_pieces(V):
-    from hamsurf.charts import flat_piece_census
-
-    crit = Criterion(5, "flat pieces")
-    pieces = {p["faces"]: p for p in flat_piece_census(V)}
-    for pair, want in ((("x", "x'"), "torus"), (("y", "y'"), "torus"),
-                       (("z", "z'"), "klein_bottle")):
-        piece = pieces.get(pair)
-        crit.expect(piece is not None, f"no flat piece for {pair}")
-        if piece is None:
-            continue
-        rep = piece["report"]
-        crit.expect(rep.euler_characteristic == 0,
-                    f"{pair}: chi {rep.euler_characteristic} != 0")
-        crit.expect(piece["kind"] == want, f"{pair}: {piece['kind']} != {want}")
+def test_criterion_05_flat_pieces(table):
+    crit = Criterion(5, "flat pieces", table)
+    crit.row("quotient.flat-pieces",
+             pieces={"x x'": "torus", "y y'": "torus", "z z'": "klein_bottle"})
     crit.finish()
 
 
-def test_criterion_06_cover_invariants(V, ladder):
-    crit = Criterion(6, "cover invariants")
-    for base in V.vertices:
-        b2 = expand_to_radius(V, base, 2)
-        rep = verify_cover(b2)
-        crit.expect(rep["ok"], f"verify_cover failed from {base}: {rep['problems'][:3]}")
-        for v, row in rep["vertices"].items():
-            if row["interior"]:
-                crit.expect(row.get("link_matches_image", False),
-                            f"{base}: interior link at {v} mismatched")
-                crit.expect(row.get("girth") == 6,
-                            f"{base}: girth {row.get('girth')} != 6 at {v}")
-        for eid in b2.interior_edges:
-            sides = len(b2.complex.edge_sides(eid))
-            crit.expect(sides == 3, f"{base}: interior edge {eid} degree {sides}")
-        b1 = expand_to_radius(V, base, 1)
-        crit.expect(serialize_ball(restrict_ball(b2, 1)) == serialize_ball(b1),
-                    f"{base}: restriction is not idempotent")
+def test_criterion_06_cover_invariants(table):
+    crit = Criterion(6, "cover invariants", table)
+    for base in "PQR":
+        crit.row(f"cover.verify@{base}", interior_vertices=9, problems=[])
+        crit.row(f"cover.girth@{base}", girths=[6])
+        crit.row(f"cover.idempotent@{base}")
     crit.finish()
 
 
-def test_criterion_07_two_surfaces(V, ball2):
-    crit = Criterion(7, "two-surface theorem at ball scale")
-    cx = ball2.complex
-    seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
-             and any(cx.src(oe) in ball2.interior_vertices
-                     for oe in cx.faces[f].word)]
-    crit.expect(len(seeds) > 0, "no interior-anchored seed lozenges")
-    surfaces = set()
-    for seed in seeds:
-        per_seed = set()
-        for choice in ("with", "other"):
-            fs = propagate_surface(ball2, seed, choice)
-            per_seed.add(fs.members)
-            surfaces.add(fs.members)
-        crit.expect(len(per_seed) == 2, f"seed {seed}: choices coincide")
-    crit.expect(len(surfaces) == 2,
-                f"{len(surfaces)} distinct surfaces across seeds, expected 2")
-    sols, nodes = count_surfaces_exhaustive(ball2, budget=CENSUS_BUDGET)
-    crit.expect(nodes <= CENSUS_BUDGET, "census exceeded the node budget")
-    crit.expect(set(sols) == {tuple(sorted(m)) for m in surfaces},
-                "exhaustive census disagrees with propagation")
-    tris = {f for f in cx.face_ids() if cx.faces[f].kind == TRIANGLE
-            and all(cx.src(oe) in ball2.interior_vertices
-                    for oe in cx.faces[f].word)}
-    for members in surfaces:
-        crit.expect(tris <= members, "an interior triangle is missing from a surface")
+def test_criterion_07_two_surfaces(table, ball1):
+    crit = Criterion(7, "two-surface theorem at ball scale", table)
+    crit.row("surfaces.two", seeds=48, surfaces=2)
+    crit.row("surfaces.hamiltonian", ok=[True, True])
+    crit.row("surfaces.type-three", types=["type3"])
+    crit.row("surfaces.triangles", interior_triangles=4)
+    crit.row("surfaces.census", solutions=2)
+    # the census claim can fail: around the one interior vertex of the
+    # radius-1 ball every Hamiltonian link cycle is a solution, not only
+    # the two type-3 germs that propagation grows
+    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8)}["surfaces.census"]
+    crit.expect((small.status, small.witness.get("solutions")) == (FAIL, 5),
+                f"radius-1 census: fail with 5 solutions expected, got {small.status} "
+                f"with {small.witness}")
     crit.finish()
 
 
-def test_criterion_08_periodicity(V, ball2):
-    crit = Criterion(8, "periodicity")
-    cx = ball2.complex
-    seed = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
-            and any(cx.src(oe) in ball2.interior_vertices
-                    for oe in cx.faces[f].word)][0]
-    projections = sorted(
-        periodicity_check(ball2, propagate_surface(ball2, seed, choice))
-        for choice in ("with", "other"))
-    crit.expect(projections == ["S", "S'"],
-                f"projections {projections} != ['S', \"S'\"]")
+def test_criterion_08_periodicity(table):
+    crit = Criterion(8, "periodicity", table)
+    crit.row("surfaces.periodicity", projections=["S", "S'"])
     crit.finish()
 
 
-def test_criterion_09_automorphisms(V, chartdata):
-    crit = Criterion(9, "automorphism group")
-    group = automorphism_group(V)
-    crit.expect(len(group) == 8, f"|Aut(V)| = {len(group)} != 8")
+def test_criterion_09_automorphisms(table):
+    crit = Criterion(9, "automorphism group", table)
+    thetas = {f"theta{i}": True for i in (1, 2, 3)}
+    crit.row("aut.order", order=8)
     # among the five groups of order 8 only the dihedral one has this profile
-    orders = sorted(m.order() for m in group)
-    crit.expect(orders == [1, 2, 2, 2, 2, 2, 4, 4],
-                f"element orders {orders} are not the dihedral profile")
-    rep = verify_theta_relations(V, group)
-    crit.expect(all(rep["members"].values()),
-                "a theta table is not an automorphism")
-    crit.expect(all(rep["involutive"].values()),
-                "a theta table is not an involution")
-    crit.expect(rep["generates_group"],
-                "the theta tables do not generate the group")
-    for pair in ("theta1*theta2", "theta1*theta3"):
-        crit.expect(rep["commute"][pair], f"{pair} do not commute")
-    thetas = theta_maps(V)
-    th23 = thetas["theta2"].compose(thetas["theta3"])
-    crit.expect(th23.compose(th23) == thetas["theta1"],
-                "(theta2 theta3)^2 != theta1")
-    image = {thetas["theta2"].face_map[f] for f in chartdata.surface_faces("S")}
-    crit.expect(image == set(chartdata.surface_faces("S'")),
-                "theta2 does not carry S onto S'")
+    crit.row("aut.exponent-two", FAIL, element_orders=[1, 2, 2, 2, 2, 2, 4, 4])
+    crit.row("aut.tables", members=thetas, involutive=thetas)
+    crit.row("aut.generate", generated_order=8)
+    crit.row("aut.commute", FAIL, pairs={"theta1*theta2": True, "theta1*theta3": True,
+                                         "theta2*theta3": False})
+    crit.row("aut.swap", image=["a", "b", "c", "d", "x'", "y'", "z'"])
     crit.finish()
 
 
-def test_criterion_10_enumerator_soundness():
-    crit = Criterion(10, "enumerator soundness")
+def test_criterion_10_enumerator_soundness(table):
+    crit = Criterion(10, "enumerator soundness", table)
+    crit.row("ladder.edge-parity", even=True)
+    crit.row("ladder.coxeter", nodes=28, cycles=0)
     rng = random.Random(2468)
     compared = 0
     for _ in range(40):
@@ -279,16 +269,4 @@ def test_criterion_10_enumerator_soundness():
             crit.expect(all(v % 2 == 0 for v in counts.values()),
                         "edge parity violated on a cubic instance")
     crit.expect(compared >= 25, f"only {compared} corpus graphs compared")
-    # parity on the ladder itself (cubic and Hamiltonian)
-    from hamsurf.hamgraph import moebius_ladder
-    L = moebius_ladder()
-    counts = Counter(i for c in enumerate_hamiltonian_cycles(L)
-                     for i in c.edge_indices)
-    crit.expect(all(v % 2 == 0 for v in counts.values()),
-                "edge parity violated on the ladder")
-    text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
-    coxeter = parse_graph_file(text)
-    n_cycles = len(enumerate_hamiltonian_cycles(coxeter))
-    crit.expect(n_cycles == 0,
-                f"the 28-vertex fixture has {n_cycles} cycles, expected 0")
     crit.finish()

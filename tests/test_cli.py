@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -162,3 +163,25 @@ def test_certificate_renderers():
     assert json.loads(js)[0]["claim"] == "demo claim"
     text = to_text(certs)
     assert "1/2 claims pass" in text
+
+
+def test_s_faceset_that_is_no_surface_yields_certificates(tmp_path, capsys):
+    # y' in place of y: V is unchanged, but S's link at P is not one circle
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    bad = tmp_path / "bad_s.charts"
+    bad.write_text(text.replace("faceset S : a b c d x y z", "faceset S : a b c d x y' z"))
+    code, out = run(capsys, "check-all", "--charts", str(bad))
+    assert code == 1
+    by_ref = {}
+    for c in json.loads(out):
+        by_ref.setdefault(c["ref"], []).append(c)
+    links = by_ref["quotient.links-ten"][0]
+    assert links["status"] == "fail"
+    assert links["witness"]["not_one_circle"] == ["P"]
+    families = Counter(ref.partition(".")[0] for ref, certs in by_ref.items()
+                       for c in certs if c["status"] != "error")
+    assert families == {"ladder": 8, "quotient": 10, "cover": 9, "surfaces": 6, "aut": 6}
+    # periodicity reads S and S' from the chart, where S is no longer a lift
+    periodicity = by_ref["surfaces.periodicity"][0]
+    assert periodicity["status"] == "fail"
+    assert "neither" in periodicity["witness"]["projections"]

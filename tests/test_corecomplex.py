@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from hamsurf.corecomplex import (AngleLabel, Complex2, Face, link_circle_length,
-                                 subcomplex, surface_report, total_side_count,
-                                 validate_complex)
+from hamsurf.corecomplex import (Complex2, Face, link_circle_length, subcomplex,
+                                 surface_report, validate_complex)
 from oracles import brute_orientable
 
 
@@ -31,14 +30,6 @@ def lozenge_klein():
         edges={"a": ("o", "o"), "b": ("o", "o")},
         faces=[Face("q", "lozenge", (("a", 1), ("b", 1), ("a", -1), ("b", 1)))],
     )
-
-
-def test_angle_label_weights():
-    assert AngleLabel("t").weight == 1
-    assert AngleLabel("l").weight == 1
-    assert AngleLabel("L").weight == 2
-    with pytest.raises(ValueError):
-        AngleLabel("x")
 
 
 def test_face_rejects_bad_kind_and_sign():
@@ -134,10 +125,11 @@ def test_open_complex_not_closed():
 
 def test_side_count_identity(V, S):
     for cx in (V, S):
+        total_sides = sum(len(f.word) for f in cx.faces.values())
         link_edges = sum(cx.vertex_link(v).edge_count() for v in cx.vertices)
-        assert link_edges == total_side_count(cx)
+        assert link_edges == total_sides
         sides = sum(len(cx.edge_sides(sym)) for sym in cx.edges)
-        assert sides == total_side_count(cx)
+        assert sides == total_sides
 
 
 def test_order_two_complex_has_cubic_links(V):

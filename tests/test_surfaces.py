@@ -7,10 +7,9 @@ from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, SurfaceError, is_enveloping,
-                              is_hamiltonian, lifted_cycles, link_states,
-                              make_face_set, periodicity_check, propagate_surface,
-                              relevant_faces, shuriken_check, shuriken_completion,
-                              trace_status, vertex_trace_types)
+                              is_hamiltonian, lifted_cycles, make_face_set,
+                              periodicity_check, propagate_surface, shuriken_check,
+                              shuriken_completion, trace_status, vertex_trace_types)
 
 
 def interior_lozenge_seeds(ball):
@@ -57,10 +56,9 @@ def test_missing_lozenge_uncovers_edges(V, chartdata):
 def test_two_disjoint_cycles_is_a_violation(V):
     lozenges = [f for f in V.face_ids() if V.faces[f].kind == LOZENGE]
     fs = make_face_set(V, lozenges)
-    status, _detail = trace_status(V.vertex_link("P"), fs.members)
-    assert status == "violation"
-    states = link_states(fs)
-    assert all(s[0] == "violation" for s in states.values())
+    for v in V.vertices:
+        status, _detail = trace_status(V.vertex_link(v), fs.members)
+        assert status == "violation"
     ok, witness = is_hamiltonian(fs)
     assert not ok
 
@@ -296,10 +294,6 @@ def test_census_with_deleted_cells(ball2):
     no_tri = _delete_face(ball2, tri)
     sols2, _nodes2 = count_surfaces_exhaustive(no_tri, budget=10**7)
     assert sols2 == []
-
-
-def test_relevant_faces_cover_everything(ball2):
-    assert len(relevant_faces(ball2)) == len(ball2.complex.faces)
 
 
 # --- periodicity ----------------------------------------------------------------
