@@ -62,15 +62,13 @@ def cmd_check_ladder(args):
         "cycle types split one/two/two with none unclassified",
         "ladder.types", types == Counter({"type1": 1, "type2": 2, "type3": 2}),
         {"types": dict(types)}))
-    structure = _ladder_rung_structure(L, cycles)
+    omitted, used = _ladder_rung_witnesses(L, cycles)
     certs.append(check(
         "every two-rung cycle omits two consecutive rungs",
-        "ladder.omitted-rungs", structure["omitted_consecutive"],
-        structure))
+        "ladder.omitted-rungs", omitted["omitted_consecutive"], omitted))
     certs.append(check(
         "used rungs sit three rim edges apart on both arcs",
-        "ladder.used-rung-distance", structure["used_distance_three"],
-        structure))
+        "ladder.used-rung-distance", used["used_distance_three"], used))
     parity = _tutte_parity(L, cycles)
     certs.append(check(
         "every edge lies on an even number of Hamiltonian cycles",
@@ -101,27 +99,38 @@ def cmd_check_ladder(args):
     return certs
 
 
-def _ladder_rung_structure(L, cycles):
+def _ladder_rung_witnesses(L, cycles):
+    """Witnesses of ladder.omitted-rungs and ladder.used-rung-distance.
+
+    Each carries its verdict, the number of two-rung cycles checked and the
+    rungs of the first cycle that breaks its claim (None when none does):
+    the omitted rungs, or the used ones.
+    """
     rim = {}
     for (u, v, _lbl, _tag) in L.edges:
         if frozenset((u, v)) not in L.rungs:
             rim.setdefault(u, set()).add(v)
             rim.setdefault(v, set()).add(u)
-    omitted_ok = True
-    used_ok = True
+    omitted_checks, used_checks = [], []
     for c in (c for c in cycles if c.rung_count == 2):
-        used, omitted = set(), set()
         cyc_edges = {frozenset((L.edges[i][0], L.edges[i][1])) for i in c.edge_indices}
-        for rung in L.rungs:
-            (used if rung in cyc_edges else omitted).add(rung)
+        used = L.rungs & cyc_edges
+        omitted = L.rungs - used
         # omitted pair consecutive: endpoints joined by single rim edges
         (a1, a2), (b1, b2) = (sorted(r) for r in sorted(omitted, key=sorted))
         joined = ((b1 in rim[a1] and b2 in rim[a2]) or (b2 in rim[a1] and b1 in rim[a2]))
-        omitted_ok = omitted_ok and joined
+        omitted_checks.append((omitted, joined))
         # used pair: the two cycle arcs between the rungs are 3 rim edges
-        arc_edges = [e for e in cyc_edges if e not in used]
-        used_ok = used_ok and len(arc_edges) == 6 and _arcs_of_three(L, cyc_edges, used)
-    return {"omitted_consecutive": omitted_ok, "used_distance_three": used_ok}
+        arcs_ok = len(cyc_edges - used) == 6 and _arcs_of_three(L, cyc_edges, used)
+        used_checks.append((used, arcs_ok))
+    return (_rung_witness("omitted_consecutive", omitted_checks),
+            _rung_witness("used_distance_three", used_checks))
+
+
+def _rung_witness(verdict_key, checks):
+    broken = [sorted(sorted(r) for r in rungs) for rungs, holds in checks if not holds]
+    return {verdict_key: not broken, "two_rung_cycles": len(checks),
+            "counterexample": broken[0] if broken else None}
 
 
 def _arcs_of_three(L, cyc_edges, used_rungs):

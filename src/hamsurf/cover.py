@@ -11,10 +11,15 @@ hold at every interior vertex through that lift.
 Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a fresh copy of the
 corresponding V-face is attached at that corner, and the result is folded
-to a fixpoint.  Folding identifies two edges leaving a common vertex with
-the same covering image, and two face copies over the same V-face that
-share an edge at the same boundary position.  Ball boundary words are
-stored aligned with their image words, so folds are always positionwise.
+to a fixpoint after each star.  Folding identifies two edges at a common
+vertex with the same covering image and the same end there, and two face
+copies over the same V-face that share an edge at the same boundary
+position.  Ball boundary words are stored aligned with their image words,
+so folds are always positionwise.  Folding is worklist-driven (Stallings,
+"Topology of finite graphs", 1983): attaching a cell or merging two classes
+queues the vertex and edge roots whose incidences grew, and only those are
+examined, so a star costs time in proportion to the cells it attaches and
+merges rather than to the size of the ball.
 
 Cell identifiers are canonical: after each operation the ball is renumbered
 by a breadth-first traversal from the base ordered by covering images,
@@ -136,35 +141,55 @@ def _find(parent, a):
 
 
 class _Builder:
-    """Mutable workspace: arrays plus union-find over each cell kind."""
+    """Mutable workspace: arrays plus union-find over each cell kind.
+
+    Beside the union-find arrays it keeps incidence lists on class roots
+    (``vinc``: edge ids at a vertex, ``einc``: (face id, position) pairs on
+    an edge) and a worklist of vertex and edge roots whose incidences grew
+    since they were last folded.  Entries may name merged cells; readers
+    resolve them through ``_find``.
+    """
 
     def __init__(self, v_complex):
         self.V = v_complex
-        self.vpar, self.vimg, self.vgen = [], [], []
-        self.epar, self.esrc, self.etgt, self.esym, self.egen = [], [], [], [], []
+        self.vpar, self.vimg, self.vgen, self.vinc = [], [], [], []
+        self.epar, self.esrc, self.etgt, self.esym, self.egen, self.einc = (
+            [], [], [], [], [], [])
         self.fpar, self.fimg, self.fword, self.fgen = [], [], [], []
+        self.vwork, self.ework = [], []
         self.gen = 0
 
     def new_vertex(self, image):
         self.vpar.append(len(self.vpar))
         self.vimg.append(image)
         self.vgen.append(self.gen)
+        self.vinc.append([])
         return len(self.vpar) - 1
 
     def new_edge(self, src, tgt, sym):
-        self.epar.append(len(self.epar))
+        eid = len(self.epar)
+        self.epar.append(eid)
         self.esrc.append(src)
         self.etgt.append(tgt)
         self.esym.append(sym)
         self.egen.append(self.gen)
-        return len(self.epar) - 1
+        self.einc.append([])
+        for v in {_find(self.vpar, src), _find(self.vpar, tgt)}:
+            self.vinc[v].append(eid)
+            self.vwork.append(v)
+        return eid
 
     def new_face(self, image, word):
-        self.fpar.append(len(self.fpar))
+        fid = len(self.fpar)
+        self.fpar.append(fid)
         self.fimg.append(image)
         self.fword.append(list(word))
         self.fgen.append(self.gen)
-        return len(self.fpar) - 1
+        for pos, (eid, _sign) in enumerate(word):
+            e = _find(self.epar, eid)
+            self.einc[e].append((fid, pos))
+            self.ework.append(e)
+        return fid
 
     def vunion(self, a, b):
         a, b = _find(self.vpar, a), _find(self.vpar, b)
@@ -177,6 +202,8 @@ class _Builder:
         if b < a:
             a, b = b, a
         self.vpar[b] = a
+        self.vinc[a], self.vinc[b] = self.vinc[a] + self.vinc[b], []
+        self.vwork.append(a)
         return True
 
     def eunion(self, a, b):
@@ -190,6 +217,8 @@ class _Builder:
         if b < a:
             a, b = b, a
         self.epar[b] = a
+        self.einc[a], self.einc[b] = self.einc[a] + self.einc[b], []
+        self.ework.append(a)
         self.vunion(self.esrc[a], self.esrc[b])
         self.vunion(self.etgt[a], self.etgt[b])
         return True
@@ -217,32 +246,46 @@ class _Builder:
     def live_faces(self):
         return [f for f in range(len(self.fpar)) if _find(self.fpar, f) == f]
 
+    def edges_at(self, v):
+        """Live edge roots at vertex root v; compacts v's incidence list."""
+        edges = list(dict.fromkeys(_find(self.epar, e) for e in self.vinc[v]))
+        self.vinc[v] = edges
+        return edges
+
+    def sides_on(self, e):
+        """Live (face root, position) pairs on edge root e; compacts the list."""
+        sides = list(dict.fromkeys((_find(self.fpar, f), pos) for f, pos in self.einc[e]))
+        self.einc[e] = sides
+        return sides
+
     def fold(self):
-        """Identify to a fixpoint; returns number of merges performed."""
-        merges = 0
-        while True:
-            changed = False
-            groups = {}
-            for e in self.live_edges():
-                src, tgt = _find(self.vpar, self.esrc[e]), _find(self.vpar, self.etgt[e])
-                groups.setdefault((src, self.esym[e], 0), []).append(e)
-                groups.setdefault((tgt, self.esym[e], 1), []).append(e)
-            for members in groups.values():
-                for other in members[1:]:
-                    if self.eunion(members[0], other):
-                        changed = True
-                        merges += 1
-            fgroups = {}
-            for f in self.live_faces():
-                for pos, (e, _s) in enumerate(self.fword[f]):
-                    fgroups.setdefault((self.fimg[f], pos, _find(self.epar, e)), []).append(f)
-            for members in fgroups.values():
-                for other in members[1:]:
-                    if self.funion(members[0], other):
-                        changed = True
-                        merges += 1
-            if not changed:
-                return merges
+        """Stallings folding of the worklist to a fixpoint.
+
+        A vertex root merges its incident edges that share a covering image
+        and the same end (source or target) at it; an edge root merges its
+        incident faces that share a covering image and a boundary position.
+        Attaching a cell pushes the roots it touches and every vertex or edge
+        union pushes the surviving root (a face union works through edge
+        unions), so once the worklist is empty no two cells of the whole
+        complex are left to identify.
+        """
+        while self.vwork or self.ework:
+            if self.ework:
+                e = _find(self.epar, self.ework.pop())
+                seen = {}
+                for f, pos in self.sides_on(e):
+                    first = seen.setdefault((self.fimg[f], pos), f)
+                    if first != f:
+                        self.funion(first, f)
+            else:
+                v = _find(self.vpar, self.vwork.pop())
+                seen = {}
+                for e in self.edges_at(v):
+                    for end, w in ((0, self.esrc[e]), (1, self.etgt[e])):
+                        if _find(self.vpar, w) == v:
+                            first = seen.setdefault((self.esym[e], end), e)
+                            if first != e:
+                                self.eunion(first, e)
 
     # loading and attaching --------------------------------------------------
     def load(self, ball):
@@ -277,13 +320,10 @@ class _Builder:
     def vertex_corners(self, v):
         """Current corner images at live vertex root v: list of (V fid, i)."""
         out = []
-        for f in self.live_faces():
-            word = self.fword[f]
-            n = len(word)
-            for i in range(n):
-                eid, sign = word[i]
-                root = _find(self.epar, eid)
-                start = self.esrc[root] if sign > 0 else self.etgt[root]
+        for e in self.edges_at(v):
+            for f, i in self.sides_on(e):
+                sign = self.fword[f][i][1]
+                start = self.esrc[e] if sign > 0 else self.etgt[e]
                 if _find(self.vpar, start) == v:
                     out.append((self.fimg[f], i))
         return out

@@ -141,8 +141,10 @@ def test_every_certificate_belongs_to_one_criterion(certs):
 def test_criterion_01_ladder_census(table):
     crit = Criterion(1, "ladder census", table)
     crit.row("ladder.census", count=5, by_rung_count={0: 1, 2: 4})
-    crit.row("ladder.omitted-rungs", omitted_consecutive=True)
-    crit.row("ladder.used-rung-distance", used_distance_three=True)
+    crit.row("ladder.omitted-rungs", omitted_consecutive=True,
+             two_rung_cycles=4, counterexample=None)
+    crit.row("ladder.used-rung-distance", used_distance_three=True,
+             two_rung_cycles=4, counterexample=None)
     crit.row("ladder.vertex-transitive")
     crit.row("ladder.girth", girth=6)
     crit.finish()

@@ -5,7 +5,8 @@ from importlib import resources
 import pytest
 
 from hamsurf.certs import Certificate, check, to_json, to_text
-from hamsurf.cli import main
+from hamsurf.cli import _ladder_rung_witnesses, main
+from hamsurf.hamgraph import HamCycle, enumerate_hamiltonian_cycles, moebius_ladder
 
 
 def run(capsys, *argv):
@@ -21,6 +22,21 @@ def test_check_ladder_passes(capsys):
     assert all(c["status"] == "pass" for c in certs)
     assert {"claim", "ref", "status", "witness", "version", "fixture_digest"} \
         <= set(certs[0])
+
+
+def test_rung_witnesses_name_the_first_counterexample():
+    L = moebius_ladder()
+    index = {frozenset(e[:2]): i for i, e in enumerate(L.edges)}
+    # a six-node cycle through rungs 1-5 and 3-7: it omits the rungs 0-4 and
+    # 2-6, which no rim edge joins, and its arcs have two rim edges, not three
+    nodes = (1, 5, 4, 3, 7, 0)
+    edges = frozenset(index[frozenset((a, b))] for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+    bad = HamCycle(nodes=nodes, edge_indices=edges, labels=(), rung_count=2)
+    omitted, used = _ladder_rung_witnesses(L, enumerate_hamiltonian_cycles(L) + [bad])
+    assert omitted == {"omitted_consecutive": False, "two_rung_cycles": 5,
+                       "counterexample": [[0, 4], [2, 6]]}
+    assert used == {"used_distance_three": False, "two_rung_cycles": 5,
+                    "counterexample": [[1, 5], [3, 7]]}
 
 
 def test_check_cover_passes(capsys):

@@ -2,11 +2,14 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsurf.corecomplex import Complex2, validate_complex
-from hamsurf.cover import (Ball, ball_isomorphisms, base_ball,
-                           expand_ball, expand_to_radius, restrict_ball,
-                           serialize_ball, verify_cover)
+from hamsurf.cover import (Ball, FoldConflictError, _Builder, _canonical_ball,
+                           _find, ball_isomorphisms, base_ball, expand_ball,
+                           expand_to_radius, restrict_ball, serialize_ball,
+                           verify_cover)
 from hamsurf.hamgraph import angular_girth, labeled_isomorphic
 
 
@@ -81,12 +84,25 @@ def test_idempotent_restriction(V, ball1, ball2):
     assert serialize_ball(restrict_ball(ball1, 0)) == serialize_ball(b0)
 
 
-def test_radius_three_verifies_and_restricts(V, ball2):
-    b3 = expand_ball(ball2)
-    assert b3.radius == 3
-    rep = verify_cover(b3)
+@pytest.fixture(scope="module")
+def ball3(ball2):
+    return expand_ball(ball2)
+
+
+def test_radius_three_verifies_and_restricts(V, ball2, ball3):
+    assert ball3.radius == 3
+    rep = verify_cover(ball3)
     assert rep["ok"], rep["problems"][:3]
-    assert serialize_ball(restrict_ball(b3, 2)) == serialize_ball(ball2)
+    assert serialize_ball(restrict_ball(ball3, 2)) == serialize_ball(ball2)
+
+
+def test_radius_four_verifies_and_restricts(ball3):
+    b4 = expand_ball(ball3)
+    rep = verify_cover(b4)
+    assert rep["ok"], rep["problems"][:3]
+    assert rep["interior_vertex_count"] == 213
+    assert rep["cells"] == {"vertices": 1309, "edges": 2764, "faces": 1456}
+    assert serialize_ball(restrict_ball(b4, 3)) == serialize_ball(ball3)
 
 
 def test_serialization_deterministic(V):
@@ -103,6 +119,72 @@ def test_census_regression(ball2):
 
 # value frozen from the first verified expansion of the shipped fixture
 BALL2_DIGEST = "9c1abfb4941b6de58621fd5bcc272ea3c5536ff52e8c85ae06ed7a700226afdb"
+
+# frozen from verified expansions; any folding order must reproduce them
+BALL_DIGESTS = {
+    ("P", 3): "2608488de81eaaac2b2ae3653991b7275240b13ede08d22eb959611ba8d14d47",
+    ("Q", 3): "bbd6a4fd096ad6d1b6c6ccb253540bd53f99d1cd23b9da3cdeb2add5da6e122a",
+    ("R", 3): "a3f1c379c6fed605d0913e15c6bcd9010694e166a25bc54ace86e280aa0a1dbc",
+    ("P", 4): "ef82aba6845b79b30408f12f2bf9e2255ad92ea935e5424be222b5c3ef442cfb",
+}
+
+
+@pytest.mark.parametrize("base,radius", sorted(BALL_DIGESTS))
+def test_pinned_ball_digests(V, base, radius):
+    ball = expand_to_radius(V, base, radius)
+    digest = hashlib.sha256(serialize_ball(ball).encode()).hexdigest()
+    assert digest == BALL_DIGESTS[base, radius]
+
+
+def test_fold_follows_merges_through(V):
+    # merging x1 with x2 identifies e1 with e2 (same image, both end there),
+    # hence a with b, hence f1 with f2 and y1 with y2
+    builder = _Builder(V)
+    a, b, x1, x2, y1, y2 = (builder.new_vertex(img) for img in "PPQQRR")
+    for src, tgt, sym in ((a, x1, "s"), (b, x2, "s"), (a, y1, "t"), (b, y2, "t")):
+        builder.new_edge(src, tgt, sym)
+    builder.fold()
+    assert len(builder.live_edges()) == 4
+    builder.vunion(x1, x2)
+    builder.fold()
+    assert len(builder.live_edges()) == 2
+    assert _find(builder.vpar, b) == a and _find(builder.vpar, y2) == y1
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fold_confluence(ball1, ball2, data):
+    # completing the stars in any order, folding after each star or only
+    # once at the end, gives the ball expand_ball builds
+    ball = data.draw(st.sampled_from([ball1, ball2]), label="ball")
+    targets = [v for v in ball.complex.vertices if ball.depth[v] <= ball.radius]
+    order = data.draw(st.permutations(sorted(targets)), label="order")
+    fold_each = data.draw(st.booleans(), label="fold after each star")
+    builder = _Builder(ball.v_complex)
+    vmap = builder.load(ball)
+    builder.gen = 1
+    builder.fold()
+    for v in order:
+        builder.complete_star(vmap[v])
+        if fold_each:
+            builder.fold()
+    builder.fold()
+    assert all(builder.complete_star(vmap[v]) == 0 for v in targets)
+    folded = _canonical_ball(builder, _find(builder.vpar, vmap[ball.base]), ball.radius + 1)
+    assert serialize_ball(folded) == serialize_ball(expand_ball(ball))
+
+
+def test_fold_refuses_to_merge_settled_cells(V):
+    # two loaded edges with one image leave the base: folding them would
+    # identify two cells of the ball being expanded
+    sym = next(s for s in sorted(V.edges) if V.src((s, 1)) == "P")
+    tgt = V.tgt((sym, 1))
+    cx = Complex2(["v0", "v1", "v2"], {"e0": ("v0", "v1"), "e1": ("v0", "v2")}, [])
+    ball = Ball(cx, V, "v0", 1, {"v0": "P", "v1": tgt, "v2": tgt},
+                {"e0": sym, "e1": sym}, {})
+    with pytest.raises(FoldConflictError, match="settled edge") as info:
+        expand_ball(ball)
+    assert info.value.trail[2:] == ("generation", 0)
 
 
 def test_base_vertex_independence(V):
