@@ -22,9 +22,9 @@ from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
                           surface_report, validate_complex)
 from .cover import (expand_ball, expand_to_radius, restrict_ball, serialize_ball,
                     verify_cover)
-from .hamgraph import (angular_girth, classify_cycle, CycleType,
-                       enumerate_hamiltonian_cycles, is_vertex_transitive,
-                       labeled_isomorphic, moebius_ladder, parse_graph_file)
+from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
+                       is_vertex_transitive, labeled_isomorphic, moebius_ladder,
+                       parse_graph_file)
 from .surfaces import (is_hamiltonian, periodicity_check, propagate_surface,
                        vertex_trace_types)
 
@@ -121,7 +121,7 @@ def _ladder_rung_witnesses(L, cycles):
         joined = ((b1 in rim[a1] and b2 in rim[a2]) or (b2 in rim[a1] and b1 in rim[a2]))
         omitted_checks.append((omitted, joined))
         # used pair: the two cycle arcs between the rungs are 3 rim edges
-        arcs_ok = len(cyc_edges - used) == 6 and _arcs_of_three(L, cyc_edges, used)
+        arcs_ok = len(cyc_edges - used) == 6 and _arcs_of_three(c.nodes, used)
         used_checks.append((used, arcs_ok))
     return (_rung_witness("omitted_consecutive", omitted_checks),
             _rung_witness("used_distance_three", used_checks))
@@ -133,29 +133,15 @@ def _rung_witness(verdict_key, checks):
             "counterexample": broken[0] if broken else None}
 
 
-def _arcs_of_three(L, cyc_edges, used_rungs):
-    adj = {}
-    for e in cyc_edges:
-        u, v = tuple(e)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = sorted(adj, key=str)[0]
-    seq = [start]
-    prev = None
-    while True:
-        nxt = [w for w in adj[seq[-1]] if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-        if seq[-1] == start:
-            break
-    # split the cycle at the used rungs and measure the two arcs
-    marks = [i for i in range(len(seq) - 1)
-             if frozenset((seq[i], seq[i + 1])) in used_rungs]
+def _arcs_of_three(nodes, used_rungs):
+    """Both arcs of the cyclic node sequence between its two used rungs
+    have three rim edges."""
+    n = len(nodes)
+    marks = [i for i in range(n) if frozenset((nodes[i], nodes[(i + 1) % n])) in used_rungs]
     if len(marks) != 2:
         return False
     arc1 = marks[1] - marks[0] - 1
-    arc2 = (len(seq) - 1) - arc1 - 2
-    return arc1 == 3 and arc2 == 3
+    return arc1 == 3 and n - 2 - arc1 == 3
 
 
 def _tutte_parity(L, cycles):

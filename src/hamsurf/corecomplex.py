@@ -14,16 +14,23 @@ Conventions:
 * corner ``i`` of a face sits between word letters ``i-1`` and ``i``
   (cyclically), at the vertex where those two sides meet.
 
+The link of a vertex has one node per edge germ there and one edge per
+face corner, tagged (fid, i).  ``trace_status`` is the one test of whether
+a set of faces traces a single spanning cycle in a link, and of its type;
+``Complex2.type3_cycles`` enumerates a link's type-3 Hamiltonian cycles
+once per complex and vertex.
+
 Cell identifiers are stable opaque strings; maps between complexes are
 explicit tables keyed on them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
-from .hamgraph import LabeledGraph, label_weight
+from .hamgraph import (CycleType, LabeledGraph, classify_cycle, components,
+                       enumerate_hamiltonian_cycles, label_type, label_weight)
 
 TRIANGLE = "triangle"
 LOZENGE = "lozenge"
@@ -80,6 +87,7 @@ class Complex2:
         self._sides = None
         self._corners = None
         self._germs = None
+        self._type3 = {}
 
     def __repr__(self):
         return (f"Complex2({len(self.vertices)} vertices, "
@@ -163,6 +171,47 @@ class Complex2:
             link.add_edge(g_in, g_out, self.faces[fid].corner_label(i), tag=(fid, i))
         return link
 
+    def type3_cycles(self, v):
+        """The type-3 Hamiltonian cycles of v's link, as frozensets of corner
+        tags (fid, i); enumerated on first use and kept for the complex."""
+        if v not in self._type3:
+            link = self.vertex_link(v)
+            self._type3[v] = tuple(
+                frozenset(link.edges[i][3] for i in cyc.edge_indices)
+                for cyc in enumerate_hamiltonian_cycles(link)
+                if classify_cycle(cyc) is CycleType.TYPE3)
+        return self._type3[v]
+
+
+def trace_status(link, members):
+    """Classify the sub-multigraph of a vertex link traced by member faces.
+
+    Returns (status, detail): "empty"; "paths" with the number of path
+    components; "cycle" with its CycleType when the trace is one cycle
+    through every link node; or "violation" with the reason (a node of
+    trace degree > 2, a cycle that misses nodes, or a cycle plus extra
+    components).  In a link the rungs of a cycle are its L corners, so
+    the type is that of the traced corners' label multiset.
+    """
+    traced = [(u, v, lbl) for u, v, lbl, tag in link.edges if tag[0] in members]
+    if not traced:
+        return "empty", None
+    adj = {}
+    for u, v, _lbl in traced:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    over = sorted((n for n, nbrs in adj.items() if len(nbrs) > 2), key=str)
+    if over:
+        return "violation", f"trace degree exceeds 2 at germ {over[0]}"
+    comps = components(adj, adj.__getitem__)
+    if all(any(len(adj[n]) < 2 for n in comp) for comp in comps):
+        return "paths", len(comps)
+    if len(comps) > 1:
+        return "violation", "trace splits into several components including a cycle"
+    if len(adj) < link.node_count():
+        return "violation", "trace closes a cycle that misses part of the link"
+    return "cycle", label_type(lbl for _u, _v, lbl in traced)
+
 
 def validate_complex(cx):
     """All invariant violations of the complex, as strings naming cells.
@@ -216,16 +265,6 @@ class SurfaceReport:
     vertex_count: int
     edge_count: int
     face_count: int
-
-
-def _link_is_single_cycle(link):
-    """True iff the link graph is one cycle through all its nodes."""
-    if link.node_count() == 0:
-        return False
-    for n in link.nodes:
-        if link.degree(n) != 2:
-            return False
-    return link.is_connected()
 
 
 def orientation_parities(cx):
@@ -290,7 +329,7 @@ def surface_report(cx):
             break
     if closed:
         for v in cx.vertices:
-            if not _link_is_single_cycle(cx.vertex_link(v)):
+            if trace_status(cx.vertex_link(v), cx.faces)[0] != "cycle":
                 closed = False
                 break
     orientable = None
@@ -337,6 +376,6 @@ def subcomplex(cx, face_ids):
 def link_circle_length(cx, v):
     """Total corner weight around v; requires the link to be one cycle."""
     link = cx.vertex_link(v)
-    if not _link_is_single_cycle(link):
+    if trace_status(link, cx.faces)[0] != "cycle":
         raise ValueError(f"link of {v} is not a single cycle")
     return sum(label_weight(lbl) for (_u, _w, lbl, _t) in link.edges)

@@ -18,8 +18,8 @@ determinism.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 
 LABEL_WEIGHTS = {"t": 1, "l": 1, "L": 2}
@@ -101,18 +101,8 @@ class LabeledGraph:
         return sum(1 for (u, v, _l, _t) in self.edges if u == n or v == n)
 
     def is_connected(self):
-        if not self._nodes:
-            return True
         adj = self.adjacency()
-        seen = {self._nodes[0]}
-        queue = deque(seen)
-        while queue:
-            n = queue.popleft()
-            for m, _ in adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        return len(seen) == len(self._nodes)
+        return len(components(self._nodes, lambda n: (m for m, _ in adj[n]))) <= 1
 
     def label_signature(self, n):
         """Sorted multiset of labels incident to n (isomorphism invariant)."""
@@ -121,6 +111,24 @@ class LabeledGraph:
             if u == n or v == n:
                 sig.append("" if lbl is None else lbl)
         return tuple(sorted(sig))
+
+
+def components(nodes, neighbours):
+    """Connected components of the graph on ``nodes`` whose adjacency is
+    ``neighbours(n)``, as node sets in the order of their first node."""
+    seen, out = set(), []
+    for start in nodes:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for m in neighbours(stack.pop()):
+                if m not in comp:
+                    comp.add(m)
+                    stack.append(m)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 class CycleType(Enum):
@@ -145,7 +153,6 @@ class HamCycle:
     edge_indices: frozenset
     labels: tuple
     rung_count: int
-    label_counts: tuple = field(default=())
 
     @property
     def weight(self):
@@ -153,9 +160,6 @@ class HamCycle:
         if any(lbl == "" for lbl in self.labels):
             return None
         return sum(label_weight(lbl) for lbl in self.labels)
-
-    def label_multiset(self):
-        return Counter(dict(self.label_counts))
 
 
 def _canonical_cycle(seq):
@@ -184,13 +188,11 @@ def _make_cycle(graph, node_seq, edge_idx_seq):
             rungs += 1
     if not graph.rungs:
         rungs = sum(1 for lbl in labels if lbl == "L")
-    counts = Counter(labels)
     return HamCycle(
         nodes=_canonical_cycle(node_seq),
         edge_indices=frozenset(edge_idx_seq),
         labels=tuple(sorted(labels)),
         rung_count=rungs,
-        label_counts=tuple(sorted(counts.items())),
     )
 
 
@@ -325,22 +327,28 @@ _TYPE_MULTISETS = {
 }
 
 
+def label_type(labels):
+    """Cycle type of a multiset of edge labels: type1 = {4t, 4l},
+    type2 = {2t, 4l, 2L}, type3 = {4t, 2l, 2L}; anything else is OTHER."""
+    counts = Counter(labels)
+    for ctype, ref in _TYPE_MULTISETS.items():
+        if counts == ref:
+            return ctype
+    return CycleType.OTHER
+
+
 def classify_cycle(cycle):
     """Type of a labeled Hamiltonian cycle by its label multiset.
 
-    type1 = {4t, 4l} with no rungs, type2 = {2t, 4l, 2L},
-    type3 = {4t, 2l, 2L}; anything else is OTHER.  Raises on unlabeled
-    edges.
+    As ``label_type``, except that type1 also needs no rungs.  Raises on
+    unlabeled edges.
     """
     if any(lbl == "" for lbl in cycle.labels):
         raise GraphError("cycle has unlabeled edges; cannot classify")
-    counts = cycle.label_multiset()
-    for ctype, ref in _TYPE_MULTISETS.items():
-        if counts == ref:
-            if ctype is CycleType.TYPE1 and cycle.rung_count != 0:
-                continue
-            return ctype
-    return CycleType.OTHER
+    ctype = label_type(cycle.labels)
+    if ctype is CycleType.TYPE1 and cycle.rung_count != 0:
+        return CycleType.OTHER
+    return ctype
 
 
 def labeled_isomorphic(g1, g2, ignore_labels=False, pin=None):

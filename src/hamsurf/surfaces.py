@@ -8,14 +8,17 @@ interior, in a ball interiority comes from the star-completeness flags.
 Formalization used throughout: a surface "visits every edge precisely
 once" iff every (interior) edge lies in exactly two member faces, one
 surface sheet per edge.  "No multiple vertex" iff the trace of the member
-faces in each (interior) vertex link is one spanning cycle.
+faces in each (interior) vertex link is one spanning cycle, as
+``corecomplex.trace_status`` classifies it.  Propagation reads the
+admissible (type-3) link cycles of V once per V and carries them to ball
+vertices through the covering map (``lifted_cycles``).
 """
 
 from __future__ import annotations
 
-from .corecomplex import Complex2, LOZENGE, TRIANGLE
+from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball
-from .hamgraph import CycleType, classify_cycle, enumerate_hamiltonian_cycles
+from .hamgraph import components
 
 
 class SurfaceError(ValueError):
@@ -46,86 +49,13 @@ class FaceSet:
             raise SurfaceError(f"faces not in ambient: {sorted(unknown)}")
 
 
-def make_face_set(ambient, members):
-    return FaceSet(ambient, members)
-
-
-def trace_status(link, members):
-    """Classify the sub-multigraph of a link traced by member faces.
-
-    Returns (status, detail) with status one of "empty", "paths", "cycle"
-    (a single cycle through every link node) or "violation" (a node of
-    trace degree > 2, a closed cycle that misses nodes, or a closed cycle
-    plus extra components).
-    """
-    traced = [i for i, (_u, _v, _lbl, tag) in enumerate(link.edges)
-              if tag is not None and tag[0] in members]
-    if not traced:
-        return "empty", None
-    deg = {}
-    adj = {}
-    for i in traced:
-        u, v, _lbl, _tag = link.edges[i]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-    over = sorted((n for n, d in deg.items() if d > 2), key=str)
-    if over:
-        return "violation", f"trace degree exceeds 2 at germ {over[0]}"
-    # walk out the components
-    seen_edges = set()
-    components = []
-    for i in traced:
-        if i in seen_edges:
-            continue
-        # walk as far as possible from one endpoint
-        u0 = link.edges[i][0]
-        comp_edges = set()
-        comp_nodes = set()
-        stack = [u0]
-        while stack:
-            n = stack.pop()
-            comp_nodes.add(n)
-            for m, j in adj.get(n, ()):
-                if j not in comp_edges:
-                    comp_edges.add(j)
-                    stack.append(m)
-        seen_edges |= comp_edges
-        is_cycle = all(deg[n] == 2 for n in comp_nodes)
-        components.append((is_cycle, comp_nodes, comp_edges))
-    cycles = [c for c in components if c[0]]
-    if not cycles:
-        return "paths", len(components)
-    if len(components) > 1:
-        return "violation", "trace splits into several components including a cycle"
-    is_cycle, nodes, _edges = components[0]
-    if len(nodes) == link.node_count():
-        return "cycle", None
-    return "violation", "trace closes a cycle that misses part of the link"
-
-
 def _members_connected(cx, members):
-    if not members:
-        return True
-    members = set(members)
     adj = {f: set() for f in members}
     for sym in cx.edges:
         inc = [fid for fid, _i, _s in cx.edge_sides(sym) if fid in members]
         for a in inc:
-            for b in inc:
-                if a != b:
-                    adj[a].add(b)
-    start = min(members, key=str)
-    seen = {start}
-    stack = [start]
-    while stack:
-        f = stack.pop()
-        for g in adj[f]:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return len(seen) == len(members)
+            adj[a].update(inc)
+    return len(components(adj, adj.__getitem__)) <= 1
 
 
 def is_enveloping(fs):
@@ -147,8 +77,7 @@ def is_hamiltonian(fs):
     if not ok:
         return False, witness
     for v in fs.interior_vertices:
-        link = fs.cx.vertex_link(v)
-        status, detail = trace_status(link, fs.members)
+        status, detail = trace_status(fs.cx.vertex_link(v), fs.members)
         if status != "cycle":
             return False, {"reason": "vertex trace", "vertex": v,
                            "status": status, "detail": detail}
@@ -159,129 +88,11 @@ def vertex_trace_types(fs):
     """Cycle type of the trace at each interior vertex (requires cycles)."""
     out = {}
     for v in fs.interior_vertices:
-        link = fs.cx.vertex_link(v)
-        status, _detail = trace_status(link, fs.members)
+        status, ctype = trace_status(fs.cx.vertex_link(v), fs.members)
         if status != "cycle":
             raise SurfaceError(f"trace at {v} is not a single cycle")
-        sub = _trace_subcycle(link, fs.members)
-        out[v] = classify_cycle(sub)
+        out[v] = ctype
     return out
-
-
-def _trace_subcycle(link, members):
-    """The trace as a HamCycle of the link (assumes status == cycle)."""
-    keep = [i for i, (_u, _v, _lbl, tag) in enumerate(link.edges)
-            if tag is not None and tag[0] in members]
-    adj = {}
-    for i in keep:
-        u, v, _lbl, _tag = link.edges[i]
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
-    start = link.sorted_nodes()[0]
-    seq = [start]
-    edge_seq = []
-    prev_edge = None
-    node = start
-    while True:
-        nxt = [(m, i) for m, i in adj[node] if i != prev_edge]
-        node, prev_edge = nxt[0]
-        edge_seq.append(prev_edge)
-        if node == start:
-            break
-        seq.append(node)
-    from .hamgraph import _make_cycle
-    return _make_cycle(link, tuple(seq), tuple(edge_seq))
-
-
-def _lozenge_corner_label_at(cx, fid, end_vertex, sym):
-    """Label of the lozenge corner flanking edge sym at the given endpoint."""
-    face = cx.faces[fid]
-    n = len(face.word)
-    for i, (s, _sign) in enumerate(face.word):
-        if s != sym:
-            continue
-        # corner i sits at the start of side i, corner i+1 at its end
-        start_corner, end_corner = i, (i + 1) % n
-        if cx.src(face.word[i]) == end_vertex:
-            return face.corner_label(start_corner)
-        if cx.tgt(face.word[i]) == end_vertex:
-            return face.corner_label(end_corner)
-    raise SurfaceError(f"edge {sym} not adjacent to {end_vertex} on face {fid}")
-
-
-def shuriken_check(fs, triangle_fid):
-    """Pinwheel test: do the member lozenges around a triangle spin one way?
-
-    For each side of the triangle, the member lozenge across that edge must
-    attach with its large corner at one end and its small corner at the
-    other; the configuration is a shuriken when all three large corners sit
-    at the heads of the triangle's boundary word, or all three at the
-    tails (the mirror spin).  Returns (ok, spin_or_witness).
-    """
-    cx = fs.cx
-    face = cx.faces[triangle_fid]
-    if face.kind != TRIANGLE:
-        raise SurfaceError(f"{triangle_fid} is not a triangle")
-    if triangle_fid not in fs.members:
-        raise SurfaceError(f"{triangle_fid} is not a member of the face set")
-    spins = []
-    for oedge in face.word:
-        sym = oedge[0]
-        lozenges = [fid for fid, _i, _s in cx.edge_sides(sym)
-                    if fid != triangle_fid and fid in fs.members
-                    and cx.faces[fid].kind == LOZENGE]
-        if len(lozenges) != 1:
-            return False, {"edge": sym, "reason": "no unique member lozenge"}
-        loz = lozenges[0]
-        head_label = _lozenge_corner_label_at(cx, loz, cx.tgt(oedge), sym)
-        tail_label = _lozenge_corner_label_at(cx, loz, cx.src(oedge), sym)
-        if {head_label, tail_label} != {"l", "L"}:
-            return False, {"edge": sym, "lozenge": loz, "reason": "corner labels"}
-        spins.append("head" if head_label == "L" else "tail")
-    if spins[0] == spins[1] == spins[2]:
-        return True, spins[0]
-    return False, {"reason": "mixed spin", "spins": spins}
-
-
-def shuriken_completion(fs, triangle_fid):
-    """The lozenge forced on the last open side of a partial shuriken.
-
-    Requires exactly two of the triangle's sides to carry member lozenges
-    with a consistent spin; returns the unique lozenge on the third side
-    attaching with the same spin.
-    """
-    cx = fs.cx
-    face = cx.faces[triangle_fid]
-    if face.kind != TRIANGLE:
-        raise SurfaceError(f"{triangle_fid} is not a triangle")
-    spins = {}
-    open_sides = []
-    for oedge in face.word:
-        sym = oedge[0]
-        lozenges = [fid for fid, _i, _s in cx.edge_sides(sym)
-                    if fid != triangle_fid and fid in fs.members
-                    and cx.faces[fid].kind == LOZENGE]
-        if not lozenges:
-            open_sides.append(oedge)
-            continue
-        loz = lozenges[0]
-        head_label = _lozenge_corner_label_at(cx, loz, cx.tgt(oedge), sym)
-        spins[sym] = "head" if head_label == "L" else "tail"
-    if len(open_sides) != 1 or len(set(spins.values())) != 1:
-        raise SurfaceError("completion needs exactly two lozenges of equal spin")
-    spin = next(iter(spins.values()))
-    oedge = open_sides[0]
-    sym = oedge[0]
-    want_at = cx.tgt(oedge) if spin == "head" else cx.src(oedge)
-    candidates = []
-    for fid, _i, _s in cx.edge_sides(sym):
-        if fid == triangle_fid or cx.faces[fid].kind != LOZENGE:
-            continue
-        if _lozenge_corner_label_at(cx, fid, want_at, sym) == "L":
-            candidates.append(fid)
-    if len(candidates) != 1:
-        raise SurfaceError(f"no unique completing lozenge on {sym}: {candidates}")
-    return candidates[0]
 
 
 class Contradiction(Exception):
@@ -299,13 +110,11 @@ def lifted_cycles(ball, trail=None):
 
     Returns a function v -> (cycles, corners): the type-3 Hamiltonian
     cycles of v's link as sets of corner tags (fid, i), and all corners at
-    v.  The cycles are enumerated once per V vertex, on V's own link, and
-    carried to v by the inverse of ``Ball.corner_lift``, a label-preserving
-    isomorphism of the links.  Raises Contradiction at a vertex whose link
-    does not lift.
+    v.  The cycles are V's own (``Complex2.type3_cycles`` of the image
+    vertex, enumerated once per V), carried to v by the inverse of
+    ``Ball.corner_lift``, a label-preserving isomorphism of the links.
+    Raises Contradiction at a vertex whose link does not lift.
     """
-    V = ball.v_complex
-    image_cycles = {}
     table = {}
 
     def at(v):
@@ -313,15 +122,9 @@ def lifted_cycles(ball, trail=None):
             lift = ball.corner_lift(v)
             if lift is None:
                 raise Contradiction(v, "link does not lift to its image link in V", trail)
-            p = ball.vertex_image[v]
-            if p not in image_cycles:
-                link = V.vertex_link(p)
-                image_cycles[p] = [
-                    [link.edges[i][3] for i in cyc.edge_indices]
-                    for cyc in enumerate_hamiltonian_cycles(link)
-                    if classify_cycle(cyc) is CycleType.TYPE3]
             corner = {image: c for c, image in lift.items()}
-            table[v] = ([frozenset(corner[t] for t in cyc) for cyc in image_cycles[p]],
+            table[v] = ([frozenset(corner[t] for t in cyc)
+                         for cyc in ball.v_complex.type3_cycles(ball.vertex_image[v])],
                         frozenset(lift))
         return table[v]
 
@@ -470,7 +273,7 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
             check_edge(cell)
 
     members = frozenset(f for f, s in state.items() if s == IN)
-    return make_face_set(ball, members)
+    return FaceSet(ball, members)
 
 
 def periodicity_check(ball, fs, face_twist=None):

@@ -1,6 +1,5 @@
 from importlib import resources
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 
@@ -13,8 +12,6 @@ from hamsurf.corecomplex import (Complex2, Face, link_circle_length,
 from hamsurf.hamgraph import labeled_isomorphic, moebius_ladder
 from oracles import brute_orientable
 from test_acceptance import Criterion, check_quotient_surface
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def fixture_text():
@@ -31,12 +28,6 @@ def test_shipped_fixture_counts(chartdata):
     assert len(chartdata.lozenge_records()) == 9
     assert set(chartdata.facesets) == {"S", "S'"}
     assert len(chartdata.digest) == 64
-
-
-def test_repo_copy_matches_packaged_fixture():
-    assert (REPO / "charts" / "brady_v.charts").read_text() == fixture_text()
-    assert ((REPO / "charts" / "coxeter.graph").read_text()
-            == resources.files("hamsurf.data").joinpath("coxeter.graph").read_text())
 
 
 def test_load_charts_from_path(tmp_path):

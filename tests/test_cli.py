@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from importlib import resources
 
@@ -37,6 +38,25 @@ def test_rung_witnesses_name_the_first_counterexample():
                        "counterexample": [[0, 4], [2, 6]]}
     assert used == {"used_distance_three": False, "two_rung_cycles": 5,
                     "counterexample": [[1, 5], [3, 7]]}
+
+
+@pytest.mark.parametrize("command, calls", [("find-surfaces", 3), ("check-all", 5)])
+def test_link_cycles_are_enumerated_once_per_graph(monkeypatch, capsys, command, calls):
+    # check-all enumerates the ladder, the Coxeter graph and each of V's
+    # three links once; propagation reads V's cycles through the covering map
+    counted = []
+
+    def counting(graph):
+        counted.append(graph)
+        return enumerate_hamiltonian_cycles(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hamsurf") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is enumerate_hamiltonian_cycles:
+                    monkeypatch.setattr(module, key, counting)
+    run(capsys, command, "--radius", "2")
+    assert len(counted) == calls
 
 
 def test_check_cover_passes(capsys):

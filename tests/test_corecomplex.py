@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from hamsurf.corecomplex import (Complex2, Face, link_circle_length, subcomplex,
-                                 surface_report, validate_complex)
-from oracles import brute_orientable
+                                 surface_report, trace_status, validate_complex)
+from hamsurf.hamgraph import classify_cycle, enumerate_hamiltonian_cycles
+from oracles import brute_orientable, naive_hamiltonian_cycles
 
 
 def one_triangle():
@@ -187,3 +189,26 @@ def test_subcomplex_lozenge_pair(V):
 def test_subcomplex_unknown_face(V):
     with pytest.raises(KeyError):
         subcomplex(V, ["nope"])
+
+
+def test_trace_status_over_every_face_subset_of_v(V):
+    """In each link of V and for each of the 1,024 sets of V's faces, the
+    trace is a cycle exactly when its corners are the edge set of a
+    brute-force Hamiltonian cycle of the link, and of that cycle's type."""
+    fids = V.face_ids()
+    seen = []
+    for v in V.vertices:
+        link = V.vertex_link(v)
+        naive = naive_hamiltonian_cycles(link)
+        typed = {c.edge_indices: classify_cycle(c) for c in enumerate_hamiltonian_cycles(link)}
+        assert set(typed) == naive
+        for bits in product((False, True), repeat=len(fids)):
+            members = {f for f, keep in zip(fids, bits) if keep}
+            traced = frozenset(i for i, e in enumerate(link.edges) if e[3][0] in members)
+            status, detail = trace_status(link, members)
+            assert (status == "cycle") == (traced in naive), (v, members)
+            if status == "cycle":
+                assert detail is typed[traced], (v, members)
+                seen.append(detail.value)
+    assert {"type1", "type3"} <= set(seen)
+

@@ -2,14 +2,13 @@ import pytest
 
 from hamsurf.cellmap import theta_maps
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
-from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE
+from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
 from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
-from hamsurf.surfaces import (Contradiction, SurfaceError, is_enveloping,
-                              is_hamiltonian, lifted_cycles, make_face_set,
-                              periodicity_check, propagate_surface, shuriken_check,
-                              shuriken_completion, trace_status, vertex_trace_types)
+from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
+                              is_hamiltonian, lifted_cycles, periodicity_check,
+                              propagate_surface, vertex_trace_types)
 
 
 def interior_lozenge_seeds(ball):
@@ -27,7 +26,7 @@ def interior_triangles(ball):
 # --- predicates on the quotient --------------------------------------------
 
 def test_s_is_enveloping_and_hamiltonian(V, chartdata):
-    fs = make_face_set(V, chartdata.surface_faces("S"))
+    fs = FaceSet(V, chartdata.surface_faces("S"))
     assert is_enveloping(fs)[0]
     ok, witness = is_hamiltonian(fs)
     assert ok, witness
@@ -35,12 +34,12 @@ def test_s_is_enveloping_and_hamiltonian(V, chartdata):
 
 
 def test_sprime_is_hamiltonian(V, chartdata):
-    fs = make_face_set(V, chartdata.surface_faces("S'"))
+    fs = FaceSet(V, chartdata.surface_faces("S'"))
     assert is_hamiltonian(fs)[0]
 
 
 def test_all_faces_overcover(V):
-    fs = make_face_set(V, V.face_ids())
+    fs = FaceSet(V, V.face_ids())
     ok, witness = is_enveloping(fs)
     assert not ok
     assert witness["reason"] == "edge coverage"
@@ -49,13 +48,13 @@ def test_all_faces_overcover(V):
 
 def test_missing_lozenge_uncovers_edges(V, chartdata):
     members = set(chartdata.surface_faces("S")) - {"x"}
-    ok, witness = is_enveloping(make_face_set(V, members))
+    ok, witness = is_enveloping(FaceSet(V, members))
     assert not ok and witness["reason"] == "edge coverage"
 
 
 def test_two_disjoint_cycles_is_a_violation(V):
     lozenges = [f for f in V.face_ids() if V.faces[f].kind == LOZENGE]
-    fs = make_face_set(V, lozenges)
+    fs = FaceSet(V, lozenges)
     for v in V.vertices:
         status, _detail = trace_status(V.vertex_link(v), fs.members)
         assert status == "violation"
@@ -64,73 +63,17 @@ def test_two_disjoint_cycles_is_a_violation(V):
 
 
 def test_empty_and_partial_traces(V):
-    fs = make_face_set(V, ["a"])
+    fs = FaceSet(V, ["a"])
     status, _ = trace_status(V.vertex_link("P"), fs.members)
     assert status == "paths"
-    fs0 = make_face_set(V, [])
+    fs0 = FaceSet(V, [])
     assert trace_status(V.vertex_link("P"), fs0.members)[0] == "empty"
     assert not is_enveloping(fs0)[0]
 
 
 def test_face_set_rejects_unknown_faces(V):
     with pytest.raises(SurfaceError):
-        make_face_set(V, ["nope"])
-
-
-# --- shuriken ---------------------------------------------------------------
-
-def test_every_triangle_of_s_is_a_shuriken(V, chartdata):
-    fs = make_face_set(V, chartdata.surface_faces("S"))
-    spins = set()
-    for t in "abcd":
-        ok, spin = shuriken_check(fs, t)
-        assert ok
-        spins.add(spin)
-    assert len(spins) == 1
-
-
-def test_sprime_spins_the_other_way(V, chartdata):
-    fs = make_face_set(V, chartdata.surface_faces("S"))
-    fsp = make_face_set(V, chartdata.surface_faces("S'"))
-    _, spin = shuriken_check(fs, "a")
-    _, spin_p = shuriken_check(fsp, "a")
-    assert {spin, spin_p} == {"head", "tail"}
-
-
-def test_mixed_spin_fails(V):
-    fs = make_face_set(V, ["a", "x", "y", "z'"])
-    ok, witness = shuriken_check(fs, "a")
-    assert not ok
-    assert witness["reason"] == "mixed spin"
-
-
-def test_shuriken_requires_triangle_membership(V):
-    with pytest.raises(SurfaceError):
-        shuriken_check(make_face_set(V, ["x"]), "x")
-    with pytest.raises(SurfaceError):
-        shuriken_check(make_face_set(V, ["x"]), "a")
-
-
-def test_shuriken_completion_in_quotient(V):
-    fs = make_face_set(V, ["a", "x", "y"])
-    assert shuriken_completion(fs, "a") == "z"
-    fsp = make_face_set(V, ["a", "x'", "y'"])
-    assert shuriken_completion(fsp, "a") == "z'"
-    with pytest.raises(SurfaceError):
-        shuriken_completion(make_face_set(V, ["a", "x"]), "a")
-
-
-def test_shuriken_completion_in_ball(ball2):
-    fs = propagate_surface(ball2, interior_lozenge_seeds(ball2)[0], "with")
-    cx = ball2.complex
-    for t in sorted(interior_triangles(ball2)):
-        lozs = [f for f in fs.members if cx.faces[f].kind == LOZENGE
-                and any(sym in {s for s, _g in cx.faces[t].word}
-                        for sym, _sg in cx.faces[f].word)]
-        assert len(lozs) == 3
-        partial = (fs.members - {lozs[0]})
-        forced = shuriken_completion(make_face_set(ball2, partial), t)
-        assert forced == lozs[0]
+        FaceSet(V, ["nope"])
 
 
 # --- link facts lifted from V ---------------------------------------------------
@@ -306,7 +249,7 @@ def test_projection_hits_s_and_sprime(ball2):
 
 
 def test_projection_of_everything_is_neither(ball2):
-    fs = make_face_set(ball2, ball2.complex.face_ids())
+    fs = FaceSet(ball2, ball2.complex.face_ids())
     assert periodicity_check(ball2, fs) == "neither"
 
 
