@@ -6,16 +6,30 @@ each face's boundary word must map to the image face's word up to rotation
 and reversal.  For lozenges the rotation must be even so that small corners
 go to small corners.
 
-The automorphism search is exhaustive: images and alignments of the four
-triangles determine all twelve edge images (every edge lies on exactly one
-triangle in V), after which the lozenge face images are forced or fail.
+Isomorphisms are found by development.  A face-side of an edge has a key
+at each end of the edge: the face's kind and the face's corner label
+there.  In every complex searched here no two sides at one edge end share
+a key.  In V, and in each ball of its universal cover, the sides at an
+edge end are the corners at one germ of a Moebius-ladder link, which has
+one t, one l and one L corner; in S and S' the link labels alternate, so
+the two sides at an edge end are one triangle and one lozenge.  An
+isomorphism preserves keys, so once one face's image and the alignment of
+its word are fixed, every side across a mapped edge must go to the one
+side of the image edge with the same key (read at the image's far end
+when the edge map reverses the edge), aligned along that edge: the rest
+of the map is forced face by face.  ``isomorphisms`` develops the first
+face onto every face of its kind in every label-keeping alignment and
+keeps the developments that are complete bijections.  This finds every
+isomorphism when the side keys are distinct at every edge end (it raises
+CellMapError otherwise) and the faces are connected through their edges,
+with every vertex and edge on some face.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import deque
 
-from .corecomplex import LOZENGE, TRIANGLE, reverse
+from .corecomplex import LOZENGE, reverse
 
 
 class CellMapError(ValueError):
@@ -92,6 +106,12 @@ def identity_map(cx):
     )
 
 
+def _aligned(word, shift, flipped):
+    """``word``, reversed first when ``flipped``, rotated left by ``shift``."""
+    word = tuple(reverse(oe) for oe in reversed(word)) if flipped else tuple(word)
+    return word[shift:] + word[:shift]
+
+
 def word_match(word, target_word, even_rotation_only):
     """Alignment of ``word`` onto ``target_word``: (rotation, flipped) or None.
 
@@ -102,12 +122,9 @@ def word_match(word, target_word, even_rotation_only):
     n = len(word)
     if n != len(target_word):
         return None
-    rev = tuple((s, -sg) for s, sg in reversed(word))
-    for flipped, cand in ((False, tuple(word)), (True, rev)):
-        for r in range(n):
-            if even_rotation_only and r % 2 == 1:
-                continue
-            if cand[r:] + cand[:r] == tuple(target_word):
+    for flipped in (False, True):
+        for r in range(0, n, 2 if even_rotation_only else 1):
+            if _aligned(word, r, flipped) == tuple(target_word):
                 return (r, flipped)
     return None
 
@@ -162,88 +179,94 @@ def _face_image_of_word(cx, word, kind):
     return None
 
 
-def isomorphisms(cx1, cx2, limit=None):
-    """All cellular isomorphisms cx1 -> cx2, deterministically ordered.
+def _side_key(cx, side, end):
+    """(face kind, corner label) of a face-side (fid, position, sign) of an
+    edge, read at the source of the edge's ``end`` orientation."""
+    fid, pos, sign = side
+    face = cx.faces[fid]
+    return face.kind, face.corner_label(pos if sign == end else (pos + 1) % len(face.word))
 
-    Backtracks over images and alignments of the triangles of cx1; in the
-    complexes of interest every edge lies on exactly one triangle, so the
-    triangle assignment determines the whole edge map, and the lozenge face
-    map is then forced or inconsistent.
+
+def _side_index(cx):
+    """{(edge, end): {side key: side}}, checking that the keys at every edge
+    end are distinct (the condition under which development is forced)."""
+    index = {}
+    for sym in cx.edge_symbols():
+        sides = cx.edge_sides(sym)
+        for end in (1, -1):
+            index[sym, end] = {_side_key(cx, side, end): side for side in sides}
+            if len(index[sym, end]) < len(sides):
+                raise CellMapError(f"edge {sym}: two face-sides share a side key")
+    return index
+
+
+def _develop(cx1, cx2, sides1, sides2, fid, seed):
+    """The map forced by sending face fid of cx1 to ``seed``, a face of cx2
+    and the image of fid's word (an alignment of that face's word).
+
+    Every mapped edge sends each of its face-sides to the side of the image
+    edge with the same key, aligned so that the two sides coincide; None
+    when two of these demands disagree or a side has no image.  The result
+    may still be incomplete or fail ``check_cellmap``.
     """
-    tris1 = sorted(f for f in cx1.faces if cx1.faces[f].kind == TRIANGLE)
-    tris2 = sorted(f for f in cx2.faces if cx2.faces[f].kind == TRIANGLE)
-    lozs1 = sorted(f for f in cx1.faces if cx1.faces[f].kind == LOZENGE)
-    if len(tris1) != len(tris2) or len(cx1.edges) != len(cx2.edges):
+    vmap, emap = {}, {}
+    fmap = {fid: seed}
+    queue = deque([fid])
+    while queue:
+        f = queue.popleft()
+        for (sym, sign), img in zip(cx1.faces[f].word, fmap[f][1]):
+            val = img if sign > 0 else reverse(img)
+            if emap.setdefault(sym, val) != val:
+                return None
+            for v, w in ((cx1.src((sym, 1)), cx2.src(val)), (cx1.tgt((sym, 1)), cx2.tgt(val))):
+                if vmap.setdefault(v, w) != w:
+                    return None
+            for key, (f1, pos, sign1) in sides1[sym, 1].items():
+                if f1 in fmap:
+                    continue
+                if key not in sides2[val]:
+                    return None
+                gid, q, t = sides2[val][key]
+                gword = cx2.faces[gid].word
+                flipped = val[1] * sign1 != t
+                shift = (len(gword) - 1 - pos - q if flipped else q - pos) % len(gword)
+                fmap[f1] = (gid, _aligned(gword, shift, flipped))
+                queue.append(f1)
+    return CellMap(cx1, cx2, vmap, emap, {f: g for f, (g, _w) in fmap.items()})
+
+
+def _cell_counts(cx):
+    return len(cx.vertices), len(cx.edges), len(cx.faces)
+
+
+def isomorphisms(cx1, cx2):
+    """All cellular isomorphisms cx1 -> cx2, sorted by ``CellMap.key``.
+
+    Develops cx1's first face onto every face of cx2 of its kind, in every
+    rotation and reflection that keeps corner labels (``_develop``), and
+    keeps the complete bijections that pass ``check_cellmap``.  Every
+    isomorphism sends that face somewhere in one of those alignments and
+    is then forced, so the list is complete when the faces of cx1 are
+    connected through edges and every vertex and edge lies on a face.
+    Raises CellMapError when two sides at one edge end of either complex
+    share a key, where the development would not be forced.
+    """
+    sides1, sides2 = _side_index(cx1), _side_index(cx2)
+    if not cx1.faces or _cell_counts(cx1) != _cell_counts(cx2):
         return []
-    for sym in cx1.edges:
-        uses = sum(1 for t in tris1
-                   for s, _sg in cx1.faces[t].word if s == sym)
-        if uses != 1:
-            raise CellMapError(
-                "isomorphism search requires every edge on exactly one triangle")
-
+    first = cx1.faces[cx1.face_ids()[0]]
+    n = len(first.word)
     results = []
-
-    def extend(i, edge_map, vertex_map, face_map, used_faces):
-        if i == len(tris1):
-            m = CellMap(cx1, cx2, vertex_map, edge_map, face_map)
-            # lozenge images are forced by the edge map
-            fmap = dict(face_map)
-            ok = True
-            used = set(used_faces)
-            for fid in lozs1:
-                img_word = m.map_word(cx1.faces[fid].word)
-                gid = _face_image_of_word(cx2, img_word, LOZENGE)
-                if gid is None or gid in used:
-                    ok = False
-                    break
-                used.add(gid)
-                fmap[fid] = gid
-            if ok:
-                full = CellMap(cx1, cx2, vertex_map, edge_map, fmap)
-                if not check_cellmap(full):
-                    results.append(full)
-            return
-        fid = tris1[i]
-        word = cx1.faces[fid].word
-        for gid in tris2:
-            if gid in used_faces:
-                continue
-            gword = cx2.faces[gid].word
-            rev = tuple((s, -sg) for s, sg in reversed(gword))
-            for base in (tuple(gword), rev):
-                for r in range(3):
-                    target = base[r:] + base[:r]
-                    new_edge_map = dict(edge_map)
-                    new_vertex_map = dict(vertex_map)
-                    good = True
-                    for (sym, sign), (tsym, tsign) in zip(word, target):
-                        img = (tsym, tsign) if sign > 0 else (tsym, -tsign)
-                        if sym in new_edge_map and new_edge_map[sym] != img:
-                            good = False
-                            break
-                        new_edge_map[sym] = img
-                        for v, w in ((cx1.src((sym, sign)), cx2.src((tsym, tsign))),
-                                     (cx1.tgt((sym, sign)), cx2.tgt((tsym, tsign)))):
-                            if v in new_vertex_map and new_vertex_map[v] != w:
-                                good = False
-                                break
-                            new_vertex_map[v] = w
-                        if not good:
-                            break
-                    if good:
-                        new_face_map = dict(face_map)
-                        new_face_map[fid] = gid
-                        extend(i + 1, new_edge_map, new_vertex_map,
-                               new_face_map, used_faces | {gid})
-                        if limit is not None and len(results) >= limit:
-                            return
-
-    extend(0, {}, {}, {}, frozenset())
-    results.sort(key=lambda m: m.key())
-    if limit is not None:
-        results = results[:limit]
-    return results
+    for gid in cx2.face_ids():
+        if cx2.faces[gid].kind != first.kind:
+            continue
+        for flipped in (False, True):
+            for shift in range(0, n, 2 if first.kind == LOZENGE else 1):
+                seed = (gid, _aligned(cx2.faces[gid].word, shift, flipped))
+                m = _develop(cx1, cx2, sides1, sides2, first.fid, seed)
+                if m is not None and not check_cellmap(m):
+                    results.append(m)
+    return sorted(results, key=CellMap.key)
 
 
 def automorphism_group(cx):

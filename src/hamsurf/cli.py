@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -76,15 +77,15 @@ def cmd_check_ladder(args):
     certs.append(check(
         "the unlabeled ladder is vertex transitive",
         "ladder.vertex-transitive", is_vertex_transitive(L), {}))
+    girth = angular_girth(L)
     certs.append(check(
         "angular girth of the ladder is six units",
-        "ladder.girth", angular_girth(L) == 6, {"girth": angular_girth(L)}))
+        "ladder.girth", girth == 6, {"girth": girth}))
     try:
         coxeter_path = args.coxeter
         if coxeter_path:
             text = Path(coxeter_path).read_text()
         else:
-            from importlib import resources
             text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
         g = parse_graph_file(text)
         n_cycles = len(enumerate_hamiltonian_cycles(g))

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .corecomplex import Complex2, Face, reverse
+from .corecomplex import Complex2, Face, validate_complex
+from .hamgraph import angular_girth
 
 
 class FoldConflictError(RuntimeError):
@@ -445,204 +446,6 @@ def restrict_ball(ball, radius):
     return _canonical_ball(builder, base_root, radius)
 
 
-def ball_isomorphisms(b1, b2, limit=None):
-    """Cellular isomorphisms b1 -> b2 ignoring the covering maps.
-
-    Development search: each candidate starts from a labeled isomorphism of
-    the base links and spreads across interior stars, where rigidity (an
-    interior link automorphism fixing a germ is the identity) forces every
-    extension.  Sound for balls whose faces all touch an interior vertex,
-    which holds for the expansion output at any radius >= 1.
-    """
-    from .hamgraph import labeled_isomorphisms
-
-    cx1, cx2 = b1.complex, b2.complex
-    if len(cx1.faces) != len(cx2.faces) or len(cx1.edges) != len(cx2.edges):
-        return []
-    if len(cx1.vertices) != len(cx2.vertices):
-        return []
-    for fid in cx1.face_ids():
-        if not any(cx1.src(oe) in b1.interior_vertices
-                   for oe in cx1.faces[fid].word):
-            raise ValueError("development search needs every face on an interior vertex")
-
-    link1 = cx1.vertex_link(b1.base)
-    link2 = cx2.vertex_link(b2.base)
-    results = []
-    for base_iso in labeled_isomorphisms(link1, link2):
-        iso = _develop_ball_iso(b1, b2, base_iso)
-        if iso is not None:
-            results.append(iso)
-            if limit is not None and len(results) >= limit:
-                break
-    return results
-
-
-def _develop_ball_iso(b1, b2, base_link_iso):
-    """Extend a base link isomorphism across both balls, or None."""
-    from .cellmap import CellMap
-    from .hamgraph import labeled_isomorphisms
-
-    cx1, cx2 = b1.complex, b2.complex
-    vmap = {b1.base: b2.base}
-    emap = {}
-    fmap = {}
-
-    def corner_edge_map(link, iso, other_link):
-        """link edge tag -> other link edge tag under a node bijection."""
-        pairs = {}
-        index2 = {}
-        for (u, v, lbl, tag) in other_link.edges:
-            index2.setdefault((frozenset((u, v)), lbl), []).append(tag)
-        for (u, v, lbl, tag) in link.edges:
-            key = (frozenset((iso[u], iso[v])), lbl)
-            cand = index2.get(key, [])
-            if len(cand) != 1:
-                return None
-            pairs[tag] = cand[0]
-        return pairs
-
-    def map_face(f1, i1, f2, i2):
-        """Align corner i1 of f1 with corner i2 of f2; False on conflict."""
-        face1, face2 = cx1.faces[f1], cx2.faces[f2]
-        n = len(face1.word)
-        if len(face2.word) != n or face1.kind != face2.kind:
-            return False
-        if f1 in fmap:
-            return fmap[f1] == f2
-        # germ correspondence at the shared corner decides the direction
-        a1, b1_ = cx1.corner_germs(f1, i1)
-        a2, b2_ = cx2.corner_germs(f2, i2)
-        flip = None
-        ia1 = emap.get(a1[0])
-        ib1 = emap.get(b1_[0])
-
-        def oimg(oe, table_val):
-            sym, sign = oe
-            isym, isign = table_val
-            return (isym, isign * sign)
-
-        if ia1 is not None:
-            img = oimg(a1, ia1)
-            if img == a2:
-                flip = False
-            elif img == b2_:
-                flip = True
-            else:
-                return False
-        if ib1 is not None and flip is None:
-            img = oimg(b1_, ib1)
-            if img == b2_:
-                flip = False
-            elif img == a2:
-                flip = True
-            else:
-                return False
-        if flip is None:
-            return False
-        for k in range(n):
-            j1 = (i1 + k) % n
-            j2 = (i2 + k) % n if not flip else (i2 - k) % n
-            oe1 = face1.word[j1]
-            oe2 = face2.word[j2] if not flip else tuple_reverse(face2.word[(j2 - 1) % n])
-            if not assign_edge(oe1, oe2):
-                return False
-        fmap[f1] = f2
-        return True
-
-    def tuple_reverse(oe):
-        return (oe[0], -oe[1])
-
-    def assign_edge(oe1, oe2):
-        sym1, sign1 = oe1
-        sym2, sign2 = oe2
-        val = (sym2, sign2) if sign1 > 0 else (sym2, -sign2)
-        if sym1 in emap:
-            if emap[sym1] != val:
-                return False
-        else:
-            emap[sym1] = val
-        for v, w in ((cx1.src(oe1), cx2.src(oe2)), (cx1.tgt(oe1), cx2.tgt(oe2))):
-            if v in vmap:
-                if vmap[v] != w:
-                    return False
-            else:
-                vmap[v] = w
-        return True
-
-    # seed: map the whole base star through the base link isomorphism
-    link1 = cx1.vertex_link(b1.base)
-    link2 = cx2.vertex_link(b2.base)
-    for g1_, g2_ in base_link_iso.items():
-        if not assign_edge(g1_, g2_):
-            return None
-    corner_map = corner_edge_map(link1, base_link_iso, link2)
-    if corner_map is None:
-        return None
-    for (f1, i1), (f2, i2) in sorted(corner_map.items()):
-        if not map_face(f1, i1, f2, i2):
-            return None
-
-    done = {b1.base}
-    queue = deque([v for v in sorted(vmap, key=str) if v != b1.base])
-    seen_q = set(queue)
-    while queue:
-        v = queue.popleft()
-        if v in done:
-            continue
-        done.add(v)
-        if v not in b1.interior_vertices:
-            continue
-        w = vmap.get(v)
-        if w is None or w not in b2.interior_vertices:
-            return None
-        lk1 = cx1.vertex_link(v)
-        lk2 = cx2.vertex_link(w)
-        # the germ images already fixed must extend uniquely to a link iso
-        pinned = [(g, emapped) for g in lk1.nodes
-                  for emapped in [_germ_image(g, emap)] if emapped is not None]
-        if not pinned:
-            return None
-        isos = [iso for iso in labeled_isomorphisms(lk1, lk2)
-                if all(iso[g] == img for g, img in pinned)]
-        if len(isos) != 1:
-            return None
-        iso = isos[0]
-        for g1_, g2_ in iso.items():
-            if not assign_edge(g1_, g2_):
-                return None
-        cmap = corner_edge_map(lk1, iso, lk2)
-        if cmap is None:
-            return None
-        for (f1, i1), (f2, i2) in sorted(cmap.items()):
-            if not map_face(f1, i1, f2, i2):
-                return None
-        for u in sorted(vmap, key=str):
-            if u not in done and u not in seen_q:
-                queue.append(u)
-                seen_q.add(u)
-
-    if len(fmap) != len(cx1.faces) or len(emap) != len(cx1.edges):
-        return None
-    if len(set(fmap.values())) != len(fmap):
-        return None
-    if len(set(vmap.values())) != len(vmap) or len(vmap) != len(cx1.vertices):
-        return None
-    m = CellMap(cx1, cx2, vmap, emap, fmap)
-    from .cellmap import check_cellmap
-    if check_cellmap(m):
-        return None
-    return m
-
-
-def _germ_image(germ, emap):
-    sym, sign = germ
-    if sym not in emap:
-        return None
-    isym, isign = emap[sym]
-    return (isym, isign * sign)
-
-
 def verify_cover(ball):
     """Certificate of the Ball invariants; violations are content, not errors.
 
@@ -653,9 +456,6 @@ def verify_cover(ball):
     that interior edges carry all three face-sides, and that depths agree
     with a fresh traversal.
     """
-    from .corecomplex import validate_complex
-    from .hamgraph import angular_girth
-
     cx, V = ball.complex, ball.v_complex
     problems = list(validate_complex(cx))
     for eid in cx.edges:

@@ -16,6 +16,9 @@ vertices through the covering map (``lifted_cycles``).
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball
 from .hamgraph import components
@@ -183,7 +186,6 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
         for fid in cx.faces}
 
-    from collections import deque
     work = deque()
     pending = set()
 
@@ -257,10 +259,7 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     for sym in sorted(ball.interior_edges, key=str):
         push(("e", sym))
 
-    rng = None
-    if order_seed is not None:
-        import random
-        rng = random.Random(order_seed)
+    rng = None if order_seed is None else random.Random(order_seed)
 
     while work:
         if rng is not None and len(work) > 1:

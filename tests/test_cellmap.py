@@ -4,7 +4,7 @@ from hamsurf.cellmap import (CellMapError, automorphism_group, check_cellmap,
                              generated_subgroup, identity_map, isomorphisms,
                              map_from_edge_table, theta_maps,
                              verify_theta_relations, word_match)
-from hamsurf.corecomplex import LOZENGE, TRIANGLE
+from hamsurf.corecomplex import LOZENGE, TRIANGLE, Complex2, Face
 
 
 def test_identity_is_valid(V):
@@ -113,9 +113,22 @@ def test_generated_subgroup_of_single_involution(V):
 
 def test_s_and_sprime_are_isomorphic(S, Sprime):
     isos = isomorphisms(S, Sprime)
-    assert isos
+    assert len(isos) == 4
     for m in isos:
         assert check_cellmap(m) == []
+
+
+def test_isomorphisms_refuse_a_shared_side_key():
+    # two triangles on edge e: both sides read (triangle, t) at each end,
+    # so a face across e is not forced and the search must refuse
+    cx = Complex2(
+        ["u", "v", "w", "x"],
+        {"e": ("u", "v"), "f": ("v", "w"), "g": ("w", "u"),
+         "h": ("v", "x"), "k": ("x", "u")},
+        [Face("A", TRIANGLE, (("e", 1), ("f", 1), ("g", 1))),
+         Face("B", TRIANGLE, (("e", 1), ("h", 1), ("k", 1)))])
+    with pytest.raises(CellMapError, match="share a side key"):
+        isomorphisms(cx, cx)
 
 
 def test_bad_edge_table_rejected(V):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamsurf.cellmap import check_cellmap, isomorphisms
 from hamsurf.corecomplex import Complex2, validate_complex
 from hamsurf.cover import (Ball, FoldConflictError, _Builder, _canonical_ball,
-                           _find, ball_isomorphisms, base_ball, expand_ball,
-                           expand_to_radius, restrict_ball, serialize_ball,
-                           verify_cover)
+                           _find, base_ball, expand_ball, expand_to_radius,
+                           restrict_ball, serialize_ball, verify_cover)
 from hamsurf.hamgraph import angular_girth, labeled_isomorphic
 
 
@@ -187,20 +187,31 @@ def test_fold_refuses_to_merge_settled_cells(V):
     assert info.value.trail[2:] == ("generation", 0)
 
 
+def _assert_eight_base_maps(b1, b2):
+    """Exactly eight cellular isomorphisms b1 -> b2, all sending base to base."""
+    isos = isomorphisms(b1.complex, b2.complex)
+    assert len(isos) == 8
+    for m in isos:
+        assert m.vertex_map[b1.base] == b2.base
+        assert check_cellmap(m) == []
+
+
 def test_base_vertex_independence(V):
     balls = {v: expand_to_radius(V, v, 2) for v in V.vertices}
     for a in V.vertices:
         for b in V.vertices:
-            isos = ball_isomorphisms(balls[a], balls[b], limit=1)
-            assert isos, (a, b)
-            from hamsurf.cellmap import check_cellmap
-            assert check_cellmap(isos[0]) == []
+            _assert_eight_base_maps(balls[a], balls[b])
 
 
 def test_base_vertex_independence_radius_one(V):
     balls = {v: expand_to_radius(V, v, 1) for v in V.vertices}
-    assert ball_isomorphisms(balls["P"], balls["Q"], limit=1)
-    assert ball_isomorphisms(balls["Q"], balls["R"], limit=1)
+    for a in V.vertices:
+        for b in V.vertices:
+            _assert_eight_base_maps(balls[a], balls[b])
+
+
+def test_base_vertex_independence_radius_three(V, ball3):
+    _assert_eight_base_maps(ball3, expand_to_radius(V, "R", 3))
 
 
 def _delete_face(ball, fid):

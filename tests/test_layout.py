@@ -1,0 +1,30 @@
+"""Layout rules for the package source, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import hamsurf
+
+TREES = {path.name: ast.parse(path.read_text())
+         for path in sorted(Path(hamsurf.__file__).parent.glob("*.py"))}
+
+
+def test_imports_sit_at_module_level():
+    inside = [
+        (name, fn.name, node.lineno)
+        for name, tree in TREES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+
+
+def test_no_private_names_imported_from_sibling_modules():
+    private = [
+        (name, node.module, alias.name)
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names if alias.name.startswith("_")]
+    assert private == []
