@@ -326,21 +326,16 @@ def ball_surface_certs(ball, budget, d=""):
         "the two surfaces project onto S and S', one each",
         "surfaces.periodicity", projections == ["S", "S'"],
         {"projections": projections}, d))
-    if radius <= 2:
-        try:
-            sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
-            certs.append(check(
-                "the exhaustive census returns the same two face sets",
-                "surfaces.census", set(sols) == set(surfaces),
-                {"solutions": len(sols), "nodes": nodes}, d))
-        except BudgetExceeded as exc:
-            certs.append(error_certificate(
-                "the exhaustive census returns the same two face sets",
-                "surfaces.census", str(exc), d))
-    else:
+    try:
+        sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
+        certs.append(check(
+            "the exhaustive census returns the same two face sets",
+            "surfaces.census", set(sols) == set(surfaces),
+            {"solutions": len(sols), "nodes": nodes}, d))
+    except BudgetExceeded as exc:
         certs.append(error_certificate(
             "the exhaustive census returns the same two face sets",
-            "surfaces.census", f"census capped at radius 2, got {radius}", d))
+            "surfaces.census", str(exc), d))
     return certs
 
 

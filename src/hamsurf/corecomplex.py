@@ -17,8 +17,9 @@ Conventions:
 The link of a vertex has one node per edge germ there and one edge per
 face corner, tagged (fid, i).  ``trace_status`` is the one test of whether
 a set of faces traces a single spanning cycle in a link, and of its type;
-``Complex2.type3_cycles`` enumerates a link's type-3 Hamiltonian cycles
-once per complex and vertex.
+``Complex2.type3_cycles`` enumerates a link's type-3 Hamiltonian cycles,
+and ``Complex2.link_girth`` computes its angular girth, once per complex
+and vertex.
 
 Cell identifiers are stable opaque strings; maps between complexes are
 explicit tables keyed on them.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .hamgraph import (CycleType, LabeledGraph, classify_cycle, components,
+from .hamgraph import (CycleType, LabeledGraph, angular_girth, classify_cycle, components,
                        enumerate_hamiltonian_cycles, label_type, label_weight)
 
 TRIANGLE = "triangle"
@@ -88,6 +89,7 @@ class Complex2:
         self._corners = None
         self._germs = None
         self._type3 = {}
+        self._girth = {}
 
     def __repr__(self):
         return (f"Complex2({len(self.vertices)} vertices, "
@@ -181,6 +183,13 @@ class Complex2:
                 for cyc in enumerate_hamiltonian_cycles(link)
                 if classify_cycle(cyc) is CycleType.TYPE3)
         return self._type3[v]
+
+    def link_girth(self, v):
+        """The angular girth of v's link; computed on first use and kept
+        for the complex."""
+        if v not in self._girth:
+            self._girth[v] = angular_girth(self.vertex_link(v))
+        return self._girth[v]
 
 
 def trace_status(link, members):

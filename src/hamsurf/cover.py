@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 
 from .corecomplex import Complex2, Face, validate_complex
-from .hamgraph import angular_girth
 
 
 class FoldConflictError(RuntimeError):
@@ -468,7 +467,6 @@ def verify_cover(ball):
         target = V.faces[ball.face_image[fid]].word
         if tuple(ball.map_oedge(oe) for oe in word) != tuple(target):
             problems.append(f"face {fid}: boundary word image is misaligned")
-    image_girth = {p: angular_girth(V.vertex_link(p)) for p in V.vertices}
     vertex_rows = {}
     for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
         interior = v in ball.interior_vertices
@@ -480,7 +478,7 @@ def verify_cover(ball):
         if interior:
             lifts = ball.corner_lift(v) is not None
             row["link_matches_image"] = lifts
-            row["girth"] = image_girth[ball.vertex_image[v]] if lifts else None
+            row["girth"] = V.link_girth(ball.vertex_image[v]) if lifts else None
             if not lifts:
                 problems.append(f"vertex {v}: interior link does not match its image link")
         vertex_rows[v] = row

@@ -5,9 +5,12 @@ from importlib import resources
 
 import pytest
 
+import hamsurf.cli
+import hamsurf.corecomplex
 from hamsurf.certs import Certificate, check, to_json, to_text
 from hamsurf.cli import _ladder_rung_witnesses, main
-from hamsurf.hamgraph import HamCycle, enumerate_hamiltonian_cycles, moebius_ladder
+from hamsurf.hamgraph import (HamCycle, angular_girth, enumerate_hamiltonian_cycles,
+                              moebius_ladder)
 
 
 def run(capsys, *argv):
@@ -182,6 +185,21 @@ def test_surfaces_radius_below_two_is_an_error(capsys, radius):
     certs = json.loads(out)
     assert [(c["ref"], c["status"]) for c in certs] == [("surfaces.radius", "error")]
     assert "below 2" in certs[0]["witness"]["error"]
+
+
+def test_link_girths_are_computed_once_per_vertex_of_v(capsys, monkeypatch):
+    # check-cover builds V once and verifies a ball from each of its three
+    # vertices; the ladder certificate needs one more girth
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return angular_girth(graph)
+
+    monkeypatch.setattr(hamsurf.corecomplex, "angular_girth", counting)
+    monkeypatch.setattr(hamsurf.cli, "angular_girth", counting)
+    run(capsys, "check-all", "--radius", "2")
+    assert len(calls) == 4
 
 
 def test_census_budget_propagates(capsys):

@@ -28,3 +28,17 @@ def test_no_private_names_imported_from_sibling_modules():
         if isinstance(node, ast.ImportFrom) and node.level and node.module
         for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_census_imports_nothing_from_the_package():
+    # the census is the oracle that propagation is checked against, so it
+    # must not share code with the library it checks
+    imports = [
+        node.module or "." for node in ast.walk(TREES["census.py"])
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "hamsurf")]
+    imports += [
+        alias.name for node in ast.walk(TREES["census.py"])
+        if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.split(".")[0] == "hamsurf"]
+    assert imports == []

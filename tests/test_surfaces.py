@@ -189,14 +189,38 @@ def test_propagation_contradiction_on_damaged_ball(ball2):
 
 # --- census -------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def ball3(V):
+    return expand_to_radius(V, "P", 3)
+
+
+def propagated_pair(ball):
+    seed = interior_lozenge_seeds(ball)[0]
+    return {tuple(sorted(propagate_surface(ball, seed, c).members))
+            for c in ("with", "other")}
+
+
 def test_census_matches_propagation(ball2):
-    seed = interior_lozenge_seeds(ball2)[0]
-    expected = {tuple(sorted(propagate_surface(ball2, seed, c).members))
-                for c in ("with", "other")}
     sols, nodes = count_surfaces_exhaustive(ball2, budget=10**8)
-    assert set(sols) == expected
+    assert set(sols) == propagated_pair(ball2)
     assert len(sols) == 2
-    assert nodes < 10**5
+    assert nodes == 2798
+
+
+# search nodes of a census that re-checked every cell of a decided face from
+# scratch; the incremental counters must prune exactly as it did (radius 2
+# from P is pinned above)
+@pytest.mark.parametrize("base, radius, nodes", [
+    ("P", 1, 63), ("Q", 1, 67), ("R", 1, 63), ("Q", 2, 2881), ("R", 2, 2788)])
+def test_census_node_counts(V, base, radius, nodes):
+    assert count_surfaces_exhaustive(expand_to_radius(V, base, radius))[1] == nodes
+
+
+def test_census_radius_three(ball3):
+    sols, nodes = count_surfaces_exhaustive(ball3)
+    assert nodes == 199758
+    assert len(sols) == 2
+    assert set(sols) == propagated_pair(ball3)
 
 
 def test_census_radius_one(ball1):
@@ -205,9 +229,7 @@ def test_census_radius_one(ball1):
     # which are the admissible type-3 germs that propagation picks
     sols, _nodes = count_surfaces_exhaustive(ball1, budget=10**7)
     assert len(sols) == 5
-    seed = interior_lozenge_seeds(ball1)[0]
-    germs = {tuple(sorted(propagate_surface(ball1, seed, c).members))
-             for c in ("with", "other")}
+    germs = propagated_pair(ball1)
     assert len(germs) == 2
     assert germs <= set(sols)
 
@@ -215,6 +237,11 @@ def test_census_radius_one(ball1):
 def test_census_budget_guard(ball2):
     with pytest.raises(BudgetExceeded):
         count_surfaces_exhaustive(ball2, budget=10)
+
+
+def test_census_budget_guard_radius_three(ball3):
+    with pytest.raises(BudgetExceeded, match="census exceeded 1000 nodes"):
+        count_surfaces_exhaustive(ball3, budget=1000)
 
 
 def test_census_with_deleted_cells(ball2):
@@ -228,15 +255,17 @@ def test_census_with_deleted_cells(ball2):
     star_loz = [f for f, _i in cx.corners_at(ball2.base)
                 if cx.faces[f].kind == LOZENGE][0]
     broken = _delete_face(ball2, star_loz)
-    sols, _nodes = count_surfaces_exhaustive(broken, budget=10**7)
+    sols, nodes = count_surfaces_exhaustive(broken, budget=10**7)
     assert len(sols) == 1
     keeper = next(m for m in survivors.values() if star_loz not in m)
     assert sols[0] == tuple(sorted(keeper))
+    assert nodes == 1669
 
     tri = sorted(interior_triangles(ball2))[0]
     no_tri = _delete_face(ball2, tri)
-    sols2, _nodes2 = count_surfaces_exhaustive(no_tri, budget=10**7)
+    sols2, nodes2 = count_surfaces_exhaustive(no_tri, budget=10**7)
     assert sols2 == []
+    assert nodes2 == 162
 
 
 # --- periodicity ----------------------------------------------------------------
