@@ -8,10 +8,14 @@ fixed order along face adjacency, with local pruning only:
   two reachable;
 * a vertex trace never branches (degree <= 2 per germ) and never closes a
   cycle early;
-* every germ of an interior vertex must keep two usable corners among
-  member and undecided faces;
 * once every face at an interior vertex is decided, the trace must be one
   spanning cycle.
+
+Every germ of an interior vertex also keeps two usable corners among member
+and undecided faces, with no rule of its own: a germ is the end of an edge
+at the vertex, its corners are exactly the face-sides of that edge, and the
+edge is interior because its end vertex is, so the edge rule already keeps
+two of them reachable.
 
 Full assignments are kept when every interior edge has coverage exactly 2,
 every interior vertex carries one spanning trace cycle, and the member set
@@ -24,9 +28,8 @@ nodes) of interior vertices are numbered once per call, and deciding a
 face updates only the counters of its own cells:
 
 * per edge, the member sides and the undecided sides;
-* per germ, the degree (member corners through it) and the availability
-  (corners not dropped), and a union-find over the germs joined by member
-  corners, by size and without path compression;
+* per germ, the degree (member corners through it), and a union-find over
+  the germs joined by member corners, by size and without path compression;
 * per vertex, the member corners and the undecided faces.
 
 Backtracking undoes a decision by reversing its counter updates and
@@ -85,8 +88,8 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     the same.  Since the checks of a cell can only change when one of its
     faces is decided, it is enough to re-check what that decision changed:
 
-    * Member sides and germ degrees only grow, and availability only
-      shrinks, so only the counters just moved can newly pass a bound.
+    * Member sides and germ degrees only grow, and open sides only
+      shrink, so only the counters just moved can newly pass a bound.
     * With every germ degree at most 2, a member corner whose two germs
       already share a component closes a cycle.  A closed cycle is a
       component that no later corner can join without a degree above 2,
@@ -148,7 +151,6 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     member_sides = [0] * len(edges)
     open_sides = list(sides)
     degree = [0] * len(germ_corners)
-    avail = list(germ_corners)
     parent = list(range(len(germ_corners)))
     size = [1] * len(germ_corners)
     unions = []
@@ -214,19 +216,11 @@ def count_surfaces_exhaustive(ball, budget=10**8):
             open_sides[e] -= 1
             if member_sides[e] + open_sides[e] < 2:
                 ok = False
-        for (_x, a, b) in pairs_of[k]:
-            avail[a] -= 1
-            avail[b] -= 1
-            if avail[a] < 2 or avail[b] < 2:
-                ok = False
         return spanned(verts_of[k]) and ok
 
     def undrop(k):
         for x in verts_of[k]:
             undecided[x] += 1
-        for (_x, a, b) in pairs_of[k]:
-            avail[a] += 1
-            avail[b] += 1
         for e in edges_of[k]:
             open_sides[e] += 1
 

@@ -17,7 +17,7 @@ from . import __version__
 from .certs import check, error_certificate, to_json, to_text
 from .charts import (ChartError, build_S, build_Sprime, build_V,
                      flat_piece_census, load_charts, load_default_charts)
-from .cellmap import theta_maps, verify_theta_relations, automorphism_group
+from .cellmap import CellMapError, automorphism_group, theta_maps, verify_theta_relations
 from .census import BudgetExceeded, count_surfaces_exhaustive
 from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
                           surface_report, validate_complex)
@@ -26,16 +26,25 @@ from .cover import (expand_ball, expand_to_radius, restrict_ball, serialize_ball
 from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
                        is_vertex_transitive, labeled_isomorphic, moebius_ladder,
                        parse_graph_file)
-from .surfaces import (is_hamiltonian, periodicity_check, propagate_surface,
-                       vertex_trace_types)
+from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_check,
+                       propagate_surface, vertex_trace_types)
 
 MAX_RADIUS = 3
 
 
-def _load(args):
-    """The chart data and V; raises ChartError or OSError."""
-    cd = load_charts(args.charts) if args.charts else load_default_charts()
-    return cd, build_V(cd)
+def _load(args, loaded=None):
+    """The chart data and V; raises ChartError or OSError.
+
+    ``check-all`` loads once and hands each subcommand what it got in
+    ``loaded``: the pair, or the error, raised again here so that every
+    claim family reports it in its own fixture certificate.
+    """
+    if loaded is None:
+        cd = load_charts(args.charts) if args.charts else load_default_charts()
+        return cd, build_V(cd)
+    if isinstance(loaded, Exception):
+        raise loaded
+    return loaded
 
 
 def _radius_error(ref, radius, least, why, digest):
@@ -49,7 +58,7 @@ def _radius_error(ref, radius, least, why, digest):
     return error_certificate("expansion radius within configured bounds", ref, reason, digest)
 
 
-def cmd_check_ladder(args):
+def cmd_check_ladder(args, _loaded=None):
     certs = []
     L = moebius_ladder()
     cycles = enumerate_hamiltonian_cycles(L)
@@ -184,10 +193,10 @@ def quotient_surface_certs(S, d=""):
     ]
 
 
-def cmd_check_quotient(args):
+def cmd_check_quotient(args, loaded=None):
     certs = []
     try:
-        cd, V = _load(args)
+        cd, V = _load(args, loaded)
         S, Sp = build_S(cd), build_Sprime(cd)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "quotient.fixture", str(exc))]
@@ -232,10 +241,10 @@ def cmd_check_quotient(args):
     return certs
 
 
-def cmd_check_cover(args):
+def cmd_check_cover(args, loaded=None):
     certs = []
     try:
-        cd, V = _load(args)
+        cd, V = _load(args, loaded)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "cover.fixture", str(exc))]
     radius, d = args.radius, cd.digest
@@ -269,9 +278,9 @@ def cmd_check_cover(args):
     return certs
 
 
-def cmd_find_surfaces(args):
+def cmd_find_surfaces(args, loaded=None):
     try:
-        cd, V = _load(args)
+        cd, V = _load(args, loaded)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "surfaces.fixture", str(exc))]
     radius, d = args.radius, cd.digest
@@ -295,19 +304,30 @@ def ball_surface_certs(ball, budget, d=""):
     cx = ball.complex
     seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
              and any(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)]
-    surfaces = {}
+    surfaces, failed = {}, []
     for seed in seeds:
         for choice in ("with", "other"):
-            fs = propagate_surface(ball, seed, choice)
-            surfaces[tuple(sorted(fs.members))] = fs
+            try:
+                fs = propagate_surface(ball, seed, choice)
+            except Contradiction as exc:
+                failed.append({"seed": seed, "choice": choice,
+                               "cell": exc.cell, "reason": exc.reason})
+            except SurfaceError as exc:
+                failed.append({"seed": seed, "choice": choice,
+                               "cell": None, "reason": str(exc)})
+            else:
+                surfaces[tuple(sorted(fs.members))] = fs
+    witness = {"radius": radius, "seeds": len(seeds), "surfaces": len(surfaces)}
+    if failed:
+        witness.update(failed_runs=len(failed), first_failure=failed[0])
     certs.append(check(
         "propagation finds exactly two surfaces over all seeds and choices",
-        "surfaces.two", len(surfaces) == 2,
-        {"radius": radius, "seeds": len(seeds), "surfaces": len(surfaces)}, d))
+        "surfaces.two", len(surfaces) == 2 and not failed, witness, d))
     ham = {key: is_hamiltonian(fs)[0] for key, fs in surfaces.items()}
     certs.append(check(
         "both propagated face sets are interior-Hamiltonian",
-        "surfaces.hamiltonian", all(ham.values()), {"ok": sorted(ham.values())}, d))
+        "surfaces.hamiltonian", bool(ham) and all(ham.values()),
+        {"ok": sorted(ham.values())}, d))
     types = set()
     for fs in surfaces.values():
         types |= {t.value for t in vertex_trace_types(fs).values()}
@@ -319,7 +339,7 @@ def ball_surface_certs(ball, budget, d=""):
     certs.append(check(
         "both surfaces contain every interior triangle",
         "surfaces.triangles",
-        all(tris <= fs.members for fs in surfaces.values()),
+        bool(surfaces) and all(tris <= fs.members for fs in surfaces.values()),
         {"interior_triangles": len(tris)}, d))
     projections = sorted(periodicity_check(ball, fs) for fs in surfaces.values())
     certs.append(check(
@@ -339,44 +359,42 @@ def ball_surface_certs(ball, budget, d=""):
     return certs
 
 
-def cmd_check_aut(args):
-    certs = []
+AUT_CLAIMS = (
+    ("the automorphism group of V has order eight", "aut.order"),
+    ("every automorphism is an involution or the identity", "aut.exponent-two"),
+    ("the three involution tables are automorphisms of V", "aut.tables"),
+    ("the three tables generate the whole group", "aut.generate"),
+    ("all pairs of the three tables commute", "aut.commute"),
+    ("the arrow-reversing involution carries S onto S'", "aut.swap"),
+)
+
+
+def cmd_check_aut(args, loaded=None):
     try:
-        cd, V = _load(args)
+        cd, V = _load(args, loaded)
     except (ChartError, OSError) as exc:
         return [error_certificate("chart fixture loads", "aut.fixture", str(exc))]
     d = cd.digest
-    group = automorphism_group(V)
-    rep = verify_theta_relations(V, group)
-    certs.append(check(
-        "the automorphism group of V has order eight",
-        "aut.order", rep["group_order"] == 8,
-        {"order": rep["group_order"]}, d))
-    certs.append(check(
-        "every automorphism is an involution or the identity",
-        "aut.exponent-two", rep["exponent_two"],
-        {"element_orders": rep["element_orders"]}, d))
-    certs.append(check(
-        "the three involution tables are automorphisms of V",
-        "aut.tables", all(rep["members"].values()) and all(rep["involutive"].values()),
-        {"members": rep["members"], "involutive": rep["involutive"]}, d))
-    certs.append(check(
-        "the three tables generate the whole group",
-        "aut.generate", rep["generates_group"],
-        {"generated_order": rep["generated_order"]}, d))
-    certs.append(check(
-        "all pairs of the three tables commute",
-        "aut.commute", rep["all_pairs_commute"], {"pairs": rep["commute"]}, d))
-    thetas = theta_maps(V)
-    s_faces = set(cd.surface_faces("S"))
-    image = {thetas["theta2"].face_map[f] for f in s_faces}
-    certs.append(check(
-        "the arrow-reversing involution carries S onto S'",
-        "aut.swap", image == set(cd.surface_faces("S'")),
-        {"image": sorted(image),
-         "triangle_action": {k: v for k, v in thetas["theta2"].face_map.items()
-                             if k in cd.triangles}}, d))
-    return certs
+    try:
+        rep = verify_theta_relations(V, automorphism_group(V))
+        theta2 = theta_maps(V)["theta2"]
+    except CellMapError as exc:
+        return [error_certificate(claim, ref, str(exc), d) for claim, ref in AUT_CLAIMS]
+    image = {theta2.face_map[f] for f in cd.surface_faces("S")}
+    verdicts = (
+        (rep["group_order"] == 8, {"order": rep["group_order"]}),
+        (rep["exponent_two"], {"element_orders": rep["element_orders"]}),
+        (all(rep["members"].values()) and all(rep["involutive"].values()),
+         {"members": rep["members"], "involutive": rep["involutive"]}),
+        (rep["generates_group"], {"generated_order": rep["generated_order"]}),
+        (rep["all_pairs_commute"], {"pairs": rep["commute"]}),
+        (image == set(cd.surface_faces("S'")),
+         {"image": sorted(image),
+          "triangle_action": {k: v for k, v in theta2.face_map.items()
+                              if k in cd.triangles}}),
+    )
+    return [check(claim, ref, ok, witness, d)
+            for (claim, ref), (ok, witness) in zip(AUT_CLAIMS, verdicts)]
 
 
 COMMANDS = {
@@ -389,10 +407,14 @@ COMMANDS = {
 
 
 def cmd_check_all(args):
+    try:
+        loaded = _load(args)
+    except (ChartError, OSError) as exc:
+        loaded = exc
     certs = []
     for name in ("check-ladder", "check-quotient", "check-cover",
                  "find-surfaces", "check-aut"):
-        certs.extend(COMMANDS[name](args))
+        certs.extend(COMMANDS[name](args, loaded))
     return certs
 
 

@@ -30,6 +30,7 @@ histories.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from .corecomplex import Complex2, Face, validate_complex
 
@@ -46,6 +47,16 @@ class FoldConflictError(RuntimeError):
     def __init__(self, kind, trail):
         super().__init__(f"fold would merge two settled {kind}s: {trail}")
         self.trail = trail
+
+
+class Contradiction(Exception):
+    """Propagation dead end; carries the blocking cell and the trail."""
+
+    def __init__(self, cell, reason, trail=None):
+        super().__init__(f"contradiction at {cell}: {reason}")
+        self.cell = cell
+        self.reason = reason
+        self.trail = trail or []
 
 
 class Ball:
@@ -75,6 +86,11 @@ class Ball:
                 == len(v_complex.edge_sides(self.edge_image[e])))
         self.interior_vertices = frozenset(interior_vertices)
         self.interior_edges = frozenset(interior_edges)
+        # per-ball tables filled on first use: lifted link cycles by vertex,
+        # and the propagation results that ``surfaces.propagate_surface``
+        # shares between seeds, by (anchor, chosen cycle)
+        self._type3 = {}
+        self.propagations = {}
 
     def _depths(self):
         dist = {self.base: 0}
@@ -113,6 +129,36 @@ class Ball:
             if germs != V.corner_germs(*image):
                 return None
         return lift
+
+    def type3_cycles(self, v):
+        """The admissible link cycles at v, lifted from V: (cycles, corners).
+
+        The cycles are the type-3 Hamiltonian cycles of v's link as
+        frozensets of corner tags (fid, i), and corners are all corners at v.
+        They are V's own (``Complex2.type3_cycles`` of the image vertex),
+        carried to v by the inverse of ``corner_lift``, a label-preserving
+        isomorphism of the links; lifted on first use and kept for the ball,
+        as ``Complex2.type3_cycles`` keeps them for V.  Raises Contradiction
+        at a vertex whose link does not lift.
+        """
+        if v not in self._type3:
+            lift, entry = self.corner_lift(v), None
+            if lift is not None:
+                corner = {image: c for c, image in lift.items()}
+                entry = (tuple(frozenset(corner[t] for t in cyc)
+                               for cyc in self.v_complex.type3_cycles(self.vertex_image[v])),
+                         frozenset(lift))
+            self._type3[v] = entry
+        if self._type3[v] is None:
+            raise Contradiction(v, "link does not lift to its image link in V")
+        return self._type3[v]
+
+    @cached_property
+    def face_vertices(self):
+        """The distinct corner vertices of each face, sorted by name."""
+        cx = self.complex
+        return {fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
+                for fid in cx.faces}
 
     def map_oedge(self, oedge):
         eid, sign = oedge

@@ -9,9 +9,14 @@ Formalization used throughout: a surface "visits every edge precisely
 once" iff every (interior) edge lies in exactly two member faces, one
 surface sheet per edge.  "No multiple vertex" iff the trace of the member
 faces in each (interior) vertex link is one spanning cycle, as
-``corecomplex.trace_status`` classifies it.  Propagation reads the
-admissible (type-3) link cycles of V once per V and carries them to ball
-vertices through the covering map (``lifted_cycles``).
+``corecomplex.trace_status`` classifies it.
+
+Propagation reads the admissible (type-3) link cycles of V, enumerated once
+per V, as the ball carries them to its vertices through the covering map
+(``Ball.type3_cycles``, lifted once per ball vertex).  Its result depends on
+the seed only through the anchor vertex and the chosen link cycle, so each
+ball keeps one result per such pair and every seed that maps to the pair
+shares it (``propagate_surface``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 from collections import deque
 
 from .corecomplex import Complex2, LOZENGE, trace_status
-from .cover import Ball
+from .cover import Ball, Contradiction
 from .hamgraph import components
 
 
@@ -98,42 +103,6 @@ def vertex_trace_types(fs):
     return out
 
 
-class Contradiction(Exception):
-    """Propagation dead end; carries the blocking cell and the trail."""
-
-    def __init__(self, cell, reason, trail=None):
-        super().__init__(f"contradiction at {cell}: {reason}")
-        self.cell = cell
-        self.reason = reason
-        self.trail = trail or []
-
-
-def lifted_cycles(ball, trail=None):
-    """The admissible link cycles at interior vertices, lifted from V.
-
-    Returns a function v -> (cycles, corners): the type-3 Hamiltonian
-    cycles of v's link as sets of corner tags (fid, i), and all corners at
-    v.  The cycles are V's own (``Complex2.type3_cycles`` of the image
-    vertex, enumerated once per V), carried to v by the inverse of
-    ``Ball.corner_lift``, a label-preserving isomorphism of the links.
-    Raises Contradiction at a vertex whose link does not lift.
-    """
-    table = {}
-
-    def at(v):
-        if v not in table:
-            lift = ball.corner_lift(v)
-            if lift is None:
-                raise Contradiction(v, "link does not lift to its image link in V", trail)
-            corner = {image: c for c, image in lift.items()}
-            table[v] = ([frozenset(corner[t] for t in cyc)
-                         for cyc in ball.v_complex.type3_cycles(ball.vertex_image[v])],
-                        frozenset(lift))
-        return table[v]
-
-    return at
-
-
 IN, OUT, UNKNOWN = 1, 0, -1
 
 
@@ -143,7 +112,8 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     The seed lozenge anchors the propagation at its least-depth interior
     corner vertex; the local choice picks one of the two admissible link
     cycles there: "with" takes the one through the seed's corner (so the
-    seed lies on the surface), "other" takes its companion.
+    seed lies on the surface), "other" takes its companion.  A bad seed or
+    choice raises SurfaceError.
 
     Worklist propagation: a face joins when every admissible cycle at some
     vertex uses one of its corners, leaves when none does, and interior
@@ -151,10 +121,37 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     settled.  Returns the member FaceSet on success and raises
     Contradiction otherwise.
 
+    One run per (anchor, chosen cycle) and ball.  The seeding settles
+    exactly the corners at the anchor, in or out as the chosen cycle
+    dictates, and after it the worklist never reads the seed; so two seeds
+    with the same anchor and chosen cycle start from the same state, queue
+    the same cells and end in the same result.  The first call for a key
+    runs (``_propagate``) and keeps the member set, or the contradiction's
+    cell, reason and trail, in ``ball.propagations``; later calls with the
+    key return that set or raise that contradiction again.
+
     The worklist is processed in sorted order; ``order_seed`` shuffles it
     instead, which must not change the result (forced steps commute) and is
-    exercised by the confluence tests.
+    exercised by the confluence tests.  Such a call always runs in full and
+    neither reads nor fills the table.
     """
+    anchor, chosen = _anchor_cycle(ball, seed_lozenge, choice)
+    if order_seed is not None:
+        return FaceSet(ball, _propagate(ball, anchor, chosen, order_seed))
+    key = (anchor, chosen)
+    if key not in ball.propagations:
+        try:
+            ball.propagations[key] = _propagate(ball, anchor, chosen)
+        except Contradiction as exc:
+            ball.propagations[key] = (exc.cell, exc.reason, exc.trail)
+    found = ball.propagations[key]
+    if isinstance(found, tuple):
+        raise Contradiction(*found)
+    return FaceSet(ball, found)
+
+
+def _anchor_cycle(ball, seed_lozenge, choice):
+    """The anchor vertex of a seed and the admissible cycle a choice picks."""
     cx = ball.complex
     if cx.faces[seed_lozenge].kind != LOZENGE:
         raise SurfaceError(f"seed {seed_lozenge} is not a lozenge")
@@ -164,27 +161,36 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         raise SurfaceError("seed lozenge has no interior corner vertex")
     anchor = min(anchors, key=lambda v: (ball.depth[v], int(v[1:])))
 
-    trail = []
-    cycles_at = lifted_cycles(ball, trail)
-    cycles, all_tags = cycles_at(anchor)
+    cycles, _all_tags = ball.type3_cycles(anchor)
     with_seed = [c for c in cycles if any(tag[0] == seed_lozenge for tag in c)]
     without = [c for c in cycles if not any(tag[0] == seed_lozenge for tag in c)]
     if len(with_seed) != 1 or len(without) != len(cycles) - 1:
         raise SurfaceError("seed corner is not on exactly one admissible cycle")
     if choice == "with":
-        chosen = with_seed[0]
-    elif choice == "other":
+        return anchor, with_seed[0]
+    if choice == "other":
         if len(without) != 1:
             raise SurfaceError("no unique companion cycle at the anchor")
-        chosen = without[0]
-    else:
-        raise SurfaceError(f"unknown choice {choice!r}")
+        return anchor, without[0]
+    raise SurfaceError(f"unknown choice {choice!r}")
+
+
+def _propagate(ball, anchor, chosen, order_seed=None):
+    """One full propagation run from the anchor state: the member face ids.
+
+    Raises Contradiction, with the trail of settled faces, at a dead end.
+    """
+    cx = ball.complex
+    trail = []
+
+    def cycles_at(v):
+        try:
+            return ball.type3_cycles(v)
+        except Contradiction as exc:
+            raise Contradiction(v, exc.reason, trail) from None
 
     state = {fid: UNKNOWN for fid in cx.faces}
-
-    face_vertices = {
-        fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
-        for fid in cx.faces}
+    face_vertices = ball.face_vertices
 
     work = deque()
     pending = set()
@@ -210,7 +216,7 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
                 push(("e", sym))
 
     # seed the anchor: its trace is exactly the chosen cycle
-    for tag in sorted(all_tags):
+    for tag in sorted(cycles_at(anchor)[1]):
         settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
 
     def check_vertex(v):
@@ -271,8 +277,7 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
         else:
             check_edge(cell)
 
-    members = frozenset(f for f, s in state.items() if s == IN)
-    return FaceSet(ball, members)
+    return frozenset(f for f, s in state.items() if s == IN)
 
 
 def periodicity_check(ball, fs, face_twist=None):

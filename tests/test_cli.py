@@ -7,6 +7,7 @@ import pytest
 
 import hamsurf.cli
 import hamsurf.corecomplex
+import hamsurf.surfaces
 from hamsurf.certs import Certificate, check, to_json, to_text
 from hamsurf.cli import _ladder_rung_witnesses, main
 from hamsurf.hamgraph import (HamCycle, angular_girth, enumerate_hamiltonian_cycles,
@@ -78,6 +79,85 @@ def test_find_surfaces_passes(capsys):
     assert by_ref["surfaces.two"]["witness"]["surfaces"] == 2
     assert by_ref["surfaces.census"]["status"] == "pass"
     assert by_ref["surfaces.periodicity"]["witness"]["projections"] == ["S", "S'"]
+
+
+def test_find_surfaces_radius_three(capsys):
+    code, out = run(capsys, "find-surfaces", "--radius", "3")
+    assert code == 0
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert sorted(by_ref) == ["surfaces.census", "surfaces.hamiltonian",
+                              "surfaces.periodicity", "surfaces.triangles",
+                              "surfaces.two", "surfaces.type-three"]
+    assert all(c["status"] == "pass" for c in by_ref.values())
+    assert by_ref["surfaces.two"]["witness"] == {"radius": 3, "seeds": 224, "surfaces": 2}
+    assert by_ref["surfaces.census"]["witness"]["nodes"] == 199758
+
+
+def test_find_surfaces_runs_once_per_anchor_state(monkeypatch, capsys):
+    # 48 lozenge seeds with two choices each share 18 (anchor, cycle) runs
+    runs = []
+    full = hamsurf.surfaces._propagate
+
+    def counting(*args, **kwargs):
+        runs.append(args[1:3])
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(hamsurf.surfaces, "_propagate", counting)
+    code, out = run(capsys, "find-surfaces", "--radius", "2")
+    assert code == 0
+    assert {c["ref"]: c for c in json.loads(out)}["surfaces.two"]["witness"]["seeds"] == 48
+    assert len(runs) == len(set(runs)) == 18
+
+
+def test_check_all_loads_the_charts_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("load_default_charts", "build_V"):
+        monkeypatch.setattr(hamsurf.cli, name, counting(name, getattr(hamsurf.cli, name)))
+    run(capsys, "check-all", "--radius", "2")
+    assert calls == {"load_default_charts": 1, "build_V": 1}
+
+
+# one-line chart edits that load and build, but whose V breaks a claim
+# family's computation: each must end in failing or error certificates
+@pytest.mark.parametrize("edits, ref, status, detail", [
+    ({"face a triangle : x_a+ y_a+ z_a+": "face a triangle : x_a+ y_b+ z_a+",
+      "face b triangle : x_b+ y_b+ z_b+": "face b triangle : x_b+ y_a+ z_b+"},
+     "surfaces.two", "fail", {"cell": "v6", "reason": "no admissible link cycle"}),
+    ({"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_c+ x_d- x_b+ x_a-"},
+     "surfaces.two", "fail",
+     {"cell": None, "reason": "seed corner is not on exactly one admissible cycle"}),
+    ({"face z lozenge : z_c+ z_b- z_d+ z_a-": "face z lozenge : z_a+ z_b- z_d+ z_c-"},
+     "aut.swap", "error", {"error": "edge table does not map face z to a face"}),
+])
+def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, status, detail):
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "mutated.charts"
+    bad.write_text(text)
+    code = main(["check-all", "--charts", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    by_ref = {c["ref"]: c for c in json.loads(captured.out)}
+    cert = by_ref[ref]
+    assert cert["status"] == status
+    if status == "fail":
+        failure = cert["witness"]["first_failure"]
+        assert {k: failure[k] for k in detail} == detail
+        assert failure["choice"] in ("with", "other")
+        assert cert["witness"]["failed_runs"] > 0
+    else:
+        assert cert["witness"] == detail
+        assert all(by_ref[r]["status"] == "error" for r in by_ref if r.startswith("aut."))
 
 
 def test_check_quotient_reports_the_orientability_failure(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
@@ -7,8 +8,8 @@ from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
-                              is_hamiltonian, lifted_cycles, periodicity_check,
-                              propagate_surface, vertex_trace_types)
+                              is_hamiltonian, periodicity_check, propagate_surface,
+                              vertex_trace_types)
 
 
 def interior_lozenge_seeds(ball):
@@ -88,13 +89,12 @@ def test_lifted_cycles_match_direct_enumeration(V):
         balls += [b2, expand_ball(b2)]
     checked = 0
     for ball in balls:
-        cycles_at = lifted_cycles(ball)
         for v in sorted(ball.interior_vertices, key=str):
             link = ball.complex.vertex_link(v)
             direct = {frozenset(link.edges[i][3] for i in cyc.edge_indices)
                       for cyc in enumerate_hamiltonian_cycles(link)
                       if classify_cycle(cyc) is CycleType.TYPE3}
-            cycles, corners = cycles_at(v)
+            cycles, corners = ball.type3_cycles(v)
             assert len(direct) == 2
             assert set(cycles) == direct and len(cycles) == len(direct), v
             assert corners == {tag for _u, _w, _lbl, tag in link.edges}
@@ -144,11 +144,97 @@ def test_propagation_confluence(ball2):
         assert got == reference
 
 
-def test_propagation_deterministic(ball2):
+def test_propagation_deterministic(V, ball2):
+    # a second call on ball2 would read the shared result, so run again on a
+    # freshly expanded ball
     seed = interior_lozenge_seeds(ball2)[3]
     a = propagate_surface(ball2, seed, "with").members
-    b = propagate_surface(ball2, seed, "with").members
+    b = propagate_surface(expand_to_radius(V, "P", 2), seed, "with").members
     assert a == b
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Contradiction as exc:
+        return ("contradiction", exc.cell, exc.reason, exc.trail)
+
+
+@pytest.mark.parametrize("base, radius, results", [
+    ("P", 2, 96), ("Q", 2, 96), ("R", 2, 96), ("P", 3, 448)])
+def test_shared_runs_equal_unshared_runs(V, base, radius, results):
+    # every seed and choice reads the same result from the per-ball table as
+    # a full run from its anchor state on a fresh ball, which has no table
+    # entries; a contradiction is raised again with its cell, reason and trail
+    ball = expand_to_radius(V, base, radius)
+    fresh = expand_to_radius(V, base, radius)
+    compared = 0
+    for seed in interior_lozenge_seeds(ball):
+        for choice in ("with", "other"):
+            shared = _outcome(lambda: propagate_surface(ball, seed, choice).members)
+            anchor, chosen = hamsurf.surfaces._anchor_cycle(fresh, seed, choice)
+            alone = _outcome(lambda: hamsurf.surfaces._propagate(fresh, anchor, chosen))
+            assert shared == alone, (seed, choice)
+            compared += 1
+    assert compared == results
+    assert not fresh.propagations
+
+
+@pytest.fixture
+def counted_runs(monkeypatch):
+    runs = []
+    full = hamsurf.surfaces._propagate
+
+    def counting(*args, **kwargs):
+        runs.append(args[1:3])
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(hamsurf.surfaces, "_propagate", counting)
+    return runs
+
+
+def test_one_run_per_anchor_state(V, counted_runs):
+    # a radius-3 ball from P has 224 lozenge seeds, 448 seed choices, and 98
+    # distinct (anchor, chosen cycle) pairs
+    ball = expand_to_radius(V, "P", 3)
+    choices = [(seed, choice) for seed in interior_lozenge_seeds(ball)
+               for choice in ("with", "other")]
+    for seed, choice in choices:
+        propagate_surface(ball, seed, choice)
+    assert len(choices) == 448
+    assert len(counted_runs) == len(set(counted_runs)) == 98
+    assert len(ball.propagations) == 98
+
+
+def test_order_seed_bypasses_the_table(V, counted_runs):
+    ball = expand_to_radius(V, "P", 2)
+    seed = interior_lozenge_seeds(ball)[0]
+    for _ in range(2):
+        propagate_surface(ball, seed, "with", order_seed=1)
+    assert len(counted_runs) == 2 and not ball.propagations
+
+
+def test_contradiction_is_raised_again_from_the_table(ball2):
+    cx = ball2.complex
+    base_lozenges = [f for f, _i in cx.corners_at(ball2.base)
+                     if cx.faces[f].kind == LOZENGE]
+    broken = _delete_face(ball2, base_lozenges[0])
+    by_key = {}
+    for seed in interior_lozenge_seeds(broken):
+        for choice in ("with", "other"):
+            try:
+                key = hamsurf.surfaces._anchor_cycle(broken, seed, choice)
+            except (Contradiction, SurfaceError):
+                continue
+            with pytest.raises(Contradiction) as raised:
+                propagate_surface(broken, seed, choice)
+            by_key.setdefault(key, []).append(raised.value)
+    shared = [excs for excs in by_key.values() if len(excs) > 1]
+    assert shared
+    for excs in shared:
+        first = excs[0]
+        assert all((e.cell, e.reason, e.trail) == (first.cell, first.reason, first.trail)
+                   for e in excs)
 
 
 def test_bad_seed_and_choice_rejected(ball2):
