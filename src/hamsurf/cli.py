@@ -113,19 +113,21 @@ def _ladder_rung_witnesses(L, cycles):
     """Witnesses of ladder.omitted-rungs and ladder.used-rung-distance.
 
     Each carries its verdict, the number of two-rung cycles checked and the
-    rungs of the first cycle that breaks its claim (None when none does):
-    the omitted rungs, or the used ones.
+    rungs (L edges) of the first cycle that breaks its claim (None when none
+    does): the omitted rungs, or the used ones.
     """
-    rim = {}
-    for (u, v, _lbl, _tag) in L.edges:
-        if frozenset((u, v)) not in L.rungs:
+    rungs, rim = set(), {}
+    for (u, v, lbl, _tag) in L.edges:
+        if lbl == "L":
+            rungs.add(frozenset((u, v)))
+        else:
             rim.setdefault(u, set()).add(v)
             rim.setdefault(v, set()).add(u)
     omitted_checks, used_checks = [], []
     for c in (c for c in cycles if c.rung_count == 2):
         cyc_edges = {frozenset((L.edges[i][0], L.edges[i][1])) for i in c.edge_indices}
-        used = L.rungs & cyc_edges
-        omitted = L.rungs - used
+        used = rungs & cyc_edges
+        omitted = rungs - used
         # omitted pair consecutive: endpoints joined by single rim edges
         (a1, a2), (b1, b2) = (sorted(r) for r in sorted(omitted, key=sorted))
         joined = ((b1 in rim[a1] and b2 in rim[a2]) or (b2 in rim[a1] and b1 in rim[a2]))
@@ -418,6 +420,28 @@ def cmd_check_all(args):
     return certs
 
 
+OPTIONS = {
+    "--charts": dict(default=None, help="chart fixture path (default: shipped fixture)"),
+    "--radius": dict(type=int, default=2,
+                     help="ball radius for cover/surface checks (default 2)"),
+    "--budget": dict(type=int, default=10**8,
+                     help="backtracking node budget for the census"),
+    "--coxeter": dict(default=None, help="path to the 28-vertex graph fixture"),
+    "--out": dict(default=None, help="directory to write <command>.json into"),
+    "--format": dict(choices=("json", "text"), default="json"),
+}
+
+# the options each subcommand reads, besides --out and --format
+COMMAND_OPTIONS = {
+    "check-ladder": ("--coxeter",),
+    "check-quotient": ("--charts",),
+    "check-cover": ("--charts", "--radius"),
+    "find-surfaces": ("--charts", "--radius", "--budget"),
+    "check-aut": ("--charts",),
+    "check-all": ("--charts", "--radius", "--budget", "--coxeter"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hamsurf",
@@ -425,19 +449,10 @@ def build_parser():
                     "its covering balls and its Hamiltonian surfaces")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(COMMANDS) + ["check-all"]:
+    for name, options in COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
-        p.add_argument("--charts", default=None,
-                       help="chart fixture path (default: shipped fixture)")
-        p.add_argument("--radius", type=int, default=2,
-                       help="ball radius for cover/surface checks (default 2)")
-        p.add_argument("--budget", type=int, default=10**8,
-                       help="backtracking node budget for the census")
-        p.add_argument("--coxeter", default=None,
-                       help="path to the 28-vertex graph fixture")
-        p.add_argument("--out", default=None,
-                       help="directory to write <command>.json into")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        for option in options + ("--out", "--format"):
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 

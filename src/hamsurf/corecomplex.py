@@ -66,9 +66,6 @@ class Face:
             return "t"
         return "l" if i % 2 == 0 else "L"
 
-    def corner_labels(self):
-        return tuple(self.corner_label(i) for i in range(len(self.word)))
-
 
 class Complex2:
     """An immutable 2-complex; construct, then query.

@@ -11,7 +11,8 @@ hold at every interior vertex through that lift.
 Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a fresh copy of the
 corresponding V-face is attached at that corner, and the result is folded
-to a fixpoint after each star.  Folding identifies two edges at a common
+to a fixpoint after each star.  One round over the stars suffices (see
+``expand_ball``).  Folding identifies two edges at a common
 vertex with the same covering image and the same end there, and two face
 copies over the same V-face that share an edge at the same boundary
 position.  Ball boundary words are stored aligned with their image words,
@@ -36,7 +37,7 @@ from .corecomplex import Complex2, Face, validate_complex
 
 
 class FoldConflictError(RuntimeError):
-    """Raised when folding would identify cells built in earlier rounds.
+    """Raised when folding would identify two cells of the ball being expanded.
 
     The expansion rule never merges cells with different covering images
     (identification keys carry the image), so the remaining failure mode is
@@ -439,23 +440,23 @@ def _canonical_ball(builder, base_root, radius):
 
 
 def expand_ball(ball):
-    """The ball of radius +1: complete every star at depth <= radius."""
+    """The ball of radius +1: complete every star at depth <= radius, once.
+
+    Each star is completed and folded in one pass, in order of depth.  One
+    pass is enough: folding only merges cells with the same covering
+    image, so a corner is only ever identified with a corner over the same
+    V-corner at the same vertex, and a completed star never loses a corner.
+    A second pass over the same vertices would attach nothing.
+    """
     builder = _Builder(ball.v_complex)
     vmap = builder.load(ball)
     builder.gen = 1
     targets = sorted(
         (ball.depth[v], v) for v in ball.complex.vertices
         if ball.depth[v] <= ball.radius)
-    for _ in range(8):
+    for _d, v in targets:
+        builder.complete_star(vmap[v])
         builder.fold()
-        attached = 0
-        for _d, v in targets:
-            attached += builder.complete_star(vmap[v])
-            builder.fold()
-        if attached == 0:
-            break
-    else:
-        raise FoldConflictError("ball", ("expansion did not stabilize",))
     return _canonical_ball(builder, _find(builder.vpar, vmap[ball.base]), ball.radius + 1)
 
 

@@ -10,9 +10,11 @@ three labels are
 
 The reference graph is the Moebius ladder on eight nodes: an 8-cycle rim with
 labels alternating l,t and four rungs joining antipodal rim nodes, each
-labeled L.  Everything in this module is exact integer combinatorics; node
-identifiers are arbitrary hashable objects ordered by ``str`` for
-determinism.
+labeled L.  A rung is an L edge and nothing else: the ladder facts (the
+rungs a cycle uses or omits, its type) are read from the labels, so any
+graph carries them without extra marking.  Everything in this module is
+exact integer combinatorics; node identifiers are arbitrary hashable
+objects ordered by ``str`` for determinism.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class LabeledGraph:
         self._nodes = []
         self._node_set = set()
         self.edges = []  # list of (u, v, label_or_None, tag)
-        self.rungs = set()  # frozensets {u, v}; only set for ladder-style graphs
 
     def add_node(self, n):
         if n not in self._node_set:
@@ -67,9 +68,6 @@ class LabeledGraph:
         self.add_node(v)
         self.edges.append((u, v, label, tag))
         return len(self.edges) - 1
-
-    def mark_rung(self, u, v):
-        self.rungs.add(frozenset((u, v)))
 
     @property
     def nodes(self):
@@ -103,14 +101,6 @@ class LabeledGraph:
     def is_connected(self):
         adj = self.adjacency()
         return len(components(self._nodes, lambda n: (m for m, _ in adj[n]))) <= 1
-
-    def label_signature(self, n):
-        """Sorted multiset of labels incident to n (isomorphism invariant)."""
-        sig = []
-        for (u, v, lbl, _t) in self.edges:
-            if u == n or v == n:
-                sig.append("" if lbl is None else lbl)
-        return tuple(sorted(sig))
 
 
 def components(nodes, neighbours):
@@ -146,20 +136,18 @@ class HamCycle:
     ``str``) over all rotations and both directions, so equal cycles always
     canonicalize identically.  ``edge_indices`` is the identity used for
     duplicate elimination, which distinguishes cycles through parallel
-    edges.
+    edges.  ``labels`` is the sorted label multiset, "" for an unlabeled
+    edge.
     """
 
     nodes: tuple
     edge_indices: frozenset
     labels: tuple
-    rung_count: int
 
     @property
-    def weight(self):
-        """Total angular length in units of pi/3; None if any edge unlabeled."""
-        if any(lbl == "" for lbl in self.labels):
-            return None
-        return sum(label_weight(lbl) for lbl in self.labels)
+    def rung_count(self):
+        """The number of rungs (L edges) the cycle uses."""
+        return self.labels.count("L")
 
 
 def _canonical_cycle(seq):
@@ -176,24 +164,10 @@ def _canonical_cycle(seq):
 
 
 def _make_cycle(graph, node_seq, edge_idx_seq):
-    labels = []
-    for idx in edge_idx_seq:
-        lbl = graph.edges[idx][2]
-        labels.append("" if lbl is None else lbl)
-    rungs = 0
-    for i, idx in enumerate(edge_idx_seq):
-        u = node_seq[i]
-        v = node_seq[(i + 1) % len(node_seq)]
-        if frozenset((u, v)) in graph.rungs:
-            rungs += 1
-    if not graph.rungs:
-        rungs = sum(1 for lbl in labels if lbl == "L")
-    return HamCycle(
-        nodes=_canonical_cycle(node_seq),
-        edge_indices=frozenset(edge_idx_seq),
-        labels=tuple(sorted(labels)),
-        rung_count=rungs,
-    )
+    labels = (graph.edges[idx][2] or "" for idx in edge_idx_seq)
+    return HamCycle(nodes=_canonical_cycle(node_seq),
+                    edge_indices=frozenset(edge_idx_seq),
+                    labels=tuple(sorted(labels)))
 
 
 def enumerate_hamiltonian_cycles(graph):
@@ -306,8 +280,8 @@ def moebius_ladder():
     """The labeled Moebius ladder on four rungs and eight nodes.
 
     Rim 8-cycle 0..7 with labels alternating l,t starting at edge (0,1);
-    rungs (i, i+4) labeled L and designated as rungs.  Cubic and vertex
-    transitive as an unlabeled graph.
+    rungs (i, i+4) labeled L.  Cubic and vertex transitive as an unlabeled
+    graph.
     """
     g = LabeledGraph()
     for i in range(8):
@@ -316,7 +290,6 @@ def moebius_ladder():
         g.add_edge(i, (i + 1) % 8, "l" if i % 2 == 0 else "t")
     for i in range(4):
         g.add_edge(i, i + 4, "L")
-        g.mark_rung(i, i + 4)
     return g
 
 
@@ -338,108 +311,82 @@ def label_type(labels):
 
 
 def classify_cycle(cycle):
-    """Type of a labeled Hamiltonian cycle by its label multiset.
+    """Type of a labeled Hamiltonian cycle: ``label_type`` of its labels.
 
-    As ``label_type``, except that type1 also needs no rungs.  Raises on
-    unlabeled edges.
+    Rungs are the L edges, so a type-1 cycle ({4t, 4l}) uses no rung by its
+    labels alone.  Raises on unlabeled edges.
     """
-    if any(lbl == "" for lbl in cycle.labels):
+    if "" in cycle.labels:
         raise GraphError("cycle has unlabeled edges; cannot classify")
-    ctype = label_type(cycle.labels)
-    if ctype is CycleType.TYPE1 and cycle.rung_count != 0:
-        return CycleType.OTHER
-    return ctype
+    return label_type(cycle.labels)
 
 
 def labeled_isomorphic(g1, g2, ignore_labels=False, pin=None):
-    """Label-preserving graph isomorphism g1 -> g2, or None.
+    """The first isomorphism of ``labeled_isomorphisms``, or None."""
+    return next(labeled_isomorphisms(g1, g2, ignore_labels=ignore_labels, pin=pin), None)
 
-    Returns the first bijection found in canonical search order (nodes of g1
-    processed in sorted order, candidate images in sorted order), so the
-    output is deterministic.  ``pin`` optionally forces one assignment
-    (node1, node2) before the search starts.  Parallel edges are matched by
-    multiplicity per label.
+
+def _iso_profile(g, ignore_labels):
+    """Per node of g: its signature (degree and sorted incident labels) and
+    its table neighbour -> Counter of the labels between them; "" stands
+    for no label, and for every label when labels are ignored."""
+    incident = {n: [] for n in g.nodes}
+    between = {n: {} for n in g.nodes}
+    for (u, v, lbl, _t) in g.edges:
+        key = "" if lbl is None or ignore_labels else lbl
+        for a, b in ((u, v), (v, u)):
+            incident[a].append(key)
+            between[a].setdefault(b, Counter())[key] += 1
+    sigs = {n: (len(keys), tuple(sorted(keys))) for n, keys in incident.items()}
+    return sigs, between
+
+
+def labeled_isomorphisms(g1, g2, ignore_labels=False, pin=None):
+    """Label-preserving isomorphisms g1 -> g2, generated lazily.
+
+    Canonical search order: nodes of g1 are assigned in sorted order, each
+    to candidate images in sorted order, so the output is deterministic.
+    ``pin`` optionally forces one assignment (node1, node2) before the
+    search starts.  Parallel edges are matched by multiplicity per label.
+    Node signatures and label tables are computed once per search.
     """
-    found = labeled_isomorphisms(g1, g2, ignore_labels=ignore_labels, pin=pin, limit=1)
-    return found[0] if found else None
-
-
-def labeled_isomorphisms(g1, g2, ignore_labels=False, pin=None, limit=None):
-    """All label-preserving isomorphisms g1 -> g2, in canonical order."""
     if g1.node_count() != g2.node_count() or g1.edge_count() != g2.edge_count():
-        return []
-
-    def edge_profile(g):
-        # (u, v) -> Counter of labels, u/v in str order
-        prof = {}
-        for (u, v, lbl, _t) in g.edges:
-            key = tuple(sorted((u, v), key=str))
-            prof.setdefault(key, Counter())[
-                "" if lbl is None or ignore_labels else lbl
-            ] += 1
-        return prof
-
-    prof1 = edge_profile(g1)
-    prof2 = edge_profile(g2)
-
-    def sig(g, n):
-        if ignore_labels:
-            return (g.degree(n),)
-        return (g.degree(n), g.label_signature(n))
-
+        return
+    sigs1, between1 = _iso_profile(g1, ignore_labels)
+    sigs2, between2 = _iso_profile(g2, ignore_labels)
     nodes1 = g1.sorted_nodes()
     nodes2 = g2.sorted_nodes()
-    sigs2 = {n: sig(g2, n) for n in nodes2}
-
     mapping = {}
     used = set()
-    results = []
 
     def compatible(n1, n2):
-        if sig(g1, n1) != sigs2[n2]:
-            return False
-        for (u, v), labels in prof1.items():
-            if u == n1 or v == n1:
-                other = v if u == n1 else u
-                if other in mapping:
-                    key = tuple(sorted((n2, mapping[other]), key=str))
-                    if prof2.get(key) != labels:
-                        return False
-        return True
+        return sigs1[n1] == sigs2[n2] and all(
+            between2[n2].get(mapping[m]) == labels
+            for m, labels in between1[n1].items() if m in mapping)
 
     def assign(i):
-        if limit is not None and len(results) >= limit:
-            return
         if i == len(nodes1):
-            results.append(dict(mapping))
+            yield dict(mapping)
             return
         n1 = nodes1[i]
         if n1 in mapping:
-            assign(i + 1)
+            yield from assign(i + 1)
             return
         for n2 in nodes2:
-            if n2 in used:
-                continue
-            if compatible(n1, n2):
+            if n2 not in used and compatible(n1, n2):
                 mapping[n1] = n2
                 used.add(n2)
-                assign(i + 1)
+                yield from assign(i + 1)
                 del mapping[n1]
                 used.remove(n2)
-                if limit is not None and len(results) >= limit:
-                    return
 
     if pin is not None:
         n1, n2 = pin
-        if not g1.has_node(n1) or not g2.has_node(n2):
-            return []
-        if not compatible(n1, n2):
-            return []
+        if not (g1.has_node(n1) and g2.has_node(n2) and compatible(n1, n2)):
+            return
         mapping[n1] = n2
         used.add(n2)
-
-    assign(0)
-    return results
+    yield from assign(0)
 
 
 def is_vertex_transitive(graph):
@@ -493,12 +440,11 @@ def angular_girth(graph):
 def parse_graph_file(text):
     """Parse the graph fixture format.
 
-    Lines: ``node <id>``, ``edge <id1> <id2> [label]``, ``rung <id1> <id2>``;
-    blank lines and ``#`` comments ignored.  Raises GraphError with the line
-    number on malformed input.
+    Lines: ``node <id>`` and ``edge <id1> <id2> [label]``; blank lines and
+    ``#`` comments ignored.  A rung is an edge labeled L.  Raises GraphError
+    with the line number on malformed input.
     """
     g = LabeledGraph()
-    rung_requests = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -513,12 +459,6 @@ def parse_graph_file(text):
                 g.add_edge(parts[1], parts[2], label)
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
-        elif kind == "rung" and len(parts) == 3:
-            rung_requests.append((lineno, parts[1], parts[2]))
         else:
             raise GraphError(f"line {lineno}: malformed record {raw.strip()!r}")
-    for lineno, u, v in rung_requests:
-        if not (g.has_node(u) and g.has_node(v)):
-            raise GraphError(f"line {lineno}: rung endpoints not declared")
-        g.mark_rung(u, v)
     return g

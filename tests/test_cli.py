@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -35,8 +36,10 @@ def test_rung_witnesses_name_the_first_counterexample():
     # a six-node cycle through rungs 1-5 and 3-7: it omits the rungs 0-4 and
     # 2-6, which no rim edge joins, and its arcs have two rim edges, not three
     nodes = (1, 5, 4, 3, 7, 0)
-    edges = frozenset(index[frozenset((a, b))] for a, b in zip(nodes, nodes[1:] + nodes[:1]))
-    bad = HamCycle(nodes=nodes, edge_indices=edges, labels=(), rung_count=2)
+    steps = [frozenset(p) for p in zip(nodes, nodes[1:] + nodes[:1])]
+    bad = HamCycle(nodes=nodes, edge_indices=frozenset(index[p] for p in steps),
+                   labels=tuple(sorted(L.edges[index[p]][2] for p in steps)))
+    assert bad.labels == ("L", "L", "l", "l", "t", "t")
     omitted, used = _ladder_rung_witnesses(L, enumerate_hamiltonian_cycles(L) + [bad])
     assert omitted == {"omitted_consecutive": False, "two_rung_cycles": 5,
                        "counterexample": [[0, 4], [2, 6]]}
@@ -186,6 +189,30 @@ def test_check_all_exit_code(capsys):
     certs = json.loads(out)
     failing = sorted(c["ref"] for c in certs if c["status"] != "pass")
     assert failing == ["aut.commute", "aut.exponent-two", "quotient.genus"]
+
+
+def test_check_all_certificates_are_pinned(capsys):
+    # SHA-256 of the whole certificate JSON of check-all at radius 2.  A
+    # change that alters a witness on purpose updates this digest and says
+    # so in CHANGES.md.
+    _code, out = run(capsys, "check-all", "--radius", "2")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "c96c1b564afd9c0ec39ab57bff0b030091b01e125956eb1a33a66ce1b290f2da"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-ladder", "--radius", "3"],
+    ["check-ladder", "--charts", "x.charts"],
+    ["check-quotient", "--radius", "3"],
+    ["check-cover", "--budget", "5"],
+    ["find-surfaces", "--coxeter", "x.graph"],
+    ["check-aut", "--radius", "3"],
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_certificates_are_byte_stable(capsys):

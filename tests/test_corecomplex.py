@@ -43,9 +43,9 @@ def test_face_rejects_bad_kind_and_sign():
 
 def test_corner_labels():
     tri = Face("t", "triangle", (("e1", 1), ("e2", 1), ("e3", 1)))
-    assert tri.corner_labels() == ("t", "t", "t")
+    assert [tri.corner_label(i) for i in range(3)] == ["t", "t", "t"]
     loz = Face("q", "lozenge", (("a", 1), ("b", 1), ("a", -1), ("b", -1)))
-    assert loz.corner_labels() == ("l", "L", "l", "L")
+    assert [loz.corner_label(i) for i in range(4)] == ["l", "L", "l", "L"]
 
 
 def test_smallest_valid_complex():

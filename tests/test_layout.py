@@ -1,6 +1,8 @@
-"""Layout rules for the package source, checked on its syntax trees."""
+"""Layout rules for the package source, checked on its syntax trees, and
+the names the benchmark relies on."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import hamsurf
@@ -42,3 +44,20 @@ def test_census_imports_nothing_from_the_package():
         if isinstance(node, ast.Import)
         for alias in node.names if alias.name.split(".")[0] == "hamsurf"]
     assert imports == []
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer wraps these by name; a renamed or deleted one
+    # would otherwise show only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attribute, _span, _note in tracer.TARGETS:
+        obj = importlib.import_module(f"hamsurf.{module}")
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append((module, attribute))
+    assert tracer.TARGETS and missing == []
