@@ -32,6 +32,12 @@ from collections import deque
 from .corecomplex import LOZENGE, reverse
 
 
+# bounds that turn a runaway closure into an error: V's automorphisms have
+# order at most 4 and Aut(V) has 8 elements
+ORDER_LIMIT = 64
+GROUP_LIMIT = 256
+
+
 class CellMapError(ValueError):
     pass
 
@@ -62,13 +68,6 @@ class CellMap:
                 and self.edge_map == other.edge_map
                 and self.face_map == other.face_map)
 
-    def __hash__(self):
-        return hash((
-            tuple(sorted(self.vertex_map.items())),
-            tuple(sorted(self.edge_map.items())),
-            tuple(sorted(self.face_map.items())),
-        ))
-
     def key(self):
         """Deterministic sort key (by edge images)."""
         return tuple(sorted((s, v) for s, v in self.edge_map.items()))
@@ -87,14 +86,14 @@ class CellMap:
                 and all(self.edge_map[s] == (s, 1) for s in self.edge_map)
                 and all(f == g for f, g in self.face_map.items()))
 
-    def order(self, limit=64):
+    def order(self):
         """Order of the map as an automorphism (source == target)."""
         acc = self
-        for n in range(1, limit + 1):
+        for n in range(1, ORDER_LIMIT + 1):
             if acc.is_identity():
                 return n
             acc = acc.compose(self)
-        raise CellMapError(f"order exceeds {limit}")
+        raise CellMapError(f"order exceeds {ORDER_LIMIT}")
 
 
 def identity_map(cx):
@@ -356,7 +355,7 @@ def theta_maps(v_complex):
     }
 
 
-def generated_subgroup(generators, limit=256):
+def generated_subgroup(generators):
     """Closure of a generator list under composition."""
     if not generators:
         return []
@@ -376,21 +375,20 @@ def generated_subgroup(generators, limit=256):
                         elems[k] = prod
                         nxt.append(prod)
         frontier = nxt
-        if len(elems) > limit:
+        if len(elems) > GROUP_LIMIT:
             raise CellMapError("generated group exceeds limit")
     return sorted(elems.values(), key=lambda m: m.key())
 
 
-def verify_theta_relations(v_complex, group=None):
-    """Relation report for theta1, theta2, theta3 inside Aut(V).
+def verify_theta_relations(v_complex, group):
+    """Relation report for theta1, theta2, theta3 inside Aut(V), the group
+    given as ``automorphism_group(v_complex)``.
 
     Checks, and reports rather than assumes: membership of the tables in
     the full automorphism group, involutivity, pairwise commutation,
     generation of the whole group, element orders, and the action of each
     map on the faces.
     """
-    if group is None:
-        group = automorphism_group(v_complex)
     thetas = theta_maps(v_complex)
     keys = {m.key() for m in group}
     report = {

@@ -19,9 +19,14 @@ two of them reachable.
 
 Full assignments are kept when every interior edge has coverage exactly 2,
 every interior vertex carries one spanning trace cycle, and the member set
-is nonempty and connected through shared edges.  Nothing here knows about
-cycle types or the ladder, and the module imports nothing else from the
-package: agreement with the propagation engine is the point of the module.
+is nonempty.  The members need not be connected: a surface cut down to a
+ball need not stay connected, so a census that demanded it could miss a
+local solution.  Without the test it returns a superset of the connected
+solutions, and its agreement with propagation's pair (whose connectivity
+``surfaces.is_enveloping`` checks) says at least as much as before.
+Nothing here knows about cycle types or the ladder, and the module imports
+nothing else from the package: agreement with the propagation engine is
+the point of the module.
 
 The search is incremental.  Faces, interior edges and the germs (link
 nodes) of interior vertices are numbered once per call, and deciding a
@@ -44,9 +49,9 @@ class BudgetExceeded(RuntimeError):
 
 
 def _face_order(ball, rel):
-    """The faces of rel in decision order, and their adjacency through any
-    edge of the ball: breadth first from the shallowest face, so that the
-    local checks constrain every new decision immediately."""
+    """The faces of rel in decision order: breadth first through the edges
+    of the ball from the shallowest face, so that the local checks
+    constrain every new decision immediately."""
     cx = ball.complex
 
     def key(f):
@@ -72,12 +77,13 @@ def _face_order(ball, rel):
         order.append(f)
         placed.add(f)
         frontier.extend(g for g in sorted(neighbors[f], key=key) if g not in placed)
-    return order, neighbors
+    return order
 
 
 def count_surfaces_exhaustive(ball, budget=10**8):
-    """All interior-Hamiltonian face sets of the ball, as sorted id tuples,
-    and the number of search nodes visited.
+    """All nonempty face sets of the ball with coverage 2 on every interior
+    edge and one spanning trace cycle at every interior vertex, connected
+    or not, as sorted id tuples, and the number of search nodes visited.
 
     Raises BudgetExceeded when the number of explored assignments passes
     the budget.
@@ -115,7 +121,7 @@ def count_surfaces_exhaustive(ball, budget=10**8):
         corners[v] = by_face
     edge_faces = {sym: [fid for fid, _i, _s in cx.edge_sides(sym)] for sym in edges}
     rel = set().union(*corners.values(), *edge_faces.values())
-    order, neighbors = _face_order(ball, rel)
+    order = _face_order(ball, rel)
     pos = {f: k for k, f in enumerate(order)}
     n = len(order)
 
@@ -224,22 +230,6 @@ def count_surfaces_exhaustive(ball, budget=10**8):
         for e in edges_of[k]:
             open_sides[e] += 1
 
-    def leaf_ok(members):
-        if not members or any(m != 2 for m in member_sides):
-            return False
-        members_set = set(members)
-        # connectivity through shared edges (any edge of the ball)
-        start = members[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for g in neighbors[f]:
-                if g in members_set and g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == len(members)
-
     solutions = []
     tried = [0] * n  # values tried at each level: 0, 1 (kept), 2 (dropped)
     marks = [0] * n
@@ -250,7 +240,7 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     while k >= 0:
         if k == n:
             members = [order[j] for j in range(n) if tried[j] == 1]
-            if leaf_ok(members):
+            if members and all(m == 2 for m in member_sides):
                 solutions.append(tuple(sorted(members)))
             k -= 1
             continue

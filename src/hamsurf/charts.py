@@ -45,7 +45,6 @@ class ChartData:
     rechecks: dict = field(default_factory=dict)   # fid -> word
     facesets: dict = field(default_factory=dict)   # name -> tuple of fids
     digest: str = ""
-    path: str = ""
 
     @property
     def vertices(self):
@@ -77,9 +76,9 @@ def _parse_word(tokens, lineno):
     return tuple(word)
 
 
-def parse_charts(text, path=""):
+def parse_charts(text):
     """Parse chart text; raises ChartError with line numbers."""
-    cd = ChartData(path=path)
+    cd = ChartData()
     cd.digest = hashlib.sha256(text.encode()).hexdigest()
     kinds = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -167,7 +166,7 @@ def load_charts(path):
     """Load and validate a chart file from a filesystem path."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    cd = parse_charts(text, path=str(path))
+    cd = parse_charts(text)
     validate_chartdata(cd)
     return cd
 
@@ -175,7 +174,7 @@ def load_charts(path):
 def load_default_charts():
     """Load the chart fixture shipped inside the package."""
     text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
-    cd = parse_charts(text, path="hamsurf.data/brady_v.charts")
+    cd = parse_charts(text)
     validate_chartdata(cd)
     return cd
 

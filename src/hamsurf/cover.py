@@ -6,7 +6,9 @@ diagonals are not edges) and interior flags.  A cell is interior when its
 full star is present: a vertex once the covering map lifts its image's link
 onto its own (``Ball.corner_lift``), an edge once all three incident
 face-sides exist.  Facts about V's links (Hamiltonian cycles, girth) then
-hold at every interior vertex through that lift.
+hold at every interior vertex through that lift.  The interior flags are
+computed on first read, so the intermediate balls of an expansion, which
+no caller asks about, never compute them.
 
 Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a fresh copy of the
@@ -64,11 +66,7 @@ class Ball:
     """Immutable radius-annotated chunk of the universal cover of V."""
 
     def __init__(self, complex2, v_complex, base, radius,
-                 vertex_image, edge_image, face_image,
-                 interior_vertices=None, interior_edges=None):
-        """Interior flags are computed from star completeness unless given
-        explicitly (tests use the override to model damaged balls whose
-        annotation still claims completeness)."""
+                 vertex_image, edge_image, face_image):
         self.complex = complex2
         self.v_complex = v_complex
         self.base = base
@@ -77,21 +75,24 @@ class Ball:
         self.edge_image = dict(edge_image)
         self.face_image = dict(face_image)
         self.depth = self._depths()
-        if interior_vertices is None:
-            interior_vertices = (
-                v for v in complex2.vertices if self.corner_lift(v) is not None)
-        if interior_edges is None:
-            interior_edges = (
-                e for e in complex2.edges
-                if len(complex2.edge_sides(e))
-                == len(v_complex.edge_sides(self.edge_image[e])))
-        self.interior_vertices = frozenset(interior_vertices)
-        self.interior_edges = frozenset(interior_edges)
         # per-ball tables filled on first use: lifted link cycles by vertex,
         # and the propagation results that ``surfaces.propagate_surface``
         # shares between seeds, by (anchor, chosen cycle)
         self._type3 = {}
         self.propagations = {}
+
+    @cached_property
+    def interior_vertices(self):
+        """The vertices whose star is complete: those with a ``corner_lift``."""
+        return frozenset(v for v in self.complex.vertices
+                         if self.corner_lift(v) is not None)
+
+    @cached_property
+    def interior_edges(self):
+        """The edges that carry as many face-sides as their image in V."""
+        cx, V = self.complex, self.v_complex
+        return frozenset(e for e in cx.edges
+                         if len(cx.edge_sides(e)) == len(V.edge_sides(self.edge_image[e])))
 
     def _depths(self):
         dist = {self.base: 0}
@@ -238,53 +239,45 @@ class _Builder:
             self.ework.append(e)
         return fid
 
-    def vunion(self, a, b):
-        a, b = _find(self.vpar, a), _find(self.vpar, b)
+    def _merge(self, kind, par, img, gen, a, b):
+        """Union of the classes of a and b under the lower root, refusing
+        two classes with different images or two settled ones; returns
+        (kept root, absorbed root), or None when they are one class."""
+        a, b = _find(par, a), _find(par, b)
         if a == b:
-            return False
-        if self.vimg[a] != self.vimg[b]:
-            raise FoldConflictError("vertex", (a, self.vimg[a], b, self.vimg[b]))
-        if self.vgen[a] < self.gen and self.vgen[b] < self.gen:
-            raise FoldConflictError("vertex", (a, b, "generation", self.vgen[a]))
+            return None
+        if img[a] != img[b]:
+            raise FoldConflictError(kind, (a, img[a], b, img[b]))
+        if gen[a] < self.gen and gen[b] < self.gen:
+            raise FoldConflictError(kind, (a, b, "generation", gen[a]))
         if b < a:
             a, b = b, a
-        self.vpar[b] = a
-        self.vinc[a], self.vinc[b] = self.vinc[a] + self.vinc[b], []
-        self.vwork.append(a)
-        return True
+        par[b] = a
+        return a, b
+
+    def vunion(self, a, b):
+        merged = self._merge("vertex", self.vpar, self.vimg, self.vgen, a, b)
+        if merged:
+            a, b = merged
+            self.vinc[a], self.vinc[b] = self.vinc[a] + self.vinc[b], []
+            self.vwork.append(a)
 
     def eunion(self, a, b):
-        a, b = _find(self.epar, a), _find(self.epar, b)
-        if a == b:
-            return False
-        if self.esym[a] != self.esym[b]:
-            raise FoldConflictError("edge", (a, self.esym[a], b, self.esym[b]))
-        if self.egen[a] < self.gen and self.egen[b] < self.gen:
-            raise FoldConflictError("edge", (a, b, "generation", self.egen[a]))
-        if b < a:
-            a, b = b, a
-        self.epar[b] = a
-        self.einc[a], self.einc[b] = self.einc[a] + self.einc[b], []
-        self.ework.append(a)
-        self.vunion(self.esrc[a], self.esrc[b])
-        self.vunion(self.etgt[a], self.etgt[b])
-        return True
+        merged = self._merge("edge", self.epar, self.esym, self.egen, a, b)
+        if merged:
+            a, b = merged
+            self.einc[a], self.einc[b] = self.einc[a] + self.einc[b], []
+            self.ework.append(a)
+            self.vunion(self.esrc[a], self.esrc[b])
+            self.vunion(self.etgt[a], self.etgt[b])
 
     def funion(self, a, b):
-        a, b = _find(self.fpar, a), _find(self.fpar, b)
-        if a == b:
-            return False
-        if self.fimg[a] != self.fimg[b]:
-            raise FoldConflictError("face", (a, self.fimg[a], b, self.fimg[b]))
-        if self.fgen[a] < self.gen and self.fgen[b] < self.gen:
-            raise FoldConflictError("face", (a, b, "generation", self.fgen[a]))
-        if b < a:
-            a, b = b, a
-        self.fpar[b] = a
-        for (e1, s1), (e2, s2) in zip(self.fword[a], self.fword[b]):
-            assert s1 == s2
-            self.eunion(e1, e2)
-        return True
+        merged = self._merge("face", self.fpar, self.fimg, self.fgen, a, b)
+        if merged:
+            a, b = merged
+            for (e1, s1), (e2, s2) in zip(self.fword[a], self.fword[b]):
+                assert s1 == s2
+                self.eunion(e1, e2)
 
     # folding --------------------------------------------------------------
     def live_edges(self):

@@ -82,9 +82,6 @@ class LabeledGraph:
     def edge_count(self):
         return len(self.edges)
 
-    def has_node(self, n):
-        return n in self._node_set
-
     def adjacency(self):
         """node -> list of (neighbor, edge index), deterministic order."""
         adj = {n: [] for n in self._nodes}
@@ -94,9 +91,6 @@ class LabeledGraph:
         for n in adj:
             adj[n].sort(key=lambda p: (str(p[0]), p[1]))
         return adj
-
-    def degree(self, n):
-        return sum(1 for (u, v, _l, _t) in self.edges if u == n or v == n)
 
     def is_connected(self):
         adj = self.adjacency()
@@ -321,9 +315,9 @@ def classify_cycle(cycle):
     return label_type(cycle.labels)
 
 
-def labeled_isomorphic(g1, g2, ignore_labels=False, pin=None):
+def labeled_isomorphic(g1, g2):
     """The first isomorphism of ``labeled_isomorphisms``, or None."""
-    return next(labeled_isomorphisms(g1, g2, ignore_labels=ignore_labels, pin=pin), None)
+    return next(labeled_isomorphisms(g1, g2), None)
 
 
 def _iso_profile(g, ignore_labels):
@@ -341,14 +335,13 @@ def _iso_profile(g, ignore_labels):
     return sigs, between
 
 
-def labeled_isomorphisms(g1, g2, ignore_labels=False, pin=None):
+def labeled_isomorphisms(g1, g2, ignore_labels=False):
     """Label-preserving isomorphisms g1 -> g2, generated lazily.
 
     Canonical search order: nodes of g1 are assigned in sorted order, each
     to candidate images in sorted order, so the output is deterministic.
-    ``pin`` optionally forces one assignment (node1, node2) before the
-    search starts.  Parallel edges are matched by multiplicity per label.
-    Node signatures and label tables are computed once per search.
+    ``ignore_labels`` compares the unlabeled graphs.  Parallel edges are
+    matched by multiplicity per label.  Node signatures and label tables are computed once per search.
     """
     if g1.node_count() != g2.node_count() or g1.edge_count() != g2.edge_count():
         return
@@ -369,9 +362,6 @@ def labeled_isomorphisms(g1, g2, ignore_labels=False, pin=None):
             yield dict(mapping)
             return
         n1 = nodes1[i]
-        if n1 in mapping:
-            yield from assign(i + 1)
-            return
         for n2 in nodes2:
             if n2 not in used and compatible(n1, n2):
                 mapping[n1] = n2
@@ -380,25 +370,24 @@ def labeled_isomorphisms(g1, g2, ignore_labels=False, pin=None):
                 del mapping[n1]
                 used.remove(n2)
 
-    if pin is not None:
-        n1, n2 = pin
-        if not (g1.has_node(n1) and g2.has_node(n2) and compatible(n1, n2)):
-            return
-        mapping[n1] = n2
-        used.add(n2)
     yield from assign(0)
 
 
 def is_vertex_transitive(graph):
-    """True if the unlabeled graph has a node-transitive automorphism group."""
+    """True if the unlabeled graph has a node-transitive automorphism group.
+
+    One search over the unlabeled automorphisms, which stops once the
+    images of the least node cover every node.
+    """
     nodes = graph.sorted_nodes()
     if not nodes:
         return True
-    base = nodes[0]
-    for target in nodes:
-        if labeled_isomorphic(graph, graph, ignore_labels=True, pin=(base, target)) is None:
-            return False
-    return True
+    images = set()
+    for m in labeled_isomorphisms(graph, graph, ignore_labels=True):
+        images.add(m[nodes[0]])
+        if len(images) == len(nodes):
+            return True
+    return False
 
 
 def angular_girth(graph):

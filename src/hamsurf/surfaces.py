@@ -16,12 +16,13 @@ per V, as the ball carries them to its vertices through the covering map
 (``Ball.type3_cycles``, lifted once per ball vertex).  Its result depends on
 the seed only through the anchor vertex and the chosen link cycle, so each
 ball keeps one result per such pair and every seed that maps to the pair
-shares it (``propagate_surface``).
+shares it (``propagate_surface``).  Forced steps commute, so the order in
+which the worklist is processed does not change the result; the tests
+check this by substituting a worklist that pops a random entry.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 
 from .corecomplex import Complex2, LOZENGE, trace_status
@@ -106,7 +107,7 @@ def vertex_trace_types(fs):
 IN, OUT, UNKNOWN = 1, 0, -1
 
 
-def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
+def propagate_surface(ball, seed_lozenge, choice="with"):
     """Grow the unique surface compatible with a local choice at a seed.
 
     The seed lozenge anchors the propagation at its least-depth interior
@@ -129,19 +130,11 @@ def propagate_surface(ball, seed_lozenge, choice="with", order_seed=None):
     runs (``_propagate``) and keeps the member set, or the contradiction's
     cell, reason and trail, in ``ball.propagations``; later calls with the
     key return that set or raise that contradiction again.
-
-    The worklist is processed in sorted order; ``order_seed`` shuffles it
-    instead, which must not change the result (forced steps commute) and is
-    exercised by the confluence tests.  Such a call always runs in full and
-    neither reads nor fills the table.
     """
-    anchor, chosen = _anchor_cycle(ball, seed_lozenge, choice)
-    if order_seed is not None:
-        return FaceSet(ball, _propagate(ball, anchor, chosen, order_seed))
-    key = (anchor, chosen)
+    key = _anchor_cycle(ball, seed_lozenge, choice)
     if key not in ball.propagations:
         try:
-            ball.propagations[key] = _propagate(ball, anchor, chosen)
+            ball.propagations[key] = _propagate(ball, *key)
         except Contradiction as exc:
             ball.propagations[key] = (exc.cell, exc.reason, exc.trail)
     found = ball.propagations[key]
@@ -175,7 +168,7 @@ def _anchor_cycle(ball, seed_lozenge, choice):
     raise SurfaceError(f"unknown choice {choice!r}")
 
 
-def _propagate(ball, anchor, chosen, order_seed=None):
+def _propagate(ball, anchor, chosen):
     """One full propagation run from the anchor state: the member face ids.
 
     Raises Contradiction, with the trail of settled faces, at a dead end.
@@ -265,11 +258,7 @@ def _propagate(ball, anchor, chosen, order_seed=None):
     for sym in sorted(ball.interior_edges, key=str):
         push(("e", sym))
 
-    rng = None if order_seed is None else random.Random(order_seed)
-
     while work:
-        if rng is not None and len(work) > 1:
-            rng.shuffle(work)
         kind, cell = item = work.popleft()
         pending.discard(item)
         if kind == "v":
@@ -280,19 +269,13 @@ def _propagate(ball, anchor, chosen, order_seed=None):
     return frozenset(f for f, s in state.items() if s == IN)
 
 
-def periodicity_check(ball, fs, face_twist=None):
+def periodicity_check(ball, fs):
     """Project a ball surface through the covering map: S, S' or neither.
 
     S and S' are the face sets of those names in the chart that V was built
-    from (``V.facesets``).  ``face_twist`` optionally post-composes the
-    projection with a face permutation of V (an automorphism's face map).
+    from (``V.facesets``).
     """
-    images = set()
-    for fid in fs.members:
-        img = ball.face_image[fid]
-        if face_twist is not None:
-            img = face_twist[img]
-        images.add(img)
+    images = {ball.face_image[fid] for fid in fs.members}
     named = ball.v_complex.facesets
     for name in ("S", "S'"):
         if images == set(named.get(name, ())):

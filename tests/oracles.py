@@ -9,6 +9,11 @@ networkx VF2.
 from itertools import permutations, product
 
 
+def degree(g, n):
+    """Number of edge ends of the LabeledGraph g at node n."""
+    return sum((u == n) + (v == n) for (u, v, _l, _t) in g.edges)
+
+
 def naive_hamiltonian_cycles(g):
     """All Hamiltonian cycles as frozensets of edge indices, brute force."""
     nodes = g.sorted_nodes()

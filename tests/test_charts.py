@@ -2,6 +2,8 @@ from importlib import resources
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamsurf.cellmap import automorphism_group, word_match
 from hamsurf.charts import (ChartError, build_S, build_Sprime, build_V,
@@ -70,6 +72,40 @@ def test_recheck_mismatch_rejected():
     cd = parse_charts(text)
     with pytest.raises(ChartError, match="recheck x'"):
         validate_chartdata(cd)
+
+
+RECORDS = [line for line in fixture_text().splitlines() if line.split("#", 1)[0].strip()]
+LINE_EDIT = st.tuples(
+    st.sampled_from(["delete line", "duplicate line", "replace token", "delete token"]),
+    st.integers(0, len(RECORDS) - 1), st.integers(0, 40),
+    st.sampled_from(sorted({token for line in RECORDS for token in line.split()})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINE_EDIT, max_size=3))
+def test_edited_charts_load_or_raise_chart_error(edits):
+    # up to three line edits of the shipped records; loading and building V
+    # either succeeds or raises ChartError, never anything else
+    lines = list(RECORDS)
+    for kind, i, j, token in edits:
+        i %= len(lines)
+        words = lines[i].split()
+        if kind == "delete line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, lines[i])
+        elif kind == "replace token":
+            words[j % len(words)] = token
+            lines[i] = " ".join(words)
+        else:
+            del words[j % len(words)]
+            lines[i] = " ".join(words)
+    try:
+        cd = parse_charts("\n".join(lines) + "\n")
+        validate_chartdata(cd)
+        build_V(cd)
+    except ChartError:
+        pass
 
 
 def test_cyclic_word_equality():

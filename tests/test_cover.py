@@ -242,13 +242,28 @@ def test_corner_lift(V, ball2):
     assert boundary and all(ball2.corner_lift(v) is None for v in boundary)
 
 
+def test_interior_flags_are_computed_on_first_read(V, monkeypatch):
+    # the intermediate balls of an expansion are never asked about their
+    # interior, so only the result's vertices are lifted, once each
+    calls = []
+    lift = Ball.corner_lift
+
+    def counting(ball, v):
+        calls.append(v)
+        return lift(ball, v)
+
+    monkeypatch.setattr(Ball, "corner_lift", counting)
+    ball = expand_to_radius(V, "P", 3)
+    assert calls == []
+    assert len(ball.interior_vertices) == 49
+    assert len(calls) == len(ball.complex.vertices) == 337
+
+
 def test_verify_cover_rechecks_claimed_interior(ball1):
     # the annotation still claims the base is interior after a face is gone
-    broken = _delete_face(ball1, ball1.complex.face_ids()[0])
-    claimed = Ball(broken.complex, ball1.v_complex, ball1.base, ball1.radius,
-                   ball1.vertex_image, ball1.edge_image, broken.face_image,
-                   interior_vertices=ball1.interior_vertices,
-                   interior_edges=ball1.interior_edges)
+    claimed = _delete_face(ball1, ball1.complex.face_ids()[0])
+    claimed.interior_vertices = ball1.interior_vertices
+    claimed.interior_edges = ball1.interior_edges
     rep = verify_cover(claimed)
     row = rep["vertices"][claimed.base]
     assert row["interior"] and not row["link_matches_image"]

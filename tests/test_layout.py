@@ -46,6 +46,47 @@ def test_census_imports_nothing_from_the_package():
     assert imports == []
 
 
+# Every parameter of src/ with a default, as module.function:parameter.  A
+# default is an option: a new one needs two callers outside the tests that
+# pass it different values (the CLI, the benchmark or other src/ code);
+# otherwise it is a constant, and tests reach the other behaviour from
+# outside.  Add an entry here only with such callers.
+DEFAULTED_PARAMETERS = [
+    "census.count_surfaces_exhaustive:budget",
+    "certs.check:digest",
+    "certs.check:witness",
+    "certs.error_certificate:digest",
+    "cli._load:loaded",
+    "cli.ball_surface_certs:d",
+    "cli.cmd_check_aut:loaded",
+    "cli.cmd_check_cover:loaded",
+    "cli.cmd_check_ladder:_loaded",
+    "cli.cmd_check_quotient:loaded",
+    "cli.cmd_find_surfaces:loaded",
+    "cli.main:argv",
+    "cli.quotient_surface_certs:d",
+    "cover.__init__:trail",
+    "hamgraph.add_edge:label",
+    "hamgraph.add_edge:tag",
+    "hamgraph.labeled_isomorphisms:ignore_labels",
+    "surfaces.propagate_surface:choice",
+]
+
+
+def test_defaulted_parameters():
+    found = []
+    for name, tree in TREES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                found += [f"{name[:-3]}.{fn.name}:{a.arg}" for a in defaulted]
+    assert sorted(found) == DEFAULTED_PARAMETERS
+
+
 def test_traced_functions_exist():
     # the benchmark's tracer wraps these by name; a renamed or deleted one
     # would otherwise show only in a traced benchmark run

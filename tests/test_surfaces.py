@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import pytest
 
 import hamsurf.surfaces
@@ -136,12 +139,25 @@ def test_interior_triangles_lie_on_both_surfaces(ball2):
         assert tris <= propagate_surface(ball2, seed, choice).members
 
 
-def test_propagation_confluence(ball2):
+def test_propagation_confluence(ball2, monkeypatch):
+    # forced steps commute: a worklist that pops a random entry reaches the
+    # result the sorted worklist keeps in the table
     seed = interior_lozenge_seeds(ball2)[5]
     reference = propagate_surface(ball2, seed, "with").members
-    for order_seed in range(8):
-        got = propagate_surface(ball2, seed, "with", order_seed=order_seed).members
-        assert got == reference
+    key = hamsurf.surfaces._anchor_cycle(ball2, seed, "with")
+    pops = []
+
+    class RandomPops(deque):
+        def popleft(self):
+            pops.append(len(self))
+            self.rotate(-rng.randrange(len(self)))
+            return super().popleft()
+
+    monkeypatch.setattr(hamsurf.surfaces, "deque", RandomPops)
+    for shuffle in range(8):
+        rng = random.Random(shuffle)
+        assert hamsurf.surfaces._propagate(ball2, *key) == reference
+    assert pops and max(pops) > 1
 
 
 def test_propagation_deterministic(V, ball2):
@@ -206,14 +222,6 @@ def test_one_run_per_anchor_state(V, counted_runs):
     assert len(ball.propagations) == 98
 
 
-def test_order_seed_bypasses_the_table(V, counted_runs):
-    ball = expand_to_radius(V, "P", 2)
-    seed = interior_lozenge_seeds(ball)[0]
-    for _ in range(2):
-        propagate_surface(ball, seed, "with", order_seed=1)
-    assert len(counted_runs) == 2 and not ball.propagations
-
-
 def test_contradiction_is_raised_again_from_the_table(ball2):
     cx = ball2.complex
     base_lozenges = [f for f, _i in cx.corners_at(ball2.base)
@@ -247,14 +255,17 @@ def test_bad_seed_and_choice_rejected(ball2):
 
 
 def _delete_face(ball, fid):
+    # the damaged ball keeps the interior flags of the whole one, so the
+    # cells around the hole still claim complete stars
     cx = ball.complex
     faces = [cx.faces[f] for f in cx.face_ids() if f != fid]
     cx2 = Complex2(cx.vertices, dict(cx.edges), faces)
     imgs = {f: ball.face_image[f] for f in cx2.faces}
-    return Ball(cx2, ball.v_complex, ball.base, ball.radius,
-                ball.vertex_image, ball.edge_image, imgs,
-                interior_vertices=ball.interior_vertices,
-                interior_edges=ball.interior_edges)
+    broken = Ball(cx2, ball.v_complex, ball.base, ball.radius,
+                  ball.vertex_image, ball.edge_image, imgs)
+    broken.interior_vertices = ball.interior_vertices
+    broken.interior_edges = ball.interior_edges
+    return broken
 
 
 def test_propagation_contradiction_on_damaged_ball(ball2):
@@ -374,5 +385,6 @@ def test_twisted_projection_swaps_surfaces(V, ball2):
     for choice in ("with", "other"):
         fs = propagate_surface(ball2, seed, choice)
         plain = periodicity_check(ball2, fs)
-        twisted = periodicity_check(ball2, fs, face_twist=th2.face_map)
-        assert {plain, twisted} == {"S", "S'"}
+        twisted = {th2.face_map[ball2.face_image[f]] for f in fs.members}
+        other = {"S": "S'", "S'": "S"}[plain]
+        assert twisted == set(V.facesets[other])
