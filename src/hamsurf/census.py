@@ -52,6 +52,8 @@ def _face_order(ball, rel):
     """The faces of rel in decision order: breadth first through the edges
     of the ball from the shallowest face, so that the local checks
     constrain every new decision immediately."""
+    if not rel:
+        return []
     cx = ball.complex
 
     def key(f):

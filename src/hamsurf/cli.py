@@ -165,7 +165,7 @@ def _tutte_parity(L, cycles):
             "per_edge": sorted(counts.values())}
 
 
-def quotient_surface_certs(S, d=""):
+def quotient_surface_certs(S, d):
     """The surface report of a quotient surface S and the claims on it.
 
     ``check-quotient`` issues these for the chart's S; acceptance criterion
@@ -294,7 +294,7 @@ def cmd_find_surfaces(args, loaded=None):
     return ball_surface_certs(expand_to_radius(V, V.vertices[0], radius), args.budget, d)
 
 
-def ball_surface_certs(ball, budget, d=""):
+def ball_surface_certs(ball, budget, d):
     """The two-surface claims on a ball of the universal cover of V.
 
     ``find-surfaces`` issues these for the ball around V's first vertex;

@@ -289,7 +289,7 @@ def orientation_parities(cx):
         queue = deque([start])
         while queue:
             fid = queue.popleft()
-            for sym, sign in cx.faces[fid].word:
+            for sym, _sign in cx.faces[fid].word:
                 sides = cx.edge_sides(sym)
                 if len(sides) != 2:
                     return None

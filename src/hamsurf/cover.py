@@ -75,9 +75,11 @@ class Ball:
         self.edge_image = dict(edge_image)
         self.face_image = dict(face_image)
         self.depth = self._depths()
-        # per-ball tables filled on first use: lifted link cycles by vertex,
-        # and the propagation results that ``surfaces.propagate_surface``
-        # shares between seeds, by (anchor, chosen cycle)
+        # per-ball tables filled on first use: corner lifts and lifted link
+        # cycles by vertex, and the propagation results that
+        # ``surfaces.propagate_surface`` shares between seeds, by (anchor,
+        # chosen cycle)
+        self._lifts = {}
         self._type3 = {}
         self.propagations = {}
 
@@ -98,7 +100,7 @@ class Ball:
         dist = {self.base: 0}
         queue = deque([self.base])
         adj = {v: [] for v in self.complex.vertices}
-        for eid, (s, t) in self.complex.edges.items():
+        for _eid, (s, t) in self.complex.edges.items():
             adj[s].append(t)
             adj[t].append(s)
         while queue:
@@ -118,7 +120,13 @@ class Ball:
         onto the two germs of its image corner.  The bijection is then a
         label-preserving isomorphism of v's link onto p's link (corner
         labels depend only on the face kind and the corner index).
+        Computed on first use and kept for the ball.
         """
+        if v not in self._lifts:
+            self._lifts[v] = self._lift(v)
+        return self._lifts[v]
+
+    def _lift(self, v):
         cx, V = self.complex, self.v_complex
         p = self.vertex_image[v]
         if sorted(map(self.map_oedge, cx.germs_at(v))) != sorted(V.germs_at(p)):
@@ -334,11 +342,10 @@ class _Builder:
             vmap[v] = self.new_vertex(ball.vertex_image[v])
         for eid, (s, t) in sorted(ball.complex.edges.items()):
             emap[eid] = self.new_edge(vmap[s], vmap[t], ball.edge_image[eid])
-        fmap = {}
         for fid in ball.complex.face_ids():
             face = ball.complex.faces[fid]
             word = [(emap[e], s) for e, s in face.word]
-            fmap[fid] = self.new_face(ball.face_image[fid], word)
+            self.new_face(ball.face_image[fid], word)
         return vmap
 
     def attach_corner(self, v, v_fid, corner):

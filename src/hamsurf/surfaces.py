@@ -107,7 +107,7 @@ def vertex_trace_types(fs):
 IN, OUT, UNKNOWN = 1, 0, -1
 
 
-def propagate_surface(ball, seed_lozenge, choice="with"):
+def propagate_surface(ball, seed_lozenge, choice):
     """Grow the unique surface compatible with a local choice at a seed.
 
     The seed lozenge anchors the propagation at its least-depth interior

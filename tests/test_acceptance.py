@@ -170,7 +170,7 @@ def expect_surface_claims(crit, S):
 def check_quotient_surface(crit, S):
     """Criterion 3's sub-claims on a candidate quotient surface S, from the
     certificates ``check-quotient`` issues for a surface."""
-    crit.rows.update((c.ref, c) for c in quotient_surface_certs(S)[1])
+    crit.rows.update((c.ref, c) for c in quotient_surface_certs(S, "")[1])
     expect_surface_claims(crit, S)
 
 
@@ -217,7 +217,7 @@ def test_criterion_07_two_surfaces(table, ball1):
     # the census claim can fail: around the one interior vertex of the
     # radius-1 ball every Hamiltonian link cycle is a solution, not only
     # the two type-3 germs that propagation grows
-    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8)}["surfaces.census"]
+    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8, "")}["surfaces.census"]
     crit.expect((small.status, small.witness.get("solutions")) == (FAIL, 5),
                 f"radius-1 census: fail with 5 solutions expected, got {small.status} "
                 f"with {small.witness}")

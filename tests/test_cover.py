@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsurf.cellmap import check_cellmap, isomorphisms
-from hamsurf.corecomplex import Complex2, validate_complex
+from hamsurf.corecomplex import LOZENGE, Complex2, validate_complex
 from hamsurf.cover import (Ball, FoldConflictError, _Builder, _canonical_ball,
                            _find, base_ball, expand_ball, expand_to_radius,
                            restrict_ball, serialize_ball, verify_cover)
 from hamsurf.hamgraph import angular_girth, labeled_isomorphic
+from hamsurf.surfaces import propagate_surface
 
 
 def test_base_ball(V):
@@ -244,19 +245,29 @@ def test_corner_lift(V, ball2):
 
 def test_interior_flags_are_computed_on_first_read(V, monkeypatch):
     # the intermediate balls of an expansion are never asked about their
-    # interior, so only the result's vertices are lifted, once each
+    # interior, so only the result's vertices are lifted; the interior
+    # flags, verify_cover's rows and propagation's link cycles then share
+    # one lift per vertex
     calls = []
-    lift = Ball.corner_lift
+    lift = Ball._lift
 
     def counting(ball, v):
         calls.append(v)
         return lift(ball, v)
 
-    monkeypatch.setattr(Ball, "corner_lift", counting)
+    monkeypatch.setattr(Ball, "_lift", counting)
     ball = expand_to_radius(V, "P", 3)
     assert calls == []
     assert len(ball.interior_vertices) == 49
-    assert len(calls) == len(ball.complex.vertices) == 337
+    assert verify_cover(ball)["ok"]
+    cx = ball.complex
+    seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
+             and any(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)]
+    for seed in seeds:
+        for choice in ("with", "other"):
+            propagate_surface(ball, seed, choice)
+    assert len(seeds) == 224
+    assert len(calls) == len(set(calls)) == len(cx.vertices) == 337
 
 
 def test_verify_cover_rechecks_claimed_interior(ball1):

@@ -36,6 +36,15 @@ def rungs(g):
     return {frozenset((u, v)) for u, v, lbl, _t in g.edges if lbl == "L"}
 
 
+def from_networkx(G):
+    g = LabeledGraph()
+    for n in G.nodes:
+        g.add_node(n)
+    for u, v in G.edges:
+        g.add_edge(u, v)
+    return g
+
+
 def random_graph(rng, n, p, parallel=False):
     g = LabeledGraph()
     for i in range(n):
@@ -116,6 +125,23 @@ def test_canonical_form_is_rotation_reflection_invariant():
         rotations = [tuple(c.nodes[r:] + c.nodes[:r]) for r in range(n)]
         rotations += [tuple(reversed(r)) for r in rotations]
         assert min(rotations, key=lambda t: tuple(str(x) for x in t)) == c.nodes
+
+
+def test_known_cycle_counts_beyond_the_oracle():
+    # past the permutation oracle's eight nodes: the Petersen graph is the
+    # least cubic graph with no Hamiltonian cycle, and the dodecahedron has
+    # 30 (Hamilton's icosian game)
+    import networkx as nx
+
+    assert enumerate_hamiltonian_cycles(from_networkx(nx.petersen_graph())) == []
+    assert len(enumerate_hamiltonian_cycles(from_networkx(nx.dodecahedral_graph()))) == 30
+
+
+def test_pendant_node_gives_no_cycles():
+    g = complete_graph(4)
+    g.add_edge(0, 4)
+    assert g.is_connected()
+    assert enumerate_hamiltonian_cycles(g) == []
 
 
 # --- the ladder ----------------------------------------------------------
@@ -202,11 +228,7 @@ def test_tutte_parity_on_random_cubic_graphs():
         G = nx.random_regular_graph(3, 8, seed=rng.randrange(10**6))
         if not nx.is_connected(G):
             continue
-        g = LabeledGraph()
-        for n in G.nodes:
-            g.add_node(n)
-        for u, v in G.edges:
-            g.add_edge(u, v)
+        g = from_networkx(G)
         cycles = enumerate_hamiltonian_cycles(g)
         if not cycles:
             continue

@@ -46,6 +46,35 @@ def test_census_imports_nothing_from_the_package():
     assert imports == []
 
 
+def _outermost_functions(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outermost_functions(child)
+
+
+def test_no_write_only_locals():
+    # a local that is assigned, directly or through a subscript, and never
+    # read is dead code; a name that starts with "_" is unused on purpose.
+    # Nested functions are read with the function that holds them, since a
+    # closure may read what its parent writes.
+    dead = []
+    for name, tree in TREES.items():
+        for fn in _outermost_functions(tree):
+            written, read, store_bases = set(), set(), set()
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)):
+                    written.add(node.value.id)
+                    store_bases.add(node.value)
+                elif isinstance(node, ast.Name) and node not in store_bases:
+                    (written if isinstance(node.ctx, ast.Store) else read).add(node.id)
+            dead += [f"{name[:-3]}.{fn.name}:{local}"
+                     for local in sorted(written - read) if not local.startswith("_")]
+    assert dead == []
+
+
 # Every parameter of src/ with a default, as module.function:parameter.  A
 # default is an option: a new one needs two callers outside the tests that
 # pass it different values (the CLI, the benchmark or other src/ code);
@@ -57,19 +86,16 @@ DEFAULTED_PARAMETERS = [
     "certs.check:witness",
     "certs.error_certificate:digest",
     "cli._load:loaded",
-    "cli.ball_surface_certs:d",
     "cli.cmd_check_aut:loaded",
     "cli.cmd_check_cover:loaded",
     "cli.cmd_check_ladder:_loaded",
     "cli.cmd_check_quotient:loaded",
     "cli.cmd_find_surfaces:loaded",
     "cli.main:argv",
-    "cli.quotient_surface_certs:d",
     "cover.__init__:trail",
     "hamgraph.add_edge:label",
     "hamgraph.add_edge:tag",
     "hamgraph.labeled_isomorphisms:ignore_labels",
-    "surfaces.propagate_surface:choice",
 ]
 
 

@@ -7,7 +7,7 @@ import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
-from hamsurf.cover import Ball, expand_ball, expand_to_radius
+from hamsurf.cover import Ball, base_ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
@@ -318,6 +318,12 @@ def test_census_radius_three(ball3):
     assert nodes == 199758
     assert len(sols) == 2
     assert set(sols) == propagated_pair(ball3)
+
+
+def test_census_radius_zero(V):
+    # the lone base vertex is not interior, so no face is constrained: the
+    # search visits its root alone, and an empty face set is no surface
+    assert count_surfaces_exhaustive(base_ball(V, "P")) == ([], 1)
 
 
 def test_census_radius_one(ball1):
