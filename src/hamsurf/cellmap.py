@@ -380,16 +380,14 @@ def generated_subgroup(generators):
     return sorted(elems.values(), key=lambda m: m.key())
 
 
-def verify_theta_relations(v_complex, group):
-    """Relation report for theta1, theta2, theta3 inside Aut(V), the group
-    given as ``automorphism_group(v_complex)``.
+def verify_theta_relations(thetas, group):
+    """Relation report for the maps ``theta_maps(V)`` inside Aut(V), the
+    group given as ``automorphism_group(V)``.
 
     Checks, and reports rather than assumes: membership of the tables in
     the full automorphism group, involutivity, pairwise commutation,
-    generation of the whole group, element orders, and the action of each
-    map on the faces.
+    generation of the whole group and element orders.
     """
-    thetas = theta_maps(v_complex)
     keys = {m.key() for m in group}
     report = {
         "group_order": len(group),
@@ -397,8 +395,6 @@ def verify_theta_relations(v_complex, group):
         "members": {name: m.key() in keys for name, m in thetas.items()},
         "involutive": {name: m.compose(m).is_identity() for name, m in thetas.items()},
         "commute": {},
-        "face_action": {name: dict(sorted(m.face_map.items()))
-                        for name, m in thetas.items()},
     }
     names = sorted(thetas)
     for i in range(len(names)):

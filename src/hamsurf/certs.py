@@ -30,19 +30,13 @@ class Certificate:
         return self.status == PASS
 
 
-def check(claim, ref, condition, witness=None, digest=""):
-    return Certificate(
-        claim=claim,
-        ref=ref,
-        status=PASS if condition else FAIL,
-        witness=witness or {},
-        fixture_digest=digest,
-    )
+def check(claim, ref, condition, witness):
+    return Certificate(claim=claim, ref=ref, status=PASS if condition else FAIL,
+                       witness=witness)
 
 
-def error_certificate(claim, ref, message, digest=""):
-    return Certificate(claim=claim, ref=ref, status=ERROR,
-                       witness={"error": message}, fixture_digest=digest)
+def error_certificate(claim, ref, message):
+    return Certificate(claim=claim, ref=ref, status=ERROR, witness={"error": message})
 
 
 def _plain(value):

@@ -7,10 +7,11 @@ The chart format is line based:
     recheck <id> : <sym>[+|-] ...                   (re-transcription check)
     faceset <name> : <face id> ...
 
-Vertices are inferred from edge declarations.  Lozenge words start at a
-small corner.  ``recheck`` records must match the face record of the same
-name up to rotation and reversal.  The shipped fixture describes the
-ten-face quotient complex whose facesets are named S and S'.
+No two records of one kind share a name.  Vertices are inferred from edge
+declarations.  Lozenge words start at a small corner.  ``recheck`` records
+must match the face record of the same name up to rotation and reversal.
+The shipped fixture describes the ten-face quotient complex whose facesets
+are named S and S'.
 """
 
 from __future__ import annotations
@@ -80,18 +81,20 @@ def parse_charts(text):
     """Parse chart text; raises ChartError with line numbers."""
     cd = ChartData()
     cd.digest = hashlib.sha256(text.encode()).hexdigest()
-    kinds = {}
+    named = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
+        record = tuple(parts[:2])  # the record kind and the name it declares
+        if record in named:
+            raise ChartError(f"line {lineno}: duplicate {' '.join(record)}")
+        named.add(record)
         if parts[0] == "edge":
             if len(parts) != 6 or parts[2] != ":" or parts[4] != "->":
                 raise ChartError(f"line {lineno}: malformed edge record")
             sym, src, tgt = parts[1], parts[3], parts[5]
-            if sym in cd.edges:
-                raise ChartError(f"line {lineno}: duplicate edge {sym}")
             cd.edges[sym] = (src, tgt)
         elif parts[0] == "face":
             if len(parts) < 5 or parts[3] != ":":
@@ -107,15 +110,11 @@ def parse_charts(text):
             for sym, _sign in word:
                 if sym not in cd.edges:
                     raise ChartError(f"line {lineno}: undeclared edge symbol {sym!r}")
-            if fid in kinds:
-                raise ChartError(f"line {lineno}: duplicate face id {fid}")
-            kinds[fid] = kind
             (cd.triangles if kind == TRIANGLE else cd.lozenges)[fid] = word
         elif parts[0] == "recheck":
             if len(parts) < 4 or parts[2] != ":":
                 raise ChartError(f"line {lineno}: malformed recheck record")
-            fid = parts[1]
-            cd.rechecks[fid] = _parse_word(parts[3:], lineno)
+            cd.rechecks[parts[1]] = _parse_word(parts[3:], lineno)
         elif parts[0] == "faceset":
             if len(parts) < 4 or parts[2] != ":":
                 raise ChartError(f"line {lineno}: malformed faceset record")
@@ -150,33 +149,41 @@ def validate_chartdata(cd):
         if use.get(sym, 0) != 3:
             raise ChartError(
                 f"edge {sym} used {use.get(sym, 0)} times across V, expected 3")
-    for name in cd.facesets:
-        tris = [f for f in cd.facesets[name] if f in cd.triangles]
-        lozs = [f for f in cd.facesets[name] if f in cd.lozenges]
-        unknown = [f for f in cd.facesets[name] if f not in cd.triangles and f not in cd.lozenges]
+    for name, faces in cd.facesets.items():
+        tris = [f for f in faces if f in cd.triangles]
+        lozs = [f for f in faces if f in cd.lozenges]
+        unknown = [f for f in faces if f not in cd.triangles and f not in cd.lozenges]
         if unknown:
             raise ChartError(f"faceset {name}: unknown faces {unknown}")
+        repeated = sorted({f for f in faces if faces.count(f) > 1})
+        if repeated:
+            raise ChartError(f"faceset {name}: faces listed more than once {repeated}")
         if len(tris) != 4 or len(lozs) != 3:
             raise ChartError(
                 f"faceset {name}: expected 4 triangles + 3 lozenges, "
                 f"got {len(tris)} + {len(lozs)}")
 
 
-def load_charts(path):
-    """Load and validate a chart file from a filesystem path."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+def _validated(text):
     cd = parse_charts(text)
     validate_chartdata(cd)
     return cd
+
+
+def load_charts(path):
+    """Load and validate a chart file from a filesystem path; raises
+    ChartError, or OSError when the file cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ChartError(f"{path}: {exc}") from None
+    return _validated(text)
 
 
 def load_default_charts():
     """Load the chart fixture shipped inside the package."""
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
-    cd = parse_charts(text)
-    validate_chartdata(cd)
-    return cd
+    return _validated(resources.files("hamsurf.data").joinpath("brady_v.charts").read_text())
 
 
 def _build(cd, face_ids):

@@ -2,7 +2,19 @@
 
 Every subcommand emits a list of certificates (JSON by default, or a text
 table) and exits nonzero iff any certificate fails.  ``check-all`` runs
-everything.
+every subcommand in turn.
+
+``run_commands`` is the one path from charts to certificates:
+
+- it loads the charts and builds V at most once per run, and only when a
+  named subcommand reads ``--charts`` (``check-ladder`` does not);
+- a chart file that cannot be read, parsed, validated or built ends in one
+  ``<family>.fixture`` error certificate for each such subcommand, in place
+  of its claims;
+- it stamps the chart's SHA-256 as ``fixture_digest`` on every certificate
+  of those subcommands, so no subcommand passes a digest; the ladder's
+  certificates carry ``""``, as do the fixture errors of a chart that did
+  not load.
 """
 
 from __future__ import annotations
@@ -10,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,22 +45,7 @@ from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_
 MAX_RADIUS = 3
 
 
-def _load(args, loaded=None):
-    """The chart data and V; raises ChartError or OSError.
-
-    ``check-all`` loads once and hands each subcommand what it got in
-    ``loaded``: the pair, or the error, raised again here so that every
-    claim family reports it in its own fixture certificate.
-    """
-    if loaded is None:
-        cd = load_charts(args.charts) if args.charts else load_default_charts()
-        return cd, build_V(cd)
-    if isinstance(loaded, Exception):
-        raise loaded
-    return loaded
-
-
-def _radius_error(ref, radius, least, why, digest):
+def _radius_error(ref, radius, least, why):
     """Error certificate for a radius outside [least, MAX_RADIUS], or None."""
     if radius > MAX_RADIUS:
         reason = f"radius {radius} exceeds cap {MAX_RADIUS}"
@@ -55,10 +53,10 @@ def _radius_error(ref, radius, least, why, digest):
         reason = f"radius {radius} is below {least}: {why}"
     else:
         return None
-    return error_certificate("expansion radius within configured bounds", ref, reason, digest)
+    return error_certificate("expansion radius within configured bounds", ref, reason)
 
 
-def cmd_check_ladder(args, _loaded=None):
+def cmd_check_ladder(args):
     certs = []
     L = moebius_ladder()
     cycles = enumerate_hamiltonian_cycles(L)
@@ -165,7 +163,7 @@ def _tutte_parity(L, cycles):
             "per_edge": sorted(counts.values())}
 
 
-def quotient_surface_certs(S, d):
+def quotient_surface_certs(S):
     """The surface report of a quotient surface S and the claims on it.
 
     ``check-quotient`` issues these for the chart's S; acceptance criterion
@@ -185,74 +183,67 @@ def quotient_surface_certs(S, d):
     return rep, [
         check("S is a closed surface with Euler characteristic -2",
               "quotient.surface", rep.is_closed_surface and rep.euler_characteristic == -2,
-              {"closed": rep.is_closed_surface, "chi": rep.euler_characteristic}, d),
+              {"closed": rep.is_closed_surface, "chi": rep.euler_characteristic}),
         check("every link of S is one circle of angular length 10 units",
-              "quotient.links-ten", all(n == 10 for n in lengths.values()), links, d),
+              "quotient.links-ten", all(n == 10 for n in lengths.values()), links),
         check("S is orientable of genus two",
               "quotient.genus", bool(rep.orientable) and rep.genus_or_crosscaps == 2,
-              {"orientable": rep.orientable, "genus_or_crosscaps": rep.genus_or_crosscaps},
-              d),
+              {"orientable": rep.orientable, "genus_or_crosscaps": rep.genus_or_crosscaps}),
     ]
 
 
-def cmd_check_quotient(args, loaded=None):
+def cmd_check_quotient(_args, cd, V):
     certs = []
     try:
-        cd, V = _load(args, loaded)
         S, Sp = build_S(cd), build_Sprime(cd)
-    except (ChartError, OSError) as exc:
+    except ChartError as exc:
         return [error_certificate("chart fixture loads", "quotient.fixture", str(exc))]
-    d = cd.digest
     certs.append(check(
         "chart fixture has 12 edges, 3 vertices, 4 triangles, 9 lozenge records",
         "quotient.fixture", len(cd.edges) == 12 and len(cd.vertices) == 3
         and len(cd.triangles) == 4 and len(cd.lozenge_records()) == 9,
         {"edges": len(cd.edges), "vertices": len(cd.vertices),
-         "triangles": len(cd.triangles), "lozenge_records": len(cd.lozenge_records())}, d))
+         "triangles": len(cd.triangles), "lozenge_records": len(cd.lozenge_records())}))
     certs.append(check(
         "the ten-face complex passes validation",
-        "quotient.valid", not validate_complex(V), {}, d))
-    rep, claims = quotient_surface_certs(S, d)
+        "quotient.valid", not validate_complex(V), {}))
+    rep, claims = quotient_surface_certs(S)
     certs += claims
     rep_p = surface_report(Sp)
     certs.append(check(
         "S' matches the surface report of S",
         "quotient.sibling", rep_p == rep,
-        {"chi": rep_p.euler_characteristic, "closed": rep_p.is_closed_surface}, d))
+        {"chi": rep_p.euler_characteristic, "closed": rep_p.is_closed_surface}))
     degrees = {sym: V.edge_face_degree(sym) for sym in V.edges}
     certs.append(check(
         "every edge of V lies on exactly three faces",
         "quotient.order-two", all(v == 3 for v in degrees.values()),
-        {"degrees": sorted(set(degrees.values()))}, d))
+        {"degrees": sorted(set(degrees.values()))}))
     L = moebius_ladder()
     link_ok = {v: labeled_isomorphic(V.vertex_link(v), L) is not None for v in V.vertices}
     certs.append(check(
         "every vertex link of V is the labeled Moebius ladder",
-        "quotient.links-ladder", all(link_ok.values()), {"links": link_ok}, d))
+        "quotient.links-ladder", all(link_ok.values()), {"links": link_ok}))
     pieces = flat_piece_census(V)
     kinds = sorted(p["kind"] or "?" for p in pieces)
     certs.append(check(
         "the lozenge pairs close into two tori and one Klein bottle",
         "quotient.flat-pieces", kinds == ["klein_bottle", "torus", "torus"],
-        {"pieces": {" ".join(p["faces"]): p["kind"] for p in pieces}}, d))
+        {"pieces": {" ".join(p["faces"]): p["kind"] for p in pieces}}))
     shared = set(S.faces) & set(Sp.faces)
     certs.append(check(
         "S and S' intersect exactly in the four triangles",
         "quotient.intersection", shared == set(cd.triangles),
-        {"shared": sorted(shared)}, d))
+        {"shared": sorted(shared)}))
     return certs
 
 
-def cmd_check_cover(args, loaded=None):
+def cmd_check_cover(args, _cd, V):
     certs = []
-    try:
-        cd, V = _load(args, loaded)
-    except (ChartError, OSError) as exc:
-        return [error_certificate("chart fixture loads", "cover.fixture", str(exc))]
-    radius, d = args.radius, cd.digest
+    radius = args.radius
     error = _radius_error(
         "cover.radius", radius, 1,
-        "a smaller ball has no interior cell, so every cover claim would hold vacuously", d)
+        "a smaller ball has no interior cell, so every cover claim would hold vacuously")
     if error:
         return [error]
     for base in V.vertices:
@@ -264,37 +255,33 @@ def cmd_check_cover(args, loaded=None):
             "cover.verify", rep["ok"],
             {"base": base, "cells": rep["cells"],
              "interior_vertices": rep["interior_vertex_count"],
-             "problems": rep["problems"][:5]}, d))
+             "problems": rep["problems"][:5]}))
         girths = {v: row.get("girth") for v, row in rep["vertices"].items()
                   if row["interior"]}
         certs.append(check(
             f"interior links from {base} have angular girth six",
             "cover.girth", all(g == 6 for g in girths.values()),
-            {"base": base, "girths": sorted(set(girths.values()))}, d))
+            {"base": base, "girths": sorted(set(girths.values()))}))
         again = restrict_ball(ball, radius - 1)
         certs.append(check(
             f"restricting the radius-{radius} ball reproduces radius {radius-1}",
             "cover.idempotent",
             serialize_ball(again) == serialize_ball(smaller),
-            {"base": base}, d))
+            {"base": base}))
     return certs
 
 
-def cmd_find_surfaces(args, loaded=None):
-    try:
-        cd, V = _load(args, loaded)
-    except (ChartError, OSError) as exc:
-        return [error_certificate("chart fixture loads", "surfaces.fixture", str(exc))]
-    radius, d = args.radius, cd.digest
+def cmd_find_surfaces(args, _cd, V):
+    radius = args.radius
     error = _radius_error(
         "surfaces.radius", radius, 2,
-        "a smaller ball has no interior triangle, so its surfaces are only link germs", d)
+        "a smaller ball has no interior triangle, so its surfaces are only link germs")
     if error:
         return [error]
-    return ball_surface_certs(expand_to_radius(V, V.vertices[0], radius), args.budget, d)
+    return ball_surface_certs(expand_to_radius(V, V.vertices[0], radius), args.budget)
 
 
-def ball_surface_certs(ball, budget, d):
+def ball_surface_certs(ball, budget):
     """The two-surface claims on a ball of the universal cover of V.
 
     ``find-surfaces`` issues these for the ball around V's first vertex;
@@ -324,40 +311,40 @@ def ball_surface_certs(ball, budget, d):
         witness.update(failed_runs=len(failed), first_failure=failed[0])
     certs.append(check(
         "propagation finds exactly two surfaces over all seeds and choices",
-        "surfaces.two", len(surfaces) == 2 and not failed, witness, d))
+        "surfaces.two", len(surfaces) == 2 and not failed, witness))
     ham = {key: is_hamiltonian(fs)[0] for key, fs in surfaces.items()}
     certs.append(check(
         "both propagated face sets are interior-Hamiltonian",
         "surfaces.hamiltonian", bool(ham) and all(ham.values()),
-        {"ok": sorted(ham.values())}, d))
+        {"ok": sorted(ham.values())}))
     types = set()
     for fs in surfaces.values():
         types |= {t.value for t in vertex_trace_types(fs).values()}
     certs.append(check(
         "every vertex trace of both surfaces is a type-3 cycle",
-        "surfaces.type-three", types == {"type3"}, {"types": sorted(types)}, d))
+        "surfaces.type-three", types == {"type3"}, {"types": sorted(types)}))
     tris = {f for f in cx.face_ids() if cx.faces[f].kind == TRIANGLE
             and all(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)}
     certs.append(check(
         "both surfaces contain every interior triangle",
         "surfaces.triangles",
         bool(surfaces) and all(tris <= fs.members for fs in surfaces.values()),
-        {"interior_triangles": len(tris)}, d))
+        {"interior_triangles": len(tris)}))
     projections = sorted(periodicity_check(ball, fs) for fs in surfaces.values())
     certs.append(check(
         "the two surfaces project onto S and S', one each",
         "surfaces.periodicity", projections == ["S", "S'"],
-        {"projections": projections}, d))
+        {"projections": projections}))
     try:
         sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
         certs.append(check(
             "the exhaustive census returns the same two face sets",
             "surfaces.census", set(sols) == set(surfaces),
-            {"solutions": len(sols), "nodes": nodes}, d))
+            {"solutions": len(sols), "nodes": nodes}))
     except BudgetExceeded as exc:
         certs.append(error_certificate(
             "the exhaustive census returns the same two face sets",
-            "surfaces.census", str(exc), d))
+            "surfaces.census", str(exc)))
     return certs
 
 
@@ -371,17 +358,14 @@ AUT_CLAIMS = (
 )
 
 
-def cmd_check_aut(args, loaded=None):
+def cmd_check_aut(_args, cd, V):
     try:
-        cd, V = _load(args, loaded)
-    except (ChartError, OSError) as exc:
-        return [error_certificate("chart fixture loads", "aut.fixture", str(exc))]
-    d = cd.digest
-    try:
-        rep = verify_theta_relations(V, automorphism_group(V))
-        theta2 = theta_maps(V)["theta2"]
+        group = automorphism_group(V)
+        thetas = theta_maps(V)
+        rep = verify_theta_relations(thetas, group)
     except CellMapError as exc:
-        return [error_certificate(claim, ref, str(exc), d) for claim, ref in AUT_CLAIMS]
+        return [error_certificate(claim, ref, str(exc)) for claim, ref in AUT_CLAIMS]
+    theta2 = thetas["theta2"]
     verdicts = (
         (rep["group_order"] == 8, {"order": rep["group_order"]}),
         (rep["exponent_two"], {"element_orders": rep["element_orders"]}),
@@ -390,19 +374,19 @@ def cmd_check_aut(args, loaded=None):
         (rep["generates_group"], {"generated_order": rep["generated_order"]}),
         (rep["all_pairs_commute"], {"pairs": rep["commute"]}),
     )
-    certs = [check(claim, ref, ok, witness, d)
+    certs = [check(claim, ref, ok, witness)
              for (claim, ref), (ok, witness) in zip(AUT_CLAIMS, verdicts)]
     claim, ref = AUT_CLAIMS[-1]
     try:
         image = {theta2.face_map[f] for f in cd.surface_faces("S")}
         target = set(cd.surface_faces("S'"))
     except ChartError as exc:
-        return certs + [error_certificate(claim, ref, str(exc), d)]
+        return certs + [error_certificate(claim, ref, str(exc))]
     return certs + [check(
         claim, ref, image == target,
         {"image": sorted(image),
          "triangle_action": {k: v for k, v in theta2.face_map.items()
-                             if k in cd.triangles}}, d)]
+                             if k in cd.triangles}})]
 
 
 COMMANDS = {
@@ -412,18 +396,6 @@ COMMANDS = {
     "find-surfaces": cmd_find_surfaces,
     "check-aut": cmd_check_aut,
 }
-
-
-def cmd_check_all(args):
-    try:
-        loaded = _load(args)
-    except (ChartError, OSError) as exc:
-        loaded = exc
-    certs = []
-    for name in ("check-ladder", "check-quotient", "check-cover",
-                 "find-surfaces", "check-aut"):
-        certs.extend(COMMANDS[name](args, loaded))
-    return certs
 
 
 OPTIONS = {
@@ -462,10 +434,37 @@ def build_parser():
     return parser
 
 
+def run_commands(args, names):
+    """The certificates of the named subcommands, in order.
+
+    A subcommand that reads ``--charts`` is called as ``command(args, cd, V)``,
+    the others as ``command(args)``.
+    """
+    certs, charts = [], None
+    for name in names:
+        command = COMMANDS[name]
+        if "--charts" not in COMMAND_OPTIONS[name]:
+            certs += command(args)
+            continue
+        if charts is None:
+            try:
+                cd = load_charts(args.charts) if args.charts else load_default_charts()
+                charts = cd, build_V(cd)
+            except (ChartError, OSError) as exc:
+                charts = exc
+        if isinstance(charts, Exception):
+            # the claim family is the subcommand's last word: check-aut -> aut
+            ref = name.partition("-")[2] + ".fixture"
+            certs.append(error_certificate("chart fixture loads", ref, str(charts)))
+        else:
+            cd, V = charts
+            certs += [replace(c, fixture_digest=cd.digest) for c in command(args, cd, V)]
+    return certs
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    runner = COMMANDS.get(args.command, cmd_check_all)
-    certs = runner(args)
+    certs = run_commands(args, COMMANDS if args.command == "check-all" else [args.command])
     rendered = to_json(certs) if args.format == "json" else to_text(certs)
     if args.out:
         out_dir = Path(args.out)

@@ -51,8 +51,8 @@ from collections import Counter
 import pytest
 
 from hamsurf.certs import FAIL, PASS
-from hamsurf.cli import (ball_surface_certs, build_parser, cmd_check_all,
-                         quotient_surface_certs)
+from hamsurf.cli import (COMMANDS, ball_surface_certs, build_parser,
+                         quotient_surface_certs, run_commands)
 from hamsurf.hamgraph import LabeledGraph, enumerate_hamiltonian_cycles
 from oracles import brute_orientable, degree, naive_hamiltonian_cycles
 
@@ -82,7 +82,7 @@ def key(cert):
 
 @pytest.fixture(scope="module")
 def certs():
-    return cmd_check_all(build_parser().parse_args(["check-all"]))
+    return run_commands(build_parser().parse_args(["check-all"]), COMMANDS)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ def expect_surface_claims(crit, S):
 def check_quotient_surface(crit, S):
     """Criterion 3's sub-claims on a candidate quotient surface S, from the
     certificates ``check-quotient`` issues for a surface."""
-    crit.rows.update((c.ref, c) for c in quotient_surface_certs(S, "")[1])
+    crit.rows.update((c.ref, c) for c in quotient_surface_certs(S)[1])
     expect_surface_claims(crit, S)
 
 
@@ -217,7 +217,7 @@ def test_criterion_07_two_surfaces(table, ball1):
     # the census claim can fail: around the one interior vertex of the
     # radius-1 ball every Hamiltonian link cycle is a solution, not only
     # the two type-3 germs that propagation grows
-    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8, "")}["surfaces.census"]
+    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8)}["surfaces.census"]
     crit.expect((small.status, small.witness.get("solutions")) == (FAIL, 5),
                 f"radius-1 census: fail with 5 solutions expected, got {small.status} "
                 f"with {small.witness}")

@@ -85,7 +85,7 @@ def test_every_automorphism_preserves_structure(V):
 
 
 def test_theta_relations_report(V):
-    rep = verify_theta_relations(V, automorphism_group(V))
+    rep = verify_theta_relations(theta_maps(V), automorphism_group(V))
     assert rep["group_order"] == 8
     assert all(rep["members"].values())
     assert all(rep["involutive"].values())

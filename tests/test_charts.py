@@ -66,6 +66,25 @@ def test_duplicate_ids_rejected():
         parse_charts(text)
 
 
+@pytest.mark.parametrize("record, message", [
+    ("faceset S : a b c d x y z", r"line \d+: duplicate faceset S$"),
+    ("recheck x' : x_c- x_b+ x_d- x_a+", r"line \d+: duplicate recheck x'$"),
+], ids=["faceset", "recheck"])
+def test_repeated_names_rejected(record, message):
+    # a second faceset or recheck record of a name would replace the first
+    assert record in fixture_text()
+    with pytest.raises(ChartError, match=message):
+        parse_charts(fixture_text() + record + "\n")
+
+
+def test_faceset_with_repeated_faces_rejected():
+    # four triangles and three lozenges counted with repeats: S has four faces
+    cd = parse_charts(fixture_text().replace("faceset S : a b c d x y z",
+                                             "faceset S : a a a a x y z"))
+    with pytest.raises(ChartError, match=r"faceset S: .*\['a'\]"):
+        validate_chartdata(cd)
+
+
 def test_recheck_mismatch_rejected():
     text = fixture_text().replace("recheck x' : x_c- x_b+ x_d- x_a+",
                                   "recheck x' : x_c- x_b+ x_a- x_d+")

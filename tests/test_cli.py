@@ -6,9 +6,11 @@ from importlib import resources
 
 import pytest
 
+import hamsurf.cellmap
 import hamsurf.cli
 import hamsurf.corecomplex
 import hamsurf.surfaces
+from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
 from hamsurf.cli import _ladder_rung_witnesses, main
 from hamsurf.hamgraph import (HamCycle, angular_girth, enumerate_hamiltonian_cycles,
@@ -112,7 +114,8 @@ def test_find_surfaces_runs_once_per_anchor_state(monkeypatch, capsys):
     assert len(runs) == len(set(runs)) == 18
 
 
-def test_check_all_loads_the_charts_once(monkeypatch, capsys):
+def count_loads(monkeypatch, capsys, *argv):
+    """Chart loads and V builds in one run of the CLI."""
     calls = Counter()
 
     def counting(name, fn):
@@ -123,8 +126,46 @@ def test_check_all_loads_the_charts_once(monkeypatch, capsys):
 
     for name in ("load_default_charts", "build_V"):
         monkeypatch.setattr(hamsurf.cli, name, counting(name, getattr(hamsurf.cli, name)))
-    run(capsys, "check-all", "--radius", "2")
+    run(capsys, *argv)
+    return calls
+
+
+def test_check_all_loads_the_charts_once(monkeypatch, capsys):
+    calls = count_loads(monkeypatch, capsys, "check-all", "--radius", "2")
     assert calls == {"load_default_charts": 1, "build_V": 1}
+
+
+@pytest.mark.parametrize("command, loads", [("check-quotient", 1), ("check-ladder", 0)])
+def test_charts_are_loaded_only_for_subcommands_that_read_them(
+        monkeypatch, capsys, command, loads):
+    calls = count_loads(monkeypatch, capsys, command)
+    assert calls == Counter({"load_default_charts": loads, "build_V": loads})
+
+
+def test_every_chart_certificate_carries_the_chart_digest(capsys):
+    _code, out = run(capsys, "check-all", "--radius", "2")
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    by_digest = {}
+    for c in json.loads(out):
+        by_digest.setdefault(c["fixture_digest"], []).append(c["ref"])
+    assert sorted(by_digest) == ["", digest]
+    assert len(by_digest[""]) == 8
+    assert all(ref.startswith("ladder.") for ref in by_digest[""])
+    assert not any(ref.startswith("ladder.") for ref in by_digest[digest])
+
+
+def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(V):
+        calls.append(V)
+        return theta_maps(V)
+
+    monkeypatch.setattr(hamsurf.cellmap, "theta_maps", counting)
+    monkeypatch.setattr(hamsurf.cli, "theta_maps", counting)
+    run(capsys, "check-aut")
+    assert len(calls) == 1
 
 
 # one-line chart edits that load and build, but whose V breaks a claim
@@ -276,6 +317,22 @@ def test_chart_that_fails_to_build_yields_error_certificates(tmp_path, capsys):
     assert {"quotient.fixture", "cover.fixture", "surfaces.fixture",
             "aut.fixture"} <= set(by_ref)
     assert "not closed" in by_ref["cover.fixture"]["witness"]["error"]
+    assert all(c["fixture_digest"] == "" for c in by_ref.values())
+
+
+@pytest.mark.parametrize("command", ["check-all", "check-quotient"])
+def test_chart_that_is_not_utf8_yields_error_certificates(tmp_path, capsys, command):
+    bad = tmp_path / "utf16.charts"
+    bad.write_bytes(b"\xff\xfe" + "edge x_a : Q -> P\n".encode("utf-16-le"))
+    code = main([command, "--charts", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    errors = [c for c in json.loads(captured.out) if c["status"] == "error"]
+    refs = {"check-all": ["quotient.fixture", "cover.fixture", "surfaces.fixture",
+                          "aut.fixture"], "check-quotient": ["quotient.fixture"]}[command]
+    assert [c["ref"] for c in errors] == refs
+    assert all("can't decode byte 0xff" in c["witness"]["error"] for c in errors)
 
 
 @pytest.mark.parametrize("radius", [-1, 0])

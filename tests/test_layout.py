@@ -82,15 +82,6 @@ def test_no_write_only_locals():
 # outside.  Add an entry here only with such callers.
 DEFAULTED_PARAMETERS = [
     "census.count_surfaces_exhaustive:budget",
-    "certs.check:digest",
-    "certs.check:witness",
-    "certs.error_certificate:digest",
-    "cli._load:loaded",
-    "cli.cmd_check_aut:loaded",
-    "cli.cmd_check_cover:loaded",
-    "cli.cmd_check_ladder:_loaded",
-    "cli.cmd_check_quotient:loaded",
-    "cli.cmd_find_surfaces:loaded",
     "cli.main:argv",
     "cover.__init__:trail",
     "hamgraph.add_edge:label",
