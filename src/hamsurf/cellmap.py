@@ -356,24 +356,23 @@ def theta_maps(v_complex):
 
 
 def generated_subgroup(generators):
-    """Closure of a generator list under composition."""
+    """Closure of a generator list under composition: the identity closed
+    under left multiplication by the generators, which in a finite group
+    reaches every product of them."""
     if not generators:
         return []
-    elems = {}
-    frontier = list(generators)
     ident = identity_map(generators[0].source)
-    elems[ident.key()] = ident
-    for g in generators:
-        elems[g.key()] = g
+    elems = {ident.key(): ident}
+    frontier = [ident]
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in list(elems.values()):
-                for prod in (g.compose(h), h.compose(g)):
-                    k = prod.key()
-                    if k not in elems:
-                        elems[k] = prod
-                        nxt.append(prod)
+        for h in frontier:
+            for g in generators:
+                prod = g.compose(h)
+                k = prod.key()
+                if k not in elems:
+                    elems[k] = prod
+                    nxt.append(prod)
         frontier = nxt
         if len(elems) > GROUP_LIMIT:
             raise CellMapError("generated group exceeds limit")

@@ -1,44 +1,45 @@
 """Exhaustive surface census on a ball: the independent oracle.
 
-Depth-first search over in/out assignments of the constrained faces (those
-with a corner at an interior vertex or a side on an interior edge), in a
-fixed order along face adjacency, with local pruning only:
+Depth-first search over in/out assignments of the constrained faces, in a
+fixed order along face adjacency, with two local prune rules:
 
-* an interior edge never carries more than two member sides and must keep
-  two reachable;
-* a vertex trace never branches (degree <= 2 per germ) and never closes a
-  cycle early;
-* once every face at an interior vertex is decided, the trace must be one
-  spanning cycle.
+* the edge rule: a constrained edge never carries more than two member
+  sides and keeps two reachable among member and undecided sides;
+* the cycle rule: a member corner at an interior vertex never closes a
+  trace cycle through fewer germs than the vertex has.
 
-Every germ of an interior vertex also keeps two usable corners among member
-and undecided faces, with no rule of its own: a germ is the end of an edge
-at the vertex, its corners are exactly the face-sides of that edge, and the
-edge is interior because its end vertex is, so the edge rule already keeps
-two of them reachable.
+The constrained edges are the interior edges and every edge at an
+interior vertex; the constrained faces are those with a side on one of
+them, which include every face with a corner at an interior vertex.
 
-Full assignments are kept when every interior edge has coverage exactly 2,
-every interior vertex carries one spanning trace cycle, and the member set
-is nonempty.  The members need not be connected: a surface cut down to a
-ball need not stay connected, so a census that demanded it could miss a
-local solution.  Without the test it returns a superset of the connected
-solutions, and its agreement with propagation's pair (whose connectivity
-``surfaces.is_enveloping`` checks) says at least as much as before.
-Nothing here knows about cycle types or the ladder, and the module imports
-nothing else from the package: agreement with the propagation engine is
-the point of the module.
+The lemma that makes two rules enough: a germ of a vertex is one end of
+an edge, and its corners are exactly that edge's face-sides, since each
+side (f, i) on an edge gives one corner at each of its two germs.  So the
+trace degree of a germ always equals the member sides of its edge, and
+the edge rule on the edges at an interior vertex is the rule that no germ
+has trace degree above 2 and that every germ keeps two usable corners.
+Once every face at an interior vertex is decided, its germs all have
+degree 2; the trace is then a union of cycles through every germ, each
+checked by the cycle rule when it closed, so it is one spanning cycle.
 
-The search is incremental.  Faces, interior edges and the germs (link
-nodes) of interior vertices are numbered once per call, and deciding a
-face updates only the counters of its own cells:
+Full assignments are kept when every constrained edge has coverage
+exactly 2 (so every interior vertex carries one spanning trace cycle) and
+the member set is nonempty.  The members need not be connected: a surface
+cut down to a ball need not stay connected, so a census that demanded it
+could miss a local solution.  Without the test it returns a superset of
+the connected solutions, and its agreement with propagation's pair (whose
+connectivity ``surfaces.is_enveloping`` checks) says at least as much as
+before.  Nothing here knows about cycle types or the ladder, and the
+module imports nothing else from the package: agreement with the
+propagation engine is the point of the module.
 
-* per edge, the member sides and the undecided sides;
-* per germ, the degree (member corners through it), and a union-find over
-  the germs joined by member corners, by size and without path compression;
-* per vertex, the member corners and the undecided faces.
-
-Backtracking undoes a decision by reversing its counter updates and
-popping the unions it made off a stack.
+The search is incremental.  Faces, constrained edges and the germs of
+interior vertices are numbered once per call, and deciding a face updates
+only the state of its own cells: per edge, the member sides and the
+undecided sides; per germ, a union-find over the germs joined by member
+corners, by size and without path compression.  Backtracking undoes a
+decision by reversing its counter updates and popping the unions it made
+off a stack.
 """
 
 from __future__ import annotations
@@ -90,93 +91,66 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     Raises BudgetExceeded when the number of explored assignments passes
     the budget.
 
-    The prune rules are those of a search that re-checks every edge and
-    vertex of a decided face from scratch; stated on the counters they
-    reject exactly the same partial assignments, so the node counts are
-    the same.  Since the checks of a cell can only change when one of its
-    faces is decided, it is enough to re-check what that decision changed:
+    Lemma: each face-side on an edge gives one corner at each of the
+    edge's two germs, so a germ's trace degree is the number of member
+    sides of its edge.  The edge rule on the edges at an interior vertex
+    is therefore also the rule that no germ branches and every germ keeps
+    two usable corners, and the two rules reject exactly the partial
+    assignments that a search re-checking every edge, germ and vertex of
+    a decided face from scratch rejects.  Since the checks of a cell can
+    only change when one of its faces is decided, it is enough to
+    re-check what that decision changed:
 
-    * Member sides and germ degrees only grow, and open sides only
-      shrink, so only the counters just moved can newly pass a bound.
+    * Member sides only grow and undecided sides only shrink, so only the
+      counters just moved can newly pass a bound.
     * With every germ degree at most 2, a member corner whose two germs
       already share a component closes a cycle.  A closed cycle is a
       component that no later corner can join without a degree above 2,
       so the trace is spoiled exactly when a cycle closes with fewer germs
-      than the link has.
-    * A decided vertex passes when its member corners are as many as its
-      germs: with no degree above 2 and no short cycle, that is one
-      spanning cycle.
-    * A germ with fewer than two corners, or an interior edge with fewer
-      than two sides, fails whatever is decided, so every face on one
-      prunes both ways; those faces are found once, before the search.
+      than the vertex has.
+    * A decided vertex needs no check of its own: its edges have no
+      undecided sides left, so the edge rule holds each germ at degree
+      exactly 2, and every cycle of the trace passed the cycle rule.
+    * An edge with fewer than two sides fails whatever is decided.  On a
+      ball over V it cannot occur, since interior edges have three sides;
+      on a damaged ball the search checks it once, at its root, and
+      visits nothing else.
     """
     cx = ball.complex
     vertices = sorted(ball.interior_vertices, key=lambda v: (ball.depth[v], int(v[1:])))
-    edges = sorted(ball.interior_edges, key=str)
-
-    # corners of each interior vertex by face, as pairs of link nodes
-    corners = {}
-    for v in vertices:
-        by_face = {}
-        for (u, w, _lbl, tag) in cx.vertex_link(v).edges:
-            by_face.setdefault(tag[0], []).append((u, w))
-        corners[v] = by_face
-    edge_faces = {sym: [fid for fid, _i, _s in cx.edge_sides(sym)] for sym in edges}
-    rel = set().union(*corners.values(), *edge_faces.values())
-    order = _face_order(ball, rel)
+    edges = sorted(ball.interior_edges | {sym for v in vertices for sym, _ in cx.germs_at(v)},
+                   key=str)
+    edge_faces = [[fid for fid, _i, _s in cx.edge_sides(sym)] for sym in edges]
+    order = _face_order(ball, set().union(*edge_faces))
     pos = {f: k for k, f in enumerate(order)}
     n = len(order)
 
     # number every cell once; per face k, the cells its decision touches
     edges_of = [[] for _ in range(n)]
-    sides = []
-    for e, sym in enumerate(edges):
-        sides.append(len(edge_faces[sym]))
-        for f in edge_faces[sym]:
+    for e, faces in enumerate(edge_faces):
+        for f in faces:
             edges_of[pos[f]].append(e)
+    # per face, its corners as pairs of germs, numbered on first sight; per
+    # germ, the number of germs at its vertex
     pairs_of = [[] for _ in range(n)]
-    verts_of = [[] for _ in range(n)]
-    germ_corners = []  # per germ, all its corners
-    germs_at = []      # per vertex, its germ count
-    for x, v in enumerate(vertices):
-        germ_index = {}
-        for f, pairs in corners[v].items():
-            verts_of[pos[f]].append(x)
-            for ends in pairs:
-                for node in ends:
-                    if node not in germ_index:
-                        germ_index[node] = len(germ_corners)
-                        germ_corners.append(0)
-                    germ_corners[germ_index[node]] += 1
-                pairs_of[pos[f]].append((x, germ_index[ends[0]], germ_index[ends[1]]))
-        germs_at.append(len(germ_index))
-    # a face on a germ or an edge that is short from the start prunes both ways
-    short = {x for k in range(n) for (x, a, b) in pairs_of[k]
-             if germ_corners[a] < 2 or germ_corners[b] < 2}
-    doomed = [any(sides[e] < 2 for e in edges_of[k]) or any(x in short for x in verts_of[k])
-              for k in range(n)]
+    span = []
+    for v in vertices:
+        germ = {}
+        for f, i in cx.corners_at(v):
+            a, b = (germ.setdefault(g, len(span) + len(germ)) for g in cx.corner_germs(f, i))
+            pairs_of[pos[f]].append((a, b))
+        span += [len(germ)] * len(germ)
 
     member_sides = [0] * len(edges)
-    open_sides = list(sides)
-    degree = [0] * len(germ_corners)
-    parent = list(range(len(germ_corners)))
-    size = [1] * len(germ_corners)
+    open_sides = [len(faces) for faces in edge_faces]
+    parent = list(range(len(span)))
+    size = [1] * len(span)
     unions = []
-    kept = [0] * len(vertices)
-    undecided = [len(corners[v]) for v in vertices]
 
     def find(g):
         while parent[g] != g:
             g = parent[g]
         return g
-
-    def spanned(xs):
-        ok = True
-        for x in xs:
-            undecided[x] -= 1
-            if not undecided[x] and kept[x] != germs_at[x]:
-                ok = False
-        return ok
 
     def keep(k):
         ok = True
@@ -185,15 +159,10 @@ def count_surfaces_exhaustive(ball, budget=10**8):
             open_sides[e] -= 1
             if member_sides[e] > 2:
                 ok = False
-        for (x, a, b) in pairs_of[k]:
-            kept[x] += 1
-            degree[a] += 1
-            degree[b] += 1
-            if degree[a] > 2 or degree[b] > 2:
-                ok = False
+        for a, b in pairs_of[k]:
             ra, rb = find(a), find(b)
             if ra == rb:
-                if size[ra] != germs_at[x]:
+                if size[ra] != span[a]:
                     ok = False
             else:
                 if size[ra] < size[rb]:
@@ -201,19 +170,13 @@ def count_surfaces_exhaustive(ball, budget=10**8):
                 parent[rb] = ra
                 size[ra] += size[rb]
                 unions.append(rb)
-        return spanned(verts_of[k]) and ok
+        return ok
 
     def unkeep(k, mark):
-        for x in verts_of[k]:
-            undecided[x] += 1
         while len(unions) > mark:
             rb = unions.pop()
             size[parent[rb]] -= size[rb]
             parent[rb] = rb
-        for (x, a, b) in pairs_of[k]:
-            kept[x] -= 1
-            degree[a] -= 1
-            degree[b] -= 1
         for e in edges_of[k]:
             member_sides[e] -= 1
             open_sides[e] += 1
@@ -224,11 +187,9 @@ def count_surfaces_exhaustive(ball, budget=10**8):
             open_sides[e] -= 1
             if member_sides[e] + open_sides[e] < 2:
                 ok = False
-        return spanned(verts_of[k]) and ok
+        return ok
 
     def undrop(k):
-        for x in verts_of[k]:
-            undecided[x] += 1
         for e in edges_of[k]:
             open_sides[e] += 1
 
@@ -238,7 +199,9 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     nodes = 1
     if nodes > budget:
         raise BudgetExceeded(f"census exceeded {budget} nodes")
-    k = 0
+    # the edge rule at the root: an edge with fewer than two sides fails
+    # whatever is decided, so the search stops there
+    k = 0 if all(s >= 2 for s in open_sides) else -1
     while k >= 0:
         if k == n:
             members = [order[j] for j in range(n) if tried[j] == 1]
@@ -251,7 +214,7 @@ def count_surfaces_exhaustive(ball, budget=10**8):
             unkeep(k, marks[k])
         elif t == 2:
             undrop(k)
-        if t == 2 or doomed[k]:
+        if t == 2:
             tried[k] = 0
             k -= 1
             continue

@@ -172,9 +172,10 @@ def _validated(text):
 
 def load_charts(path):
     """Load and validate a chart file from a filesystem path; raises
-    ChartError, or OSError when the file cannot be read."""
+    ChartError, or OSError when the file cannot be read.  Line ends are
+    kept as they are, so the digest is the SHA-256 of the file's bytes."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ChartError(f"{path}: {exc}") from None
@@ -182,8 +183,11 @@ def load_charts(path):
 
 
 def load_default_charts():
-    """Load the chart fixture shipped inside the package."""
-    return _validated(resources.files("hamsurf.data").joinpath("brady_v.charts").read_text())
+    """Load the chart fixture shipped inside the package, read as
+    ``load_charts`` reads a file."""
+    fixture = resources.files("hamsurf.data").joinpath("brady_v.charts")
+    with fixture.open(encoding="utf-8", newline="") as fh:
+        return _validated(fh.read())
 
 
 def _build(cd, face_ids):

@@ -101,3 +101,59 @@ def networkx_isomorphic(g1, g2):
         G1, G2,
         edge_match=lambda a, b: sorted(d["label"] or "" for d in a.values())
         == sorted(d["label"] or "" for d in b.values()))
+
+
+def brute_surfaces(ball):
+    """All nonempty face sets of the ball with coverage 2 on every interior
+    edge and one cycle through all germs at every interior vertex, as
+    sorted id tuples, by trying every subset of the constrained faces.
+
+    Corners and germs are read off the face words and the edge table here,
+    not through the complex's indexes or the library's trace code.
+    """
+    cx = ball.complex
+    corners = {v: [] for v in ball.interior_vertices}
+    germs = {v: set() for v in ball.interior_vertices}
+    for sym, (s, t) in cx.edges.items():
+        germs.get(s, set()).add((sym, 1))
+        germs.get(t, set()).add((sym, -1))
+    for fid, face in cx.faces.items():
+        for i, (sym, sign) in enumerate(face.word):
+            # corner i sits where letter i leaves, between the reversed
+            # letter i-1 and letter i
+            v = cx.edges[sym][0 if sign > 0 else 1]
+            if v in corners:
+                prev_sym, prev_sign = face.word[i - 1]
+                corners[v].append((fid, (prev_sym, -prev_sign), (sym, sign)))
+    sides = [[fid for fid, face in cx.faces.items() for s, _ in face.word if s == sym]
+             for sym in ball.interior_edges]
+    faces = sorted({f for cs in corners.values() for f, _a, _b in cs}
+                   | {f for fs in sides for f in fs})
+    out = []
+    for bits in product((False, True), repeat=len(faces)):
+        members = {f for f, b in zip(faces, bits) if b}
+        if (members and all(sum(f in members for f in fs) == 2 for fs in sides)
+                and all(_one_cycle(germs[v], [(a, b) for f, a, b in cs if f in members])
+                        for v, cs in corners.items())):
+            out.append(tuple(sorted(members)))
+    return sorted(out)
+
+
+def _one_cycle(nodes, links):
+    """Whether the links, pairs of nodes, form one cycle through every node:
+    each node on two link ends, and a walk from one node comes back only
+    after crossing every link."""
+    at = {n: [] for n in nodes}
+    for j, (a, b) in enumerate(links):
+        at[a].append(j)
+        at[b].append(j)
+    if not nodes or any(len(js) != 2 for js in at.values()):
+        return False
+    start = node = next(iter(nodes))
+    came, steps = None, 0
+    while node != start or came is None:
+        came = at[node][1] if at[node][0] == came else at[node][0]
+        a, b = links[came]
+        node = b if a == node else a
+        steps += 1
+    return steps == len(links)

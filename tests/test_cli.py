@@ -155,6 +155,25 @@ def test_every_chart_certificate_carries_the_chart_digest(capsys):
     assert not any(ref.startswith("ladder.") for ref in by_digest[digest])
 
 
+def test_chart_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
+    # line ends are part of the file: a CRLF copy of the fixture gets its own
+    # digest and the same verdicts
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    crlf = tmp_path / "crlf.charts"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    digest = hashlib.sha256(crlf.read_bytes()).hexdigest()
+    lf_digest = "3ed03d4d35879b11be97398a3ab9d936b671ac8bacf07c9e5c54d166794713f0"
+    assert digest != lf_digest
+    _code, lf_out = run(capsys, "check-all", "--radius", "1")
+    _code, crlf_out = run(capsys, "check-all", "--radius", "1", "--charts", str(crlf))
+    lf, crlf_certs = json.loads(lf_out), json.loads(crlf_out)
+    assert {c["fixture_digest"] for c in lf} == {"", lf_digest}
+    assert {c["fixture_digest"] for c in crlf_certs} == {"", digest}
+    for c in lf + crlf_certs:
+        del c["fixture_digest"]
+    assert crlf_certs == lf
+
+
 def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
     calls = []
 

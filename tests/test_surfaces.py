@@ -13,6 +13,7 @@ from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
 from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
                               is_hamiltonian, periodicity_check, propagate_surface,
                               vertex_trace_types)
+from oracles import brute_surfaces
 
 
 def interior_lozenge_seeds(ball):
@@ -254,16 +255,24 @@ def test_bad_seed_and_choice_rejected(ball2):
         propagate_surface(ball2, seed, "sideways")
 
 
-def _delete_face(ball, fid):
-    # the damaged ball keeps the interior flags of the whole one, so the
-    # cells around the hole still claim complete stars
+def _delete_faces(ball, fids):
+    # the damaged ball keeps the interior vertices of the whole one, so the
+    # vertices around the hole still claim complete stars; the edges of the
+    # deleted faces lose sides, so they are no longer interior
     cx = ball.complex
-    faces = [cx.faces[f] for f in cx.face_ids() if f != fid]
+    faces = [cx.faces[f] for f in cx.face_ids() if f not in fids]
     cx2 = Complex2(cx.vertices, dict(cx.edges), faces)
     imgs = {f: ball.face_image[f] for f in cx2.faces}
     broken = Ball(cx2, ball.v_complex, ball.base, ball.radius,
                   ball.vertex_image, ball.edge_image, imgs)
     broken.interior_vertices = ball.interior_vertices
+    return broken
+
+
+def _delete_face(ball, fid):
+    # the damaged ball keeps the interior flags of the whole one, so the
+    # cells around the hole still claim complete stars
+    broken = _delete_faces(ball, {fid})
     broken.interior_edges = ball.interior_edges
     return broken
 
@@ -304,13 +313,35 @@ def test_census_matches_propagation(ball2):
     assert nodes == 2798
 
 
-# search nodes of a census that re-checked every cell of a decided face from
-# scratch; the incremental counters must prune exactly as it did (radius 2
-# from P is pinned above)
+# search nodes of a census that re-checked every edge, germ and vertex of a
+# decided face from scratch; the edge and cycle rules must prune exactly as
+# it did (radius 2 from P is pinned above)
 @pytest.mark.parametrize("base, radius, nodes", [
     ("P", 1, 63), ("Q", 1, 67), ("R", 1, 63), ("Q", 2, 2881), ("R", 2, 2788)])
 def test_census_node_counts(V, base, radius, nodes):
     assert count_surfaces_exhaustive(expand_to_radius(V, base, radius))[1] == nodes
+
+
+@pytest.mark.parametrize("base", ["P", "Q", "R"])
+def test_census_matches_brute_force(V, base):
+    # the radius-1 ball and each copy with one face deleted: around the hole
+    # the edges at the interior base vertex are no longer interior, so only
+    # their edge rule keeps the trace there from branching
+    ball = expand_to_radius(V, base, 1)
+    for broken in [ball] + [_delete_faces(ball, {f}) for f in ball.complex.face_ids()]:
+        assert count_surfaces_exhaustive(broken)[0] == brute_surfaces(broken)
+
+
+@pytest.mark.parametrize("base", ["P", "Q", "R"])
+def test_census_needs_a_cycle_through_every_germ(V, base):
+    # with every face on one edge at the base deleted, that germ has no
+    # corner, so no trace at the base passes through every germ
+    ball = expand_to_radius(V, base, 1)
+    cx = ball.complex
+    sym, _sign = cx.germs_at(ball.base)[0]
+    broken = _delete_faces(ball, {f for f, _i, _s in cx.edge_sides(sym)})
+    assert brute_surfaces(broken) == []
+    assert count_surfaces_exhaustive(broken) == ([], 1)
 
 
 def test_census_radius_three(ball3):
