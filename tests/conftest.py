@@ -1,7 +1,7 @@
 import pytest
 
 from hamsurf.charts import build_S, build_Sprime, build_V, load_default_charts
-from hamsurf.cover import expand_to_radius
+from hamsurf.cover import expand_ball, expand_to_radius
 from hamsurf.hamgraph import moebius_ladder
 
 
@@ -38,3 +38,13 @@ def ball1(V):
 @pytest.fixture(scope="session")
 def ball2(V):
     return expand_to_radius(V, "P", 2)
+
+
+@pytest.fixture(scope="session")
+def ball3(ball2):
+    return expand_ball(ball2)
+
+
+@pytest.fixture(scope="session")
+def ball4(ball3):
+    return expand_ball(ball3)

@@ -95,7 +95,7 @@ def test_find_surfaces_radius_three(capsys):
                               "surfaces.two", "surfaces.type-three"]
     assert all(c["status"] == "pass" for c in by_ref.values())
     assert by_ref["surfaces.two"]["witness"] == {"radius": 3, "seeds": 224, "surfaces": 2}
-    assert by_ref["surfaces.census"]["witness"]["nodes"] == 199758
+    assert by_ref["surfaces.census"]["witness"]["nodes"] == 89
 
 
 def test_find_surfaces_runs_once_per_anchor_state(monkeypatch, capsys):
@@ -265,7 +265,7 @@ def test_check_all_certificates_are_pinned(capsys):
     # so in CHANGES.md.
     _code, out = run(capsys, "check-all", "--radius", "2")
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "c96c1b564afd9c0ec39ab57bff0b030091b01e125956eb1a33a66ce1b290f2da"
+    assert digest == "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3"
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,11 +85,6 @@ def test_idempotent_restriction(V, ball1, ball2):
     assert serialize_ball(restrict_ball(ball1, 0)) == serialize_ball(b0)
 
 
-@pytest.fixture(scope="module")
-def ball3(ball2):
-    return expand_ball(ball2)
-
-
 def test_radius_three_verifies_and_restricts(V, ball2, ball3):
     assert ball3.radius == 3
     rep = verify_cover(ball3)
@@ -97,13 +92,12 @@ def test_radius_three_verifies_and_restricts(V, ball2, ball3):
     assert serialize_ball(restrict_ball(ball3, 2)) == serialize_ball(ball2)
 
 
-def test_radius_four_verifies_and_restricts(ball3):
-    b4 = expand_ball(ball3)
-    rep = verify_cover(b4)
+def test_radius_four_verifies_and_restricts(ball3, ball4):
+    rep = verify_cover(ball4)
     assert rep["ok"], rep["problems"][:3]
     assert rep["interior_vertex_count"] == 213
     assert rep["cells"] == {"vertices": 1309, "edges": 2764, "faces": 1456}
-    assert serialize_ball(restrict_ball(b4, 3)) == serialize_ball(ball3)
+    assert serialize_ball(restrict_ball(ball4, 3)) == serialize_ball(ball3)
 
 
 def test_serialization_deterministic(V):
