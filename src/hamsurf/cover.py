@@ -32,7 +32,7 @@ histories.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 
 from .corecomplex import Complex2, Face, validate_complex
@@ -77,8 +77,8 @@ class Ball:
         self.depth = self._depths()
         # per-ball tables filled on first use: corner lifts and lifted link
         # cycles by vertex, and the propagation results that
-        # ``surfaces.propagate_surface`` shares between seeds, by (anchor,
-        # chosen cycle)
+        # ``surfaces.propagate_surface`` keeps by (anchor, chosen cycle),
+        # which its runs also read to stop early
         self._lifts = {}
         self._type3 = {}
         self.propagations = {}
@@ -95,6 +95,22 @@ class Ball:
         cx, V = self.complex, self.v_complex
         return frozenset(e for e in cx.edges
                          if len(cx.edge_sides(e)) == len(V.edge_sides(self.edge_image[e])))
+
+    @cached_property
+    def interior_vertices_by_name(self):
+        """The interior vertices in ``str`` order, as ``FaceSet`` reads them."""
+        return tuple(sorted(self.interior_vertices, key=str))
+
+    @cached_property
+    def interior_vertices_by_depth(self):
+        """The interior vertices by depth, then by number: propagation's sweep."""
+        return tuple(sorted(self.interior_vertices,
+                            key=lambda v: (self.depth[v], int(v[1:]))))
+
+    @cached_property
+    def interior_edges_by_name(self):
+        """The interior edges in ``str`` order."""
+        return tuple(sorted(self.interior_edges, key=str))
 
     def _depths(self):
         dist = {self.base: 0}
@@ -169,6 +185,11 @@ class Ball:
         cx = self.complex
         return {fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
                 for fid in cx.faces}
+
+    @cached_property
+    def face_counts(self):
+        """The number of distinct faces with a corner at each vertex."""
+        return Counter(v for vs in self.face_vertices.values() for v in vs)
 
     def map_oedge(self, oedge):
         eid, sign = oedge

@@ -15,15 +15,21 @@ Propagation reads the admissible (type-3) link cycles of V, enumerated once
 per V, as the ball carries them to its vertices through the covering map
 (``Ball.type3_cycles``, lifted once per ball vertex).  Its result depends on
 the seed only through the anchor vertex and the chosen link cycle, so each
-ball keeps one result per such pair and every seed that maps to the pair
-shares it (``propagate_surface``).  Forced steps commute, so the order in
-which the worklist is processed does not change the result; the tests
-check this by substituting a worklist that pops a random entry.
+ball keeps one result per such pair, its key, and every seed that maps to
+the key shares it (``propagate_surface``).  The same table lets a run stop
+early: once its state settles every face at a vertex whose key is known to
+end in a surface that agrees with the run's start, the run ends in that
+surface (the lemma at ``_propagate``), so on V's cover almost every run
+stops after a few steps and all keys share the two surfaces' results.
+Forced steps commute, so the order in which the worklist is processed
+does not change the result; the tests check this by substituting a
+worklist that pops a random entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball, Contradiction
@@ -44,8 +50,8 @@ class FaceSet:
     def __init__(self, ambient, members):
         if isinstance(ambient, Ball):
             self.cx = ambient.complex
-            self.interior_vertices = sorted(ambient.interior_vertices, key=str)
-            self.interior_edges = sorted(ambient.interior_edges, key=str)
+            self.interior_vertices = ambient.interior_vertices_by_name
+            self.interior_edges = ambient.interior_edges_by_name
         elif isinstance(ambient, Complex2):
             self.cx = ambient
             self.interior_vertices = list(ambient.vertices)
@@ -104,7 +110,31 @@ def vertex_trace_types(fs):
     return out
 
 
-IN, OUT, UNKNOWN = 1, 0, -1
+IN, OUT = 1, 0
+
+
+class _Surface:
+    """A run that ended in a surface: its member FaceSet and its OUT faces.
+
+    One object per distinct result: the keys whose runs stop early at it
+    share it.  The OUT faces make the agreement check of an early stop
+    exact (``_propagate``).
+    """
+
+    __slots__ = ("faceset", "out")
+
+    def __init__(self, faceset, out):
+        self.faceset = faceset
+        self.out = out
+
+
+class _Known(Exception):
+    """Ends a run that has reached the start state of a key known to end in
+    a surface that agrees with its own start (``_propagate``)."""
+
+    def __init__(self, surface):
+        super().__init__()
+        self.surface = surface
 
 
 def propagate_surface(ball, seed_lozenge, choice):
@@ -127,9 +157,13 @@ def propagate_surface(ball, seed_lozenge, choice):
     dictates, and after it the worklist never reads the seed; so two seeds
     with the same anchor and chosen cycle start from the same state, queue
     the same cells and end in the same result.  The first call for a key
-    runs (``_propagate``) and keeps the member set, or the contradiction's
+    runs (``_propagate``) and keeps the surface, or the contradiction's
     cell, reason and trail, in ``ball.propagations``; later calls with the
-    key return that set or raise that contradiction again.
+    key return that surface's FaceSet or raise that contradiction again.
+    The runs read the same table to stop early: a run that reaches the
+    start state of a key known to end in a surface that agrees with its own
+    start ends in that surface (the lemma at ``_propagate``), so the keys
+    of one surface share one FaceSet.
     """
     key = _anchor_cycle(ball, seed_lozenge, choice)
     if key not in ball.propagations:
@@ -140,7 +174,7 @@ def propagate_surface(ball, seed_lozenge, choice):
     found = ball.propagations[key]
     if isinstance(found, tuple):
         raise Contradiction(*found)
-    return FaceSet(ball, found)
+    return found.faceset
 
 
 def _anchor_cycle(ball, seed_lozenge, choice):
@@ -169,12 +203,61 @@ def _anchor_cycle(ball, seed_lozenge, choice):
 
 
 def _propagate(ball, anchor, chosen):
-    """One full propagation run from the anchor state: the member face ids.
+    """One propagation run from the anchor state: the ``_Surface`` it ends in.
 
     Raises Contradiction, with the trail of settled faces, at a dead end.
+
+    A state settles some faces IN or OUT.  The start state settles the
+    faces at the anchor, IN exactly on the chosen cycle.  The worklist
+    applies the forced steps of ``check_vertex`` and ``check_edge`` to every
+    interior cell, and again to each cell around a face it settles, so a
+    run that does not contradict ends in a fixpoint: a state in which no
+    step forces anything and no check fails.
+
+    Early stop.  Let A be the end state of a run that ended in a surface.
+    A state agrees with A when A contains it.  Lemma: if a run starts in
+    agreement with A, and its state settles every face at an interior
+    vertex v whose key (v, the member trace at v) is known to end in A,
+    then the run ends in A.
+
+    - A is a fixpoint of a run that did not contradict.
+    - From any state that agrees with A, every forced step agrees with A,
+      and no check fails.  At a vertex, the admissible cycles can only
+      shrink as the state grows, so those of the smaller state include
+      A's: a corner on all of them lies on all of A's, and one on none of
+      them on none of A's, and A, a fixpoint, already settles its face that
+      way.  At an edge, the coverage counts are monotone: the IN sides only
+      grow and the open sides only shrink, so an edge that is full, or that
+      needs both open sides, is so in A too, and A settles its sides that
+      way.  A check that failed on the smaller state would fail on A.
+    - So a run that starts in agreement with A never leaves A, and its
+      fixpoint lies in A.  Once the run's state contains the start state of
+      a key known to end in A, each step of that key's run applies to the
+      run's fixpoint as well, which therefore contains that key's end
+      state, A.  So it equals A, and the run stops and returns A.
+    - Without the agreement condition the stop would be unsound: a run
+      whose start settles a face at its anchor otherwise than A does still
+      ends above A, so its true outcome is a contradiction or a strictly
+      larger state.
+
+    The run counts the open faces at each interior vertex that its settled
+    faces touch; when the count reaches zero, it looks that vertex's key up
+    in ``ball.propagations``.  The agreement condition reads only the
+    faces at the anchor, and it is checked at most once per run for each
+    distinct surface (two on V's cover), not for each key.  A run whose
+    start agrees with no known surface runs in full, as without the table,
+    so a contradiction keeps its cell, reason and trail.  The run state is
+    sparse and the worklist walks the ball's sweep lazily, so a run that
+    stops early costs time in proportion to the faces it settles, not to
+    the size of the ball.
     """
     cx = ball.complex
+    interior_vertices, interior_edges = ball.interior_vertices, ball.interior_edges
+    face_vertices, face_counts = ball.face_vertices, ball.face_counts
     trail = []
+    state = {}         # the settled faces, IN or OUT
+    open_faces = {}    # faces not yet settled at each interior vertex touched
+    agreement = {}     # known surface -> whether it agrees with the start
 
     def cycles_at(v):
         try:
@@ -182,47 +265,66 @@ def _propagate(ball, anchor, chosen):
         except Contradiction as exc:
             raise Contradiction(v, exc.reason, trail) from None
 
-    state = {fid: UNKNOWN for fid in cx.faces}
-    face_vertices = ball.face_vertices
+    anchor_corners = cycles_at(anchor)[1]
+
+    def agrees(known):
+        # A settles every corner at the anchor as the start does: IN exactly
+        # on the chosen cycle, OUT elsewhere
+        if known not in agreement:
+            agreement[known] = all(
+                tag[0] in (known.faceset.members if tag in chosen else known.out)
+                for tag in anchor_corners)
+        return agreement[known]
+
+    def closed(v):
+        # every face at v is settled, so the state contains the start state
+        # of v's key (v, its member trace)
+        trace = frozenset(c for c in cx.corners_at(v) if state[c[0]] == IN)
+        known = ball.propagations.get((v, trace))
+        if isinstance(known, _Surface) and agrees(known):
+            raise _Known(known)
 
     work = deque()
     pending = set()
+    swept = None       # the cells the sweep has passed, once it has begun
 
     def push(cell):
-        # a queued cell reads the state when it is popped, so one entry is enough
-        if cell not in pending:
-            pending.add(cell)
-            work.append(cell)
+        # a queued cell reads the state when it is popped, so one entry is
+        # enough; a cell the sweep has not reached yet is queued there
+        if cell in pending or (swept is not None and cell not in swept):
+            return
+        pending.add(cell)
+        work.append(cell)
 
     def settle(fid, value, why):
-        if state[fid] == value:
+        old = state.get(fid)
+        if old == value:
             return
-        if state[fid] != UNKNOWN:
+        if old is not None:
             raise Contradiction(fid, f"reassignment via {why}", trail)
         state[fid] = value
         trail.append((fid, "in" if value == IN else "out", why))
         for v in face_vertices[fid]:
-            if v in ball.interior_vertices:
+            if v in interior_vertices:
                 push(("v", v))
+                open_faces[v] = open_faces.get(v, face_counts[v]) - 1
+                if not open_faces[v]:
+                    closed(v)
         for sym, _sign in cx.faces[fid].word:
-            if sym in ball.interior_edges:
+            if sym in interior_edges:
                 push(("e", sym))
-
-    # seed the anchor: its trace is exactly the chosen cycle
-    for tag in sorted(cycles_at(anchor)[1]):
-        settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
 
     def check_vertex(v):
         cycles, all_tags = cycles_at(v)
         admissible = []
         for c in cycles:
-            if any(state[tag[0]] == OUT for tag in c):
+            if any(state.get(tag[0]) == OUT for tag in c):
                 continue
             # corners outside c whose face is IN rule c out only if that
             # face has a corner at v not on c
             conflict = False
             for tag in all_tags - c:
-                if state[tag[0]] == IN:
+                if state.get(tag[0]) == IN:
                     conflict = True
                     break
             if not conflict:
@@ -232,16 +334,16 @@ def _propagate(ball, anchor, chosen):
         common = frozenset.intersection(*admissible)
         union = frozenset.union(*admissible)
         for tag in sorted(common):
-            if state[tag[0]] == UNKNOWN:
+            if tag[0] not in state:
                 settle(tag[0], IN, f"forced at {v}")
         for tag in sorted(all_tags - union):
-            if state[tag[0]] == UNKNOWN:
+            if tag[0] not in state:
                 settle(tag[0], OUT, f"excluded at {v}")
 
     def check_edge(sym):
         sides = [fid for fid, _i, _s in cx.edge_sides(sym)]
-        ins = [f for f in sides if state[f] == IN]
-        unknown = [f for f in sides if state[f] == UNKNOWN]
+        ins = [f for f in sides if state.get(f) == IN]
+        unknown = [f for f in sides if f not in state]
         if len(ins) > 2:
             raise Contradiction(sym, "edge covered more than twice", trail)
         if len(ins) + len(unknown) < 2:
@@ -253,20 +355,39 @@ def _propagate(ball, anchor, chosen):
             for f in list(unknown):
                 settle(f, IN, f"edge {sym} needs both")
 
-    for v in sorted(ball.interior_vertices, key=lambda v: (ball.depth[v], int(v[1:]))):
-        push(("v", v))
-    for sym in sorted(ball.interior_edges, key=str):
-        push(("e", sym))
-
-    while work:
-        kind, cell = item = work.popleft()
-        pending.discard(item)
+    def check(cell):
+        kind, name = cell
         if kind == "v":
-            check_vertex(cell)
+            check_vertex(name)
         else:
-            check_edge(cell)
+            check_edge(name)
 
-    return frozenset(f for f, s in state.items() if s == IN)
+    def pop():
+        cell = work.popleft()
+        pending.discard(cell)
+        return cell
+
+    try:
+        # seed the anchor: its trace is exactly the chosen cycle
+        for tag in sorted(anchor_corners):
+            settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
+        # the cells the seeding queued, then the sweep: every other interior
+        # cell once, vertices by depth and edges by name, then the cells
+        # queued since the sweep began
+        swept = set(pending)
+        for _ in range(len(work)):
+            check(pop())
+        for cell in chain((("v", v) for v in ball.interior_vertices_by_depth),
+                          (("e", e) for e in ball.interior_edges_by_name)):
+            if cell not in swept:
+                swept.add(cell)
+                check(cell)
+        while work:
+            check(pop())
+    except _Known as stop:
+        return stop.surface
+    members = frozenset(f for f, s in state.items() if s == IN)
+    return _Surface(FaceSet(ball, members), frozenset(state.keys() - members))
 
 
 def periodicity_check(ball, fs):

@@ -141,12 +141,18 @@ def test_interior_triangles_lie_on_both_surfaces(ball2):
         assert tris <= propagate_surface(ball2, seed, choice).members
 
 
-def test_propagation_confluence(ball2, monkeypatch):
-    # forced steps commute: a worklist that pops a random entry reaches the
-    # result the sorted worklist keeps in the table
-    seed = interior_lozenge_seeds(ball2)[5]
-    reference = propagate_surface(ball2, seed, "with").members
-    key = hamsurf.surfaces._anchor_cycle(ball2, seed, "with")
+def _end_state(surface):
+    return surface.faceset.members, surface.out
+
+
+def test_propagation_confluence(V, monkeypatch):
+    # forced steps commute: a sweep in a random order and a worklist that
+    # pops a random entry reach the end state of the ordered run.  The
+    # ball's table stays empty, so no run stops early: each is a full run
+    ball = expand_to_radius(V, "P", 2)
+    seed = interior_lozenge_seeds(ball)[5]
+    key = hamsurf.surfaces._anchor_cycle(ball, seed, "with")
+    reference = _end_state(hamsurf.surfaces._propagate(ball, *key))
     pops = []
 
     class RandomPops(deque):
@@ -156,10 +162,14 @@ def test_propagation_confluence(ball2, monkeypatch):
             return super().popleft()
 
     monkeypatch.setattr(hamsurf.surfaces, "deque", RandomPops)
+    vertices, edges = ball.interior_vertices_by_depth, ball.interior_edges_by_name
     for shuffle in range(8):
         rng = random.Random(shuffle)
-        assert hamsurf.surfaces._propagate(ball2, *key) == reference
+        ball.interior_vertices_by_depth = tuple(rng.sample(vertices, len(vertices)))
+        ball.interior_edges_by_name = tuple(rng.sample(edges, len(edges)))
+        assert _end_state(hamsurf.surfaces._propagate(ball, *key)) == reference
     assert pops and max(pops) > 1
+    assert not ball.propagations
 
 
 def test_propagation_deterministic(V, ball2):
@@ -179,23 +189,79 @@ def _outcome(run):
 
 
 @pytest.mark.parametrize("base, radius, results", [
-    ("P", 2, 96), ("Q", 2, 96), ("R", 2, 96), ("P", 3, 448)])
+    ("P", 2, 96), ("Q", 2, 96), ("R", 2, 96), ("P", 3, 448), ("Q", 3, 448)])
 def test_shared_runs_equal_unshared_runs(V, base, radius, results):
-    # every seed and choice reads the same result from the per-ball table as
-    # a full run from its anchor state on a fresh ball, which has no table
-    # entries; a contradiction is raised again with its cell, reason and trail
+    # every seed and choice reads the same result from the per-ball table,
+    # where most runs stop early at a known surface, as a full run from its
+    # anchor state on a fresh ball, which has no table entries: the same
+    # members and OUT faces, or a contradiction raised again with its cell,
+    # reason and trail
     ball = expand_to_radius(V, base, radius)
     fresh = expand_to_radius(V, base, radius)
     compared = 0
     for seed in interior_lozenge_seeds(ball):
         for choice in ("with", "other"):
             shared = _outcome(lambda: propagate_surface(ball, seed, choice).members)
-            anchor, chosen = hamsurf.surfaces._anchor_cycle(fresh, seed, choice)
-            alone = _outcome(lambda: hamsurf.surfaces._propagate(fresh, anchor, chosen))
+            key = hamsurf.surfaces._anchor_cycle(fresh, seed, choice)
+            alone = _outcome(lambda: hamsurf.surfaces._propagate(fresh, *key))
+            if isinstance(alone, hamsurf.surfaces._Surface):
+                assert ball.propagations[key].out == alone.out, (seed, choice)
+                alone = alone.faceset.members
             assert shared == alone, (seed, choice)
             compared += 1
     assert compared == results
     assert not fresh.propagations
+
+
+def test_runs_stop_early_at_known_surfaces(V, monkeypatch):
+    # the 98 keys of the radius-3 ball from P through the table, where a run
+    # stops once it settles every face at a vertex whose key is known to
+    # end in a surface that agrees with its start, against the same keys
+    # run in full on a ball whose table stays empty: about 700 worklist
+    # pops against about 7,300
+    pops = [0]
+
+    class CountedPops(deque):
+        def popleft(self):
+            pops[0] += 1
+            return super().popleft()
+
+    monkeypatch.setattr(hamsurf.surfaces, "deque", CountedPops)
+    ball = expand_to_radius(V, "P", 3)
+    for seed in interior_lozenge_seeds(ball):
+        for choice in ("with", "other"):
+            propagate_surface(ball, seed, choice)
+    assert len(ball.propagations) == 98
+    shared, pops[0] = pops[0], 0
+    fresh = expand_to_radius(V, "P", 3)
+    for key in ball.propagations:
+        hamsurf.surfaces._propagate(fresh, *key)
+    assert not fresh.propagations
+    assert 0 < 4 * shared < pops[0]
+    # the early stops share the two full runs' results
+    assert len({id(found) for found in ball.propagations.values()}) == 2
+
+
+def test_early_stop_needs_agreement_at_the_anchor(V):
+    # a planted entry says that the key of surface B at a vertex v ends in
+    # the other surface A.  A run that agrees with B at its anchor settles
+    # every face at v with B's trace, but A settles the anchor otherwise
+    # than the run's start, so the run goes on and ends in B
+    ball = expand_to_radius(V, "P", 2)
+    seed = interior_lozenge_seeds(ball)[0]
+    key_a = hamsurf.surfaces._anchor_cycle(ball, seed, "with")
+    key_b = hamsurf.surfaces._anchor_cycle(ball, seed, "other")
+    a = hamsurf.surfaces._propagate(ball, *key_a)
+    b = hamsurf.surfaces._propagate(ball, *key_b)
+    assert a.faceset.members != b.faceset.members
+    anchor = key_b[0]
+    v = next(v for v in ball.interior_vertices_by_depth if v != anchor)
+    trace_b = frozenset(c for c in ball.complex.corners_at(v) if c[0] in b.faceset.members)
+    ball.propagations[v, trace_b] = a
+    assert _end_state(hamsurf.surfaces._propagate(ball, *key_b)) == _end_state(b)
+    # the run does reach v's key: an entry there that agrees stops it
+    ball.propagations[v, trace_b] = b
+    assert hamsurf.surfaces._propagate(ball, *key_b) is b
 
 
 @pytest.fixture
