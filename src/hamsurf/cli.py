@@ -305,7 +305,7 @@ def ball_surface_certs(ball, budget):
                 failed.append({"seed": seed, "choice": choice,
                                "cell": None, "reason": str(exc)})
             else:
-                surfaces[tuple(sorted(fs.members))] = fs
+                surfaces[fs.members] = fs
     witness = {"radius": radius, "seeds": len(seeds), "surfaces": len(surfaces)}
     if failed:
         witness.update(failed_runs=len(failed), first_failure=failed[0])
@@ -339,7 +339,7 @@ def ball_surface_certs(ball, budget):
         sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
         certs.append(check(
             "the exhaustive census returns the same two face sets",
-            "surfaces.census", set(sols) == set(surfaces),
+            "surfaces.census", set(map(frozenset, sols)) == set(surfaces),
             {"solutions": len(sols), "nodes": nodes}))
     except BudgetExceeded as exc:
         certs.append(error_certificate(

@@ -14,7 +14,8 @@ Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a fresh copy of the
 corresponding V-face is attached at that corner, and the result is folded
 to a fixpoint after each star.  One round over the stars suffices (see
-``expand_ball``).  Folding identifies two edges at a common
+``expand_ball``), and ``expand_to_radius`` runs one round per radius in a
+single workspace.  Folding identifies two edges at a common
 vertex with the same covering image and the same end there, and two face
 copies over the same V-face that share an edge at the same boundary
 position.  Ball boundary words are stored aligned with their image words,
@@ -22,11 +23,13 @@ so folds are always positionwise.  Folding is worklist-driven (Stallings,
 "Topology of finite graphs", 1983): attaching a cell or merging two classes
 queues the vertex and edge roots whose incidences grew, and only those are
 examined, so a star costs time in proportion to the cells it attaches and
-merges rather than to the size of the ball.
+merges rather than to the size of the ball.  A root waits on the worklist
+at most once: queueing a root that is already waiting does nothing, since
+its one scan will see every incidence it has gained by then.
 
-Cell identifiers are canonical: after each operation the ball is renumbered
-by a breadth-first traversal from the base ordered by covering images,
-which makes serializations byte-stable across runs and construction
+Cell identifiers are canonical: once per expansion call the ball is
+renumbered by a breadth-first traversal from the base ordered by covering
+images, which makes serializations byte-stable across runs and construction
 histories.
 """
 
@@ -202,11 +205,7 @@ class Ball:
 
 def base_ball(v_complex, base_vertex):
     """The radius-0 ball: a single vertex over the chosen V vertex."""
-    if base_vertex not in v_complex.vertices:
-        raise KeyError(f"unknown vertex {base_vertex!r}")
-    cx = Complex2(vertices=["v0"], edges={}, faces=[])
-    return Ball(cx, v_complex, "v0", 0,
-                vertex_image={"v0": base_vertex}, edge_image={}, face_image={})
+    return expand_to_radius(v_complex, base_vertex, 0)
 
 
 def _find(parent, a):
@@ -223,15 +222,17 @@ class _Builder:
     Beside the union-find arrays it keeps incidence lists on class roots
     (``vinc``: edge ids at a vertex, ``einc``: (face id, position) pairs on
     an edge) and a worklist of vertex and edge roots whose incidences grew
-    since they were last folded.  Entries may name merged cells; readers
-    resolve them through ``_find``.
+    since they were last folded, each with a "queued" flag so that a root
+    waits on it at most once.  Incidence entries may name merged cells;
+    readers resolve them through ``_find``.  Cells attached while ``gen`` is n
+    belong to round n; cells of an earlier round are settled.
     """
 
     def __init__(self, v_complex):
         self.V = v_complex
-        self.vpar, self.vimg, self.vgen, self.vinc = [], [], [], []
-        self.epar, self.esrc, self.etgt, self.esym, self.egen, self.einc = (
-            [], [], [], [], [], [])
+        self.vpar, self.vimg, self.vgen, self.vinc, self.vqueued = [], [], [], [], []
+        self.epar, self.esrc, self.etgt, self.esym, self.egen, self.einc, self.equeued = (
+            [], [], [], [], [], [], [])
         self.fpar, self.fimg, self.fword, self.fgen = [], [], [], []
         self.vwork, self.ework = [], []
         self.gen = 0
@@ -241,6 +242,7 @@ class _Builder:
         self.vimg.append(image)
         self.vgen.append(self.gen)
         self.vinc.append([])
+        self.vqueued.append(False)
         return len(self.vpar) - 1
 
     def new_edge(self, src, tgt, sym):
@@ -251,9 +253,10 @@ class _Builder:
         self.esym.append(sym)
         self.egen.append(self.gen)
         self.einc.append([])
+        self.equeued.append(False)
         for v in {_find(self.vpar, src), _find(self.vpar, tgt)}:
             self.vinc[v].append(eid)
-            self.vwork.append(v)
+            self.queue_vertex(v)
         return eid
 
     def new_face(self, image, word):
@@ -265,8 +268,18 @@ class _Builder:
         for pos, (eid, _sign) in enumerate(word):
             e = _find(self.epar, eid)
             self.einc[e].append((fid, pos))
-            self.ework.append(e)
+            self.queue_edge(e)
         return fid
+
+    def queue_vertex(self, v):
+        if not self.vqueued[v]:
+            self.vqueued[v] = True
+            self.vwork.append(v)
+
+    def queue_edge(self, e):
+        if not self.equeued[e]:
+            self.equeued[e] = True
+            self.ework.append(e)
 
     def _merge(self, kind, par, img, gen, a, b):
         """Union of the classes of a and b under the lower root, refusing
@@ -289,14 +302,14 @@ class _Builder:
         if merged:
             a, b = merged
             self.vinc[a], self.vinc[b] = self.vinc[a] + self.vinc[b], []
-            self.vwork.append(a)
+            self.queue_vertex(a)
 
     def eunion(self, a, b):
         merged = self._merge("edge", self.epar, self.esym, self.egen, a, b)
         if merged:
             a, b = merged
             self.einc[a], self.einc[b] = self.einc[a] + self.einc[b], []
-            self.ework.append(a)
+            self.queue_edge(a)
             self.vunion(self.esrc[a], self.esrc[b])
             self.vunion(self.etgt[a], self.etgt[b])
 
@@ -336,18 +349,30 @@ class _Builder:
         Attaching a cell pushes the roots it touches and every vertex or edge
         union pushes the surviving root (a face union works through edge
         unions), so once the worklist is empty no two cells of the whole
-        complex are left to identify.
+        complex are left to identify.  A root already waiting is not pushed
+        again, and its flag is cleared when it is popped, before its scan:
+        that scan sees every incidence gained while it waited, and one
+        gained later queues it again.  An entry absorbed since its push is
+        dropped, since the union that absorbed it queued the survivor.  So
+        the fixpoint is the one a worklist with repeats reaches, and folding
+        stays confluent.
         """
         while self.vwork or self.ework:
             if self.ework:
-                e = _find(self.epar, self.ework.pop())
+                e = self.ework.pop()
+                self.equeued[e] = False
+                if self.epar[e] != e:
+                    continue
                 seen = {}
                 for f, pos in self.sides_on(e):
                     first = seen.setdefault((self.fimg[f], pos), f)
                     if first != f:
                         self.funion(first, f)
             else:
-                v = _find(self.vpar, self.vwork.pop())
+                v = self.vwork.pop()
+                self.vqueued[v] = False
+                if self.vpar[v] != v:
+                    continue
                 seen = {}
                 for e in self.edges_at(v):
                     for end, w in ((0, self.esrc[e]), (1, self.etgt[e])):
@@ -460,32 +485,54 @@ def _canonical_ball(builder, base_root, radius):
     return Ball(cx, V, "v0", radius, vertex_image, edge_image, face_image)
 
 
-def expand_ball(ball):
-    """The ball of radius +1: complete every star at depth <= radius, once.
+def _expand_round(builder, base, radius):
+    """Complete the star of every vertex within radius of base, once.
 
-    Each star is completed and folded in one pass, in order of depth.  One
+    Depths are taken by a breadth-first traversal over the live roots, and
+    each star is completed and folded in one pass, in order of depth.  One
     pass is enough: folding only merges cells with the same covering
     image, so a corner is only ever identified with a corner over the same
     V-corner at the same vertex, and a completed star never loses a corner.
     A second pass over the same vertices would attach nothing.
     """
+    base = _find(builder.vpar, base)
+    depth, targets = {base: 0}, [base]
+    for v in targets:
+        if depth[v] < radius:
+            for e in builder.edges_at(v):
+                for w in (builder.esrc[e], builder.etgt[e]):
+                    w = _find(builder.vpar, w)
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        targets.append(w)
+    for v in targets:
+        builder.complete_star(v)
+        builder.fold()
+
+
+def expand_ball(ball):
+    """The ball of radius +1: one expansion round on the loaded ball."""
     builder = _Builder(ball.v_complex)
     vmap = builder.load(ball)
     builder.gen = 1
-    targets = sorted(
-        (ball.depth[v], v) for v in ball.complex.vertices
-        if ball.depth[v] <= ball.radius)
-    for _d, v in targets:
-        builder.complete_star(vmap[v])
-        builder.fold()
+    _expand_round(builder, vmap[ball.base], ball.radius)
     return _canonical_ball(builder, _find(builder.vpar, vmap[ball.base]), ball.radius + 1)
 
 
 def expand_to_radius(v_complex, base_vertex, radius):
-    b = base_ball(v_complex, base_vertex)
-    for _ in range(radius):
-        b = expand_ball(b)
-    return b
+    """The ball of the given radius around a lift of base_vertex.
+
+    One workspace runs one expansion round per radius, round n attaching
+    the cells of generation n, and is renumbered once at the end.
+    """
+    if base_vertex not in v_complex.vertices:
+        raise KeyError(f"unknown vertex {base_vertex!r}")
+    builder = _Builder(v_complex)
+    base = builder.new_vertex(base_vertex)
+    for r in range(radius):
+        builder.gen = r + 1
+        _expand_round(builder, base, r)
+    return _canonical_ball(builder, base, radius)
 
 
 def restrict_ball(ball, radius):
@@ -520,8 +567,9 @@ def verify_cover(ball):
     words, that the covering map lifts the image link in V onto every
     interior link (``Ball.corner_lift``, so the link is labeled-isomorphic
     to its image and has its image's angular girth, reported per vertex),
-    that interior edges carry all three face-sides, and that depths agree
-    with a fresh traversal.
+    that interior edges carry all three face-sides, that depths agree
+    with a fresh traversal, and that the interior flags are the ones the
+    depths give: vertices at depth <= radius-1 and the edges at them.
     """
     cx, V = ball.complex, ball.v_complex
     problems = list(validate_complex(cx))
@@ -560,6 +608,19 @@ def verify_cover(ball):
     expected_depths = ball._depths()
     if expected_depths != ball.depth:
         problems.append("depth table inconsistent with traversal")
+    # the interior flags follow the depths: a vertex is interior exactly at
+    # depth <= radius-1 (the converse is the "complete star" check above),
+    # an edge exactly when it has an end at such a vertex
+    inner = {v for v in cx.vertices if ball.depth[v] <= ball.radius - 1}
+    for v in sorted(ball.interior_vertices - inner, key=lambda s: int(s[1:])):
+        problems.append(
+            f"vertex {v}: interior at depth {ball.depth[v]}, but radius {ball.radius} "
+            f"makes only depths <= {ball.radius - 1} interior")
+    inner_edges = {e for e, (s, t) in cx.edges.items() if s in inner or t in inner}
+    for eid in sorted(ball.interior_edges ^ inner_edges, key=lambda s: int(s[1:])):
+        problems.append(
+            f"edge {eid}: interior flag disagrees with the depths of its ends "
+            f"at radius {ball.radius}")
     interior_count = len(ball.interior_vertices)
     return {
         "radius": ball.radius,

@@ -131,6 +131,59 @@ def test_pinned_ball_digests(V, base, radius):
     assert digest == BALL_DIGESTS[base, radius]
 
 
+@pytest.mark.parametrize("radius", range(4))
+@pytest.mark.parametrize("base", "PQR")
+def test_one_workspace_matches_expanding_ball_by_ball(V, base, radius):
+    # expand_to_radius runs every round in one workspace; loading each
+    # intermediate ball into a fresh one must give the same bytes
+    ball = base_ball(V, base)
+    for _ in range(radius):
+        ball = expand_ball(ball)
+    assert serialize_ball(expand_to_radius(V, base, radius)) == serialize_ball(ball)
+
+
+def test_rounds_attach_cells_of_their_own_generation(V, monkeypatch):
+    # the cells of rounds 0..n are the ball of radius n, so the generation
+    # rule settles exactly that ball while round n+1 runs
+    smaller = [expand_to_radius(V, "P", n).complex for n in range(3)]
+    workspaces = []
+    canonical = _canonical_ball
+
+    def keep(builder, base_root, radius):
+        workspaces.append(builder)
+        return canonical(builder, base_root, radius)
+
+    monkeypatch.setattr("hamsurf.cover._canonical_ball", keep)
+    expand_to_radius(V, "P", 3)
+    (builder,) = workspaces
+    for par, gen, kind in ((builder.vpar, builder.vgen, "vertices"),
+                           (builder.epar, builder.egen, "edges"),
+                           (builder.fpar, builder.fgen, "faces")):
+        roots = Counter(gen[c] for c in range(len(par)) if par[c] == c)
+        for n, cx in enumerate(smaller):
+            assert sum(roots[g] for g in range(n + 1)) == len(getattr(cx, kind))
+
+
+def test_fold_scans_each_queued_root_once(ball3, monkeypatch):
+    # a root waits on the worklist at most once, however many cells are
+    # attached at it before its scan (11,501 scans when it could wait twice)
+    calls = []
+    edges_at = _Builder.edges_at
+
+    def counting(builder, v):
+        calls.append(v)
+        return edges_at(builder, v)
+
+    monkeypatch.setattr(_Builder, "edges_at", counting)
+    expand_ball(ball3)
+    assert len(calls) < 6000
+
+
+def test_expand_to_radius_rejects_unknown_base(V):
+    with pytest.raises(KeyError):
+        expand_to_radius(V, "nope", 2)
+
+
 def test_fold_follows_merges_through(V):
     # merging x1 with x2 identifies e1 with e2 (same image, both end there),
     # hence a with b, hence f1 with f2 and y1 with y2
@@ -274,6 +327,23 @@ def test_verify_cover_rechecks_claimed_interior(ball1):
     assert row["interior"] and not row["link_matches_image"]
     assert row["girth"] is None
     assert any("does not match its image link" in p for p in rep["problems"])
+
+
+def test_verify_cover_checks_interior_flags_against_depths(ball2):
+    # one vertex and one edge at depth = radius are claimed interior
+    cx = ball2.complex
+    claimed = Ball(cx, ball2.v_complex, ball2.base, ball2.radius,
+                   ball2.vertex_image, ball2.edge_image, ball2.face_image)
+    v = min((u for u in cx.vertices if ball2.depth[u] == 2), key=lambda s: int(s[1:]))
+    e = min((f for f, ends in cx.edges.items() if all(ball2.depth[u] == 2 for u in ends)),
+            key=lambda s: int(s[1:]))
+    claimed.interior_vertices = ball2.interior_vertices | {v}
+    claimed.interior_edges = ball2.interior_edges | {e}
+    problems = verify_cover(claimed)["problems"]
+    assert f"vertex {v}: interior at depth 2, but radius 2 makes only depths <= 1 interior" \
+        in problems
+    assert f"edge {e}: interior flag disagrees with the depths of its ends at radius 2" \
+        in problems
 
 
 def test_restrict_rejects_larger_radius(ball1):
