@@ -42,7 +42,7 @@ from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycl
 from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_check,
                        propagate_surface, vertex_trace_types)
 
-MAX_RADIUS = 4
+MAX_RADIUS = 5
 
 
 def _radius_error(ref, radius, least, why):

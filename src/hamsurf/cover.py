@@ -11,7 +11,7 @@ computed on first read, so the intermediate balls of an expansion, which
 no caller asks about, never compute them.
 
 Expansion to the next radius completes the star of every vertex at depth
-<= radius: for each missing corner of the image link a fresh copy of the
+<= radius: for each missing corner of the image link a copy of the
 corresponding V-face is attached at that corner, and the result is folded
 to a fixpoint after each star.  One round over the stars suffices (see
 ``expand_ball``), and ``expand_to_radius`` runs one round per radius in a
@@ -19,13 +19,17 @@ single workspace.  Folding identifies two edges at a common
 vertex with the same covering image and the same end there, and two face
 copies over the same V-face that share an edge at the same boundary
 position.  Ball boundary words are stored aligned with their image words,
-so folds are always positionwise.  Folding is worklist-driven (Stallings,
-"Topology of finite graphs", 1983): attaching a cell or merging two classes
-queues the vertex and edge roots whose incidences grew, and only those are
-examined, so a star costs time in proportion to the cells it attaches and
-merges rather than to the size of the ball.  A root waits on the worklist
-at most once: queueing a root that is already waiting does nothing, since
-its one scan will see every incidence it has gained by then.
+so folds are always positionwise.  The workspace stays folded (Stallings,
+"Topology of finite graphs", 1983): every vertex and edge class keeps a
+table of its germs by those keys, so a cell whose key is taken, or two
+merged classes whose tables share a key, queue exactly the pairs to
+identify.  A face copy is attached along the edges already there: walking
+its word from the corner, each step reuses the edge that carries the
+needed germ, and only the gap left gets new cells.  Each reuse is an
+identification folding would make, and the folded quotient does not depend
+on the order identifications are made in, so the ball is the one fresh
+copies folded afterwards give; on the balls expanded here no cell is ever
+created only to be folded away.
 
 Cell identifiers are canonical: once per expansion call the ball is
 renumbered by a breadth-first traversal from the base ordered by covering
@@ -217,32 +221,39 @@ def _find(parent, a):
 
 
 class _Builder:
-    """Mutable workspace: arrays plus union-find over each cell kind.
+    """Mutable workspace: arrays plus union-find over each cell kind, kept folded.
 
-    Beside the union-find arrays it keeps incidence lists on class roots
-    (``vinc``: edge ids at a vertex, ``einc``: (face id, position) pairs on
-    an edge) and a worklist of vertex and edge roots whose incidences grew
-    since they were last folded, each with a "queued" flag so that a root
-    waits on it at most once.  Incidence entries may name merged cells;
-    readers resolve them through ``_find``.  Cells attached while ``gen`` is n
-    belong to round n; cells of an earlier round are settled.
+    Each class root carries a germ table.  A vertex root v keeps ``vgerm[v]``:
+    (edge image, sign) -> an edge whose oriented copy of that sign leaves v.
+    An edge root e keeps ``eside[e]``: (face image, position) -> a face whose
+    boundary word runs along e at that position.  Entries may name merged
+    cells; readers resolve them through ``_find``.  A folded complex has one
+    class under each key, so a key that is already taken when a new cell
+    registers it, or when the tables of two merged classes meet, names a pair
+    that folding must identify: the pair waits on ``pending`` until ``fold``.
+    Cells attached while ``gen`` is n belong to round n; cells of an earlier
+    round are settled.
     """
 
     def __init__(self, v_complex):
         self.V = v_complex
-        self.vpar, self.vimg, self.vgen, self.vinc, self.vqueued = [], [], [], [], []
-        self.epar, self.esrc, self.etgt, self.esym, self.egen, self.einc, self.equeued = (
-            [], [], [], [], [], [], [])
+        self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
+        self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
+            [], [], [], [], [], [])
         self.fpar, self.fimg, self.fword, self.fgen = [], [], [], []
-        self.vwork, self.ework = [], []
+        self.pending = deque()
         self.gen = 0
+
+    def _register(self, table, key, cell, union):
+        first = table.setdefault(key, cell)
+        if first != cell:
+            self.pending.append((union, first, cell))
 
     def new_vertex(self, image):
         self.vpar.append(len(self.vpar))
         self.vimg.append(image)
         self.vgen.append(self.gen)
-        self.vinc.append([])
-        self.vqueued.append(False)
+        self.vgerm.append({})
         return len(self.vpar) - 1
 
     def new_edge(self, src, tgt, sym):
@@ -252,11 +263,9 @@ class _Builder:
         self.etgt.append(tgt)
         self.esym.append(sym)
         self.egen.append(self.gen)
-        self.einc.append([])
-        self.equeued.append(False)
-        for v in {_find(self.vpar, src), _find(self.vpar, tgt)}:
-            self.vinc[v].append(eid)
-            self.queue_vertex(v)
+        self.eside.append({})
+        self._register(self.vgerm[_find(self.vpar, src)], (sym, 1), eid, self.eunion)
+        self._register(self.vgerm[_find(self.vpar, tgt)], (sym, -1), eid, self.eunion)
         return eid
 
     def new_face(self, image, word):
@@ -266,20 +275,8 @@ class _Builder:
         self.fword.append(list(word))
         self.fgen.append(self.gen)
         for pos, (eid, _sign) in enumerate(word):
-            e = _find(self.epar, eid)
-            self.einc[e].append((fid, pos))
-            self.queue_edge(e)
+            self._register(self.eside[_find(self.epar, eid)], (image, pos), fid, self.funion)
         return fid
-
-    def queue_vertex(self, v):
-        if not self.vqueued[v]:
-            self.vqueued[v] = True
-            self.vwork.append(v)
-
-    def queue_edge(self, e):
-        if not self.equeued[e]:
-            self.equeued[e] = True
-            self.ework.append(e)
 
     def _merge(self, kind, par, img, gen, a, b):
         """Union of the classes of a and b under the lower root, refusing
@@ -297,19 +294,26 @@ class _Builder:
         par[b] = a
         return a, b
 
+    def _join(self, tables, a, b, union):
+        """Move absorbed root b's table onto kept root a, the smaller table
+        into the larger; each key found in both queues its pair."""
+        small, large = tables[b], tables[a]
+        if len(small) > len(large):
+            small, large = large, small
+        for key, cell in small.items():
+            self._register(large, key, cell, union)
+        tables[a], tables[b] = large, None
+
     def vunion(self, a, b):
         merged = self._merge("vertex", self.vpar, self.vimg, self.vgen, a, b)
         if merged:
-            a, b = merged
-            self.vinc[a], self.vinc[b] = self.vinc[a] + self.vinc[b], []
-            self.queue_vertex(a)
+            self._join(self.vgerm, *merged, self.eunion)
 
     def eunion(self, a, b):
         merged = self._merge("edge", self.epar, self.esym, self.egen, a, b)
         if merged:
             a, b = merged
-            self.einc[a], self.einc[b] = self.einc[a] + self.einc[b], []
-            self.queue_edge(a)
+            self._join(self.eside, a, b, self.funion)
             self.vunion(self.esrc[a], self.esrc[b])
             self.vunion(self.etgt[a], self.etgt[b])
 
@@ -328,58 +332,30 @@ class _Builder:
     def live_faces(self):
         return [f for f in range(len(self.fpar)) if _find(self.fpar, f) == f]
 
-    def edges_at(self, v):
-        """Live edge roots at vertex root v; compacts v's incidence list."""
-        edges = list(dict.fromkeys(_find(self.epar, e) for e in self.vinc[v]))
-        self.vinc[v] = edges
-        return edges
-
-    def sides_on(self, e):
-        """Live (face root, position) pairs on edge root e; compacts the list."""
-        sides = list(dict.fromkeys((_find(self.fpar, f), pos) for f, pos in self.einc[e]))
-        self.einc[e] = sides
-        return sides
+    def far_end(self, v, key, e):
+        """The root at the other end of edge e, filed under key at root v."""
+        e = _find(self.epar, e)
+        return e, _find(self.vpar, self.etgt[e] if key[1] > 0 else self.esrc[e])
 
     def fold(self):
-        """Stallings folding of the worklist to a fixpoint.
+        """Stallings folding: identify the queued pairs, to a fixpoint.
 
-        A vertex root merges its incident edges that share a covering image
-        and the same end (source or target) at it; an edge root merges its
-        incident faces that share a covering image and a boundary position.
-        Attaching a cell pushes the roots it touches and every vertex or edge
-        union pushes the surviving root (a face union works through edge
-        unions), so once the worklist is empty no two cells of the whole
-        complex are left to identify.  A root already waiting is not pushed
-        again, and its flag is cleared when it is popped, before its scan:
-        that scan sees every incidence gained while it waited, and one
-        gained later queues it again.  An entry absorbed since its push is
-        dropped, since the union that absorbed it queued the survivor.  So
-        the fixpoint is the one a worklist with repeats reaches, and folding
-        stays confluent.
+        Two edges at one vertex with the same image and the same end there
+        are one edge, and two faces on one edge with the same image at the
+        same position are one face; the germ tables hold one class per such
+        key, and every pair that shares a key is on the queue.  Identifying
+        a pair joins the tables of its two classes, which queues the pairs
+        that now share a key, and merging two edges merges their ends (a
+        face union works through edge unions).  So once the queue is empty
+        no two cells of the whole complex are left to identify.  Each
+        identification is forced, whatever the order the pairs are taken
+        in, and the forced identifications of a complex over V generate a
+        unique folded quotient, so folding is confluent.
         """
-        while self.vwork or self.ework:
-            if self.ework:
-                e = self.ework.pop()
-                self.equeued[e] = False
-                if self.epar[e] != e:
-                    continue
-                seen = {}
-                for f, pos in self.sides_on(e):
-                    first = seen.setdefault((self.fimg[f], pos), f)
-                    if first != f:
-                        self.funion(first, f)
-            else:
-                v = self.vwork.pop()
-                self.vqueued[v] = False
-                if self.vpar[v] != v:
-                    continue
-                seen = {}
-                for e in self.edges_at(v):
-                    for end, w in ((0, self.esrc[e]), (1, self.etgt[e])):
-                        if _find(self.vpar, w) == v:
-                            first = seen.setdefault((self.esym[e], end), e)
-                            if first != e:
-                                self.eunion(first, e)
+        pending = self.pending
+        while pending:
+            union, a, b = pending.popleft()
+            union(a, b)
 
     # loading and attaching --------------------------------------------------
     def load(self, ball):
@@ -394,63 +370,90 @@ class _Builder:
             self.new_face(ball.face_image[fid], word)
         return vmap
 
+    def _walk(self, u, keys):
+        """Edges and corners met from root u along the germ keys in turn,
+        as far as the germs go: ([edges], [u, corners...])."""
+        edges, corners = [], [u]
+        for key in keys:
+            e = self.vgerm[u].get(key)
+            if e is None:
+                break
+            e, u = self.far_end(u, key, e)
+            edges.append(e)
+            corners.append(u)
+        return edges, corners
+
     def attach_corner(self, v, v_fid, corner):
-        """Fresh copy of V-face v_fid glued at vertex v on the given corner."""
+        """A copy of V-face v_fid glued at root v on the given corner, along
+        the edges already there.
+
+        Walks the face word forward and backward from v, reusing at each
+        corner the edge that carries the needed germ there, and creates
+        vertices and edges only for the gap that is left.  A reused edge is
+        the identification folding would make with a fresh one, so the
+        folded result is the same.  When the two walks meet at different
+        corners, the last edge walked is left to a fresh one, whose key then
+        queues the meeting corners' identification.
+        """
         word = self.V.faces[v_fid].word
         n = len(word)
-        corners = []
-        for j in range(n):
-            img = self.V.src(word[j])
-            corners.append(v if j == corner else self.new_vertex(img))
-        face_word = []
-        for j in range(n):
+        order = [(corner + k) % n for k in range(n)]
+        ahead, ahead_at = self._walk(v, [word[j] for j in order])
+        back_order = [(corner - 1 - k) % n for k in range(n - len(ahead))]
+        back, back_at = self._walk(v, [(word[j][0], -word[j][1]) for j in back_order])
+        if len(ahead) + len(back) == n and ahead_at[-1] != back_at[-1]:
+            if back:
+                back.pop()
+                back_at.pop()
+            else:
+                ahead.pop()
+                ahead_at.pop()
+        edges = dict(zip(order, ahead))
+        edges.update(zip(back_order, back))
+        gap = order[len(ahead):n - len(back)]
+        at = [ahead_at[-1]] + [self.new_vertex(self.V.src(word[j])) for j in gap[1:]]
+        at.append(back_at[-1])
+        for k, j in enumerate(gap):
             sym, sign = word[j]
-            a, b = corners[j], corners[(j + 1) % n]
-            eid = self.new_edge(a, b, sym) if sign > 0 else self.new_edge(b, a, sym)
-            face_word.append((eid, sign))
-        self.new_face(v_fid, face_word)
+            a, b = (at[k], at[k + 1]) if sign > 0 else (at[k + 1], at[k])
+            edges[j] = self.new_edge(a, b, sym)
+        self.new_face(v_fid, [(edges[j], word[j][1]) for j in range(n)])
 
-    def vertex_corners(self, v):
-        """Current corner images at live vertex root v: list of (V fid, i)."""
-        out = []
-        for e in self.edges_at(v):
-            for f, i in self.sides_on(e):
-                sign = self.fword[f][i][1]
-                start = self.esrc[e] if sign > 0 else self.etgt[e]
-                if _find(self.vpar, start) == v:
-                    out.append((self.fimg[f], i))
-        return out
+    def missing_corners(self, v):
+        """The corners of root v's image in V that no face at v fills yet,
+        as sorted (V fid, corner index) pairs."""
+        faces = self.V.faces
+        present = set()
+        for (_sym, sign), e in self.vgerm[v].items():
+            for img, pos in self.eside[_find(self.epar, e)]:
+                if faces[img].word[pos][1] == sign:
+                    present.add((img, pos))
+        return sorted(c for c in self.V.corners_at(self.vimg[v]) if c not in present)
 
     def complete_star(self, v):
         """Attach copies for every missing corner at v; returns count."""
         v = _find(self.vpar, v)
-        present = set(self.vertex_corners(v))
-        p = self.vimg[v]
-        missing = [c for c in self.V.corners_at(p) if c not in present]
-        for v_fid, corner in sorted(missing):
+        missing = self.missing_corners(v)
+        for v_fid, corner in missing:
             self.attach_corner(v, v_fid, corner)
         return len(missing)
 
 
 def _canonical_ball(builder, base_root, radius):
-    """Compact the builder into an immutable Ball with canonical ids."""
-    V = builder.V
-    # adjacency over live roots
-    germs = {}
-    for e in builder.live_edges():
-        s, t = _find(builder.vpar, builder.esrc[e]), _find(builder.vpar, builder.etgt[e])
-        germs.setdefault(s, []).append((builder.esym[e], 1, e, t))
-        germs.setdefault(t, []).append((builder.esym[e], -1, e, s))
-    for v in germs:
-        germs[v].sort()
+    """Compact the folded builder into an immutable Ball with canonical ids.
 
+    Vertices and edges are numbered by a breadth-first traversal from the
+    base that takes each vertex's germs in sorted (image, sign) order.
+    """
+    V = builder.V
     vnum, enum = {}, {}
     order = deque([base_root])
     vnum[base_root] = 0
     edge_order = []
     while order:
         v = order.popleft()
-        for _sym, _sign, e, w in germs.get(v, ()):
+        for key, e in sorted(builder.vgerm[v].items()):
+            e, w = builder.far_end(v, key, e)
             if e not in enum:
                 enum[e] = len(enum)
                 edge_order.append(e)
@@ -499,12 +502,11 @@ def _expand_round(builder, base, radius):
     depth, targets = {base: 0}, [base]
     for v in targets:
         if depth[v] < radius:
-            for e in builder.edges_at(v):
-                for w in (builder.esrc[e], builder.etgt[e]):
-                    w = _find(builder.vpar, w)
-                    if w not in depth:
-                        depth[w] = depth[v] + 1
-                        targets.append(w)
+            for key, e in builder.vgerm[v].items():
+                _e, w = builder.far_end(v, key, e)
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    targets.append(w)
     for v in targets:
         builder.complete_star(v)
         builder.fold()

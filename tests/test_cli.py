@@ -109,6 +109,17 @@ def test_find_surfaces_radius_four(capsys):
     assert by_ref["surfaces.census"]["witness"]["nodes"] == 305
 
 
+def test_find_surfaces_radius_five(capsys):
+    # within the cap since expansion attaches faces along the germs there
+    code, out = run(capsys, "find-surfaces", "--radius", "5")
+    assert code == 0
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert len(by_ref) == 6
+    assert all(c["status"] == "pass" for c in by_ref.values())
+    assert by_ref["surfaces.two"]["witness"] == {"radius": 5, "seeds": 3500, "surfaces": 2}
+    assert by_ref["surfaces.census"]["witness"]["nodes"] == 1067
+
+
 def test_find_surfaces_runs_once_per_anchor_state(monkeypatch, capsys):
     # 48 lozenge seeds with two choices each share 18 (anchor, cycle) runs
     runs = []
@@ -336,14 +347,13 @@ def test_radius_cap(capsys):
     assert json.loads(out)[0]["status"] == "error"
 
 
-def test_radius_five_exceeds_the_cap(capsys):
-    # radius 5 waits for a faster expansion
-    code, out = run(capsys, "check-cover", "--radius", "5")
+def test_radius_six_exceeds_the_cap(capsys):
+    code, out = run(capsys, "check-cover", "--radius", "6")
     assert code == 1
     certs = json.loads(out)
     assert [c["ref"] for c in certs] == ["cover.radius"]
     assert certs[0]["status"] == "error"
-    assert certs[0]["witness"] == {"error": "radius 5 exceeds cap 4"}
+    assert certs[0]["witness"] == {"error": "radius 6 exceeds cap 5"}
 
 
 def test_chart_that_fails_to_build_yields_error_certificates(tmp_path, capsys):

@@ -142,10 +142,8 @@ def test_one_workspace_matches_expanding_ball_by_ball(V, base, radius):
     assert serialize_ball(expand_to_radius(V, base, radius)) == serialize_ball(ball)
 
 
-def test_rounds_attach_cells_of_their_own_generation(V, monkeypatch):
-    # the cells of rounds 0..n are the ball of radius n, so the generation
-    # rule settles exactly that ball while round n+1 runs
-    smaller = [expand_to_radius(V, "P", n).complex for n in range(3)]
+def _workspaces(monkeypatch):
+    """The builders that reach ``_canonical_ball``, in call order."""
     workspaces = []
     canonical = _canonical_ball
 
@@ -154,6 +152,14 @@ def test_rounds_attach_cells_of_their_own_generation(V, monkeypatch):
         return canonical(builder, base_root, radius)
 
     monkeypatch.setattr("hamsurf.cover._canonical_ball", keep)
+    return workspaces
+
+
+def test_rounds_attach_cells_of_their_own_generation(V, monkeypatch):
+    # the cells of rounds 0..n are the ball of radius n, so the generation
+    # rule settles exactly that ball while round n+1 runs
+    smaller = [expand_to_radius(V, "P", n).complex for n in range(3)]
+    workspaces = _workspaces(monkeypatch)
     expand_to_radius(V, "P", 3)
     (builder,) = workspaces
     for par, gen, kind in ((builder.vpar, builder.vgen, "vertices"),
@@ -164,19 +170,17 @@ def test_rounds_attach_cells_of_their_own_generation(V, monkeypatch):
             assert sum(roots[g] for g in range(n + 1)) == len(getattr(cx, kind))
 
 
-def test_fold_scans_each_queued_root_once(ball3, monkeypatch):
-    # a root waits on the worklist at most once, however many cells are
-    # attached at it before its scan (11,501 scans when it could wait twice)
-    calls = []
-    edges_at = _Builder.edges_at
-
-    def counting(builder, v):
-        calls.append(v)
-        return edges_at(builder, v)
-
-    monkeypatch.setattr(_Builder, "edges_at", counting)
-    expand_ball(ball3)
-    assert len(calls) < 6000
+@pytest.mark.parametrize("base", "PQR")
+def test_expansion_creates_only_the_cells_the_ball_keeps(V, base, monkeypatch):
+    # faces are attached along the germs already there, so no cell is made
+    # only to be folded away (fresh copies made 3,829 vertices and 5,284
+    # edges for this ball from P)
+    workspaces = _workspaces(monkeypatch)
+    expand_to_radius(V, base, 4)
+    (builder,) = workspaces
+    for par, count in ((builder.vpar, 1309), (builder.epar, 2764), (builder.fpar, 1456)):
+        assert len(par) == count
+        assert all(par[c] == c for c in range(count))
 
 
 def test_expand_to_radius_rejects_unknown_base(V):
@@ -199,21 +203,65 @@ def test_fold_follows_merges_through(V):
     assert _find(builder.vpar, b) == a and _find(builder.vpar, y2) == y1
 
 
+def _attach_fresh(builder, v, v_fid, corner):
+    """A copy of V-face v_fid glued at root v on the given corner with every
+    other cell new, as if no germ at v or beyond were there."""
+    word = builder.V.faces[v_fid].word
+    n = len(word)
+    at = [v if j == corner else builder.new_vertex(builder.V.src(word[j]))
+          for j in range(n)]
+    face_word = []
+    for j, (sym, sign) in enumerate(word):
+        a, b = (at[j], at[(j + 1) % n]) if sign > 0 else (at[(j + 1) % n], at[j])
+        face_word.append((builder.new_edge(a, b, sym), sign))
+    builder.new_face(v_fid, face_word)
+
+
+@pytest.mark.parametrize("start,at", [(0, 0), (2, 1)])
+def test_attach_identifies_the_corners_where_its_walks_meet(V, start, at):
+    # the three sides of triangle a run as an open path p0 -> p1 -> p2 -> p3
+    # whose first vertex is a copy of corner `start`; a copy of a attached
+    # at corner 0 walks the whole path, ahead only (start 0) or both ways
+    # (start 2), and its one fresh side folds p3 onto p0
+    word = V.faces["a"].word
+    assert all(sign == 1 for _sym, sign in word)
+    builder = _Builder(V)
+    path = [builder.new_vertex(V.src(word[(start + j) % 3])) for j in range(4)]
+    for j in range(3):
+        builder.new_edge(path[j], path[j + 1], word[(start + j) % 3][0])
+    builder.attach_corner(path[at], "a", 0)
+    builder.fold()
+    assert len(builder.vpar) == 4 and _find(builder.vpar, path[3]) == path[0]
+    assert len(builder.epar) == 4 and len(builder.live_edges()) == 3
+    (face,) = builder.fword
+    ends = [(_find(builder.vpar, builder.esrc[e]), _find(builder.vpar, builder.etgt[e]))
+            for e, _sign in face]
+    assert all(ends[j][1] == ends[(j + 1) % 3][0] for j in range(3))
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_fold_confluence(ball1, ball2, data):
     # completing the stars in any order, folding after each star or only
-    # once at the end, gives the ball expand_ball builds
+    # once at the end, and attaching along the germs or as fresh copies
+    # that leave every identification to the fold, gives the ball
+    # expand_ball builds
     ball = data.draw(st.sampled_from([ball1, ball2]), label="ball")
     targets = [v for v in ball.complex.vertices if ball.depth[v] <= ball.radius]
     order = data.draw(st.permutations(sorted(targets)), label="order")
     fold_each = data.draw(st.booleans(), label="fold after each star")
+    fresh = data.draw(st.booleans(), label="fresh copies")
     builder = _Builder(ball.v_complex)
     vmap = builder.load(ball)
     builder.gen = 1
     builder.fold()
     for v in order:
-        builder.complete_star(vmap[v])
+        if fresh:
+            root = _find(builder.vpar, vmap[v])
+            for v_fid, corner in builder.missing_corners(root):
+                _attach_fresh(builder, root, v_fid, corner)
+        else:
+            builder.complete_star(vmap[v])
         if fold_each:
             builder.fold()
     builder.fold()
