@@ -158,17 +158,20 @@ def enumerate_hamiltonian_cycles(graph):
     """All Hamiltonian cycles of ``graph``, duplicate-free, sorted.
 
     Exhaustive backtracking from the least node over an integer-indexed
-    copy of the graph, with one pruning rule: every unvisited node keeps
-    two usable edges, to an unvisited node, to the path end or to the
-    start.  A step of the end from c to v takes usable edges only from the
-    unvisited neighbours of c (v stays usable as the new end), so the rule
-    is checked there alone; it holds for every other unvisited node by
-    induction from the up-front check that every node has degree >= 2.
-    Tests that the start keeps a free edge, or that the unvisited nodes
-    stay connected, cost more than they save: on the 28-node Coxeter graph
-    the connectivity search cut the path extensions by 6% (6,874 to 6,490)
-    and made the search 1.5 times slower.  Cycles are deduped by edge set,
-    so parallel edges yield distinct cycles.
+    copy of the graph.  One pruning rule: every unvisited node keeps two
+    usable edges, to an unvisited node, to the path end or to the start;
+    ``free[u]`` counts them.  A step of the end from c takes one from each
+    unvisited neighbour of c per edge to c, so only those counters change,
+    and the step is cut unless each of them but the new end keeps two (the
+    others keep two by induction from the up-front degree >= 2 check).
+
+    Each cycle is found once, in one direction.  A branch whose first edge
+    is ``adj[start][k]`` closes only along a later edge of the start; the
+    earlier ones are dead and cost their far ends a usable edge.  A cycle
+    on n >= 3 nodes leaves the start along two distinct edges, so only the
+    branch of the earlier one finds it.  On the 28-node Coxeter graph the
+    search makes 4,168 steps.  Cycles are told apart by edge set, so
+    parallel edges yield distinct cycles.
 
     Raises GraphError on graphs with fewer than 3 nodes or disconnected
     graphs.
@@ -187,35 +190,41 @@ def enumerate_hamiltonian_cycles(graph):
         return []
 
     start = 0
-    found = {}
-    visited = [False] * n
-    visited[start] = True
-    path = [start]
-    edge_seq = []
+    visited = [i == start for i in range(n)]
+    free = [len(row) for row in adj]
+    path, edge_seq, cycles = [start], [], []
 
-    def extend(current):
+    def extend(current, idx):
+        visited[current] = True
+        path.append(current)
+        edge_seq.append(idx)
         if len(path) == n:
-            for v, idx in adj[current]:
-                if v == start:
-                    seq = tuple(order[i] for i in path)
-                    cyc = _make_cycle(graph, seq, tuple(edge_seq) + (idx,))
-                    found.setdefault(cyc.edge_indices, cyc)
-            return
-        for v, idx in adj[current]:
-            if visited[v]:
-                continue
-            visited[v] = True
-            if all(sum(not visited[w] or w == v or w == start for w, _i in adj[u]) >= 2
-                   for u, _idx in adj[current] if not visited[u]):
-                path.append(v)
-                edge_seq.append(idx)
-                extend(v)
-                edge_seq.pop()
-                path.pop()
-            visited[v] = False
+            for _v, last in adj[current]:
+                if last in closers:
+                    cycles.append(_make_cycle(graph, tuple(order[i] for i in path),
+                                              (*edge_seq, last)))
+        else:
+            left = [u for u, _i in adj[current] if not visited[u]]
+            for u in left:
+                free[u] -= 1
+            low = {u for u in left if free[u] < 2}
+            if len(low) < 2:
+                for v, step in adj[current]:
+                    if not visited[v] and (not low or v in low):
+                        extend(v, step)
+            for u in left:
+                free[u] += 1
+        edge_seq.pop()
+        path.pop()
+        visited[current] = False
 
-    extend(start)
-    return sorted(found.values(), key=lambda c: tuple(str(x) for x in c.nodes))
+    for k, (first, idx) in enumerate(adj[start][:-1]):
+        if k:
+            free[adj[start][k - 1][0]] -= 1
+        closers = {last for _v, last in adj[start][k + 1:]}
+        if all(free[u] >= 2 for u, _i in adj[start] if u != first):
+            extend(first, idx)
+    return sorted(cycles, key=lambda c: tuple(str(x) for x in c.nodes))
 
 
 def moebius_ladder():
@@ -324,16 +333,19 @@ def labeled_isomorphisms(g1, g2, ignore_labels=False):
 def is_vertex_transitive(graph):
     """True if the unlabeled graph has a node-transitive automorphism group.
 
-    One search over the unlabeled automorphisms, which stops once the
-    images of the least node cover every node.
+    One search over the unlabeled automorphisms.  After each one the least
+    node's orbit under those found so far is closed; once it covers every
+    node the answer is True, as it lies inside the full group's orbit.  An
+    exhausted search has found the whole group, so False is exact too.
     """
     nodes = graph.sorted_nodes()
     if not nodes:
         return True
-    images = set()
+    found = []
     for m in labeled_isomorphisms(graph, graph, ignore_labels=True):
-        images.add(m[nodes[0]])
-        if len(images) == len(nodes):
+        found.append(m)
+        orbit = components(nodes[:1], lambda x: (a[x] for a in found))[0]
+        if len(orbit) == len(nodes):
             return True
     return False
 

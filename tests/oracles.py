@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's algorithms: Hamiltonian cycles by
-raw permutation search, orientability by trying all face orientation
-assignments, weighted girth by enumerating simple cycles, isomorphism via
+raw permutation search and by networkx's simple-cycle search,
+orientability by trying all face orientation assignments, weighted girth
+by enumerating simple cycles, isomorphism and automorphism orbits via
 networkx VF2.
 """
 
@@ -33,6 +34,30 @@ def naive_hamiltonian_cycles(g):
         for combo in product(*(pairs[k] for k in keys)):
             out.add(frozenset(combo))
     return out
+
+
+def networkx_hamiltonian_count(g):
+    """The number of Hamiltonian cycles of the simple LabeledGraph g: its
+    cycles through all n nodes among networkx's simple cycles of length at
+    most n.  networkx reports node cycles, so parallel edges are refused."""
+    import networkx as nx
+
+    G = nx.Graph(to_networkx(g, labeled=False))
+    if G.number_of_edges() != len(g.edges):
+        raise ValueError("parallel edges: networkx counts node cycles")
+    n = G.number_of_nodes()
+    return sum(len(c) == n for c in nx.simple_cycles(G, length_bound=n))
+
+
+def networkx_vertex_transitive(g):
+    """Whether the unlabeled g has one orbit: the images of its first node
+    under every automorphism that networkx's GraphMatcher lists."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    G = to_networkx(g, labeled=False)
+    first = next(iter(G.nodes))
+    images = {m[first] for m in GraphMatcher(G, G).isomorphisms_iter()}
+    return len(images) == G.number_of_nodes()
 
 
 def brute_orientable(cx):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from importlib import resources
@@ -9,7 +10,8 @@ from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth
                               is_vertex_transitive, label_weight, labeled_isomorphic,
                               labeled_isomorphisms, moebius_ladder, parse_graph_file)
 from oracles import (brute_weighted_girth, degree, naive_hamiltonian_cycles,
-                     networkx_isomorphic)
+                     networkx_hamiltonian_count, networkx_isomorphic,
+                     networkx_vertex_transitive)
 
 
 def cycle_graph(n, labels=None):
@@ -144,6 +146,85 @@ def test_pendant_node_gives_no_cycles():
     assert enumerate_hamiltonian_cycles(g) == []
 
 
+def coxeter_graph():
+    text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
+    return parse_graph_file(text)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("heawood_graph", 24), ("moebius_kantor_graph", 6),
+    ("pappus_graph", 36), ("desargues_graph", 24)])
+def test_cycle_counts_against_networkx(name, count):
+    import networkx as nx
+
+    g = from_networkx(getattr(nx, name)())
+    assert len(enumerate_hamiltonian_cycles(g)) == networkx_hamiltonian_count(g) == count
+
+
+def test_complete_graph_cycle_counts():
+    for n in range(3, 8):
+        g = complete_graph(n)
+        count = math.factorial(n - 1) // 2
+        assert len(enumerate_hamiltonian_cycles(g)) == networkx_hamiltonian_count(g) == count
+
+
+def test_coxeter_with_a_chord_against_networkx():
+    # the Coxeter graph has no Hamiltonian cycle; one chord gives it some,
+    # so a search that prunes too much shows at the size of the fixture
+    g = coxeter_graph()
+    g.add_edge("a0", "a2")
+    assert len(enumerate_hamiltonian_cycles(g)) == networkx_hamiltonian_count(g) == 24
+
+
+def test_coxeter_with_another_chord_pinned():
+    # 28 = networkx_hamiltonian_count of this graph, about 1 s to recount
+    g = coxeter_graph()
+    g.add_edge("a0", "b3")
+    assert len(enumerate_hamiltonian_cycles(g)) == 28
+
+
+def least_node_variant(rng, kind):
+    """A random graph on 5-7 nodes whose least node 0 has parallel edges,
+    degree 2, or degree 5 or more; away from node 0 it may have a parallel
+    edge too, which can let a cycle's reverse copy pass the pruning rule."""
+    n = rng.randint(5, 7)
+    g = random_graph(rng, n, 0.6, parallel=True)
+    rest = [(u, v) for u, v, _l, _t in g.edges if 0 not in (u, v)]
+    g = LabeledGraph()
+    for i in range(n):
+        g.add_node(i)
+    for u, v in rest:
+        g.add_edge(u, v)
+    if kind == "parallel":
+        picks = rng.sample(range(1, n), 2)
+        for m in picks + [picks[0]] * rng.randint(1, 2):
+            g.add_edge(0, m)
+    elif kind == "degree 2":
+        for m in rng.sample(range(1, n), 2):
+            g.add_edge(0, m)
+    else:
+        for m in rng.sample(range(1, n), 4) + [rng.randrange(1, n)]:
+            g.add_edge(0, m)
+    return g
+
+
+@pytest.mark.parametrize("kind", ["parallel", "degree 2", "degree 5"])
+def test_one_direction_at_the_least_node(kind):
+    rng = random.Random(f"least node {kind}")
+    checked = with_cycles = 0
+    while checked < 25:
+        g = least_node_variant(rng, kind)
+        if not g.is_connected():
+            continue
+        cycles = enumerate_hamiltonian_cycles(g)
+        edge_sets = [c.edge_indices for c in cycles]
+        assert len(set(edge_sets)) == len(edge_sets)
+        assert set(edge_sets) == naive_hamiltonian_cycles(g)
+        checked += 1
+        with_cycles += bool(cycles)
+    assert with_cycles >= 10
+
+
 # --- the ladder ----------------------------------------------------------
 
 def test_ladder_shape(ladder):
@@ -158,6 +239,21 @@ def test_ladder_is_vertex_transitive(ladder):
     paw = cycle_graph(3)
     paw.add_edge(2, 3)
     assert not is_vertex_transitive(paw)
+
+
+def test_vertex_transitivity_against_networkx_orbits():
+    import networkx as nx
+
+    paw = cycle_graph(3)
+    paw.add_edge(2, 3)
+    graphs = {name: from_networkx(getattr(nx, name)())
+              for name in ("petersen_graph", "dodecahedral_graph", "heawood_graph",
+                           "frucht_graph")}
+    graphs["paw"] = paw
+    verdicts = {name: is_vertex_transitive(g) for name, g in graphs.items()}
+    assert verdicts == {name: networkx_vertex_transitive(g) for name, g in graphs.items()}
+    assert verdicts == {"petersen_graph": True, "dodecahedral_graph": True,
+                        "heawood_graph": True, "frucht_graph": False, "paw": False}
 
 
 def test_ladder_census(ladder):
@@ -377,8 +473,7 @@ def test_parse_graph_file_errors():
 
 
 def test_coxeter_fixture_shape():
-    text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
-    g = parse_graph_file(text)
+    g = coxeter_graph()
     assert g.node_count() == 28
     assert g.edge_count() == 42
     assert all(degree(g, n) == 3 for n in g.nodes)
