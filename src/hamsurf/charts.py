@@ -199,11 +199,7 @@ def _build(cd, face_ids):
             faces.append(Face(fid, LOZENGE, cd.lozenges[fid]))
         else:
             raise ChartError(f"unknown face {fid!r}")
-    verts = set()
-    for s, t in cd.edges.values():
-        verts.add(s)
-        verts.add(t)
-    cx = Complex2(vertices=verts, edges=dict(cd.edges), faces=faces)
+    cx = Complex2(vertices=cd.vertices, edges=dict(cd.edges), faces=faces)
     sub = subcomplex(cx, face_ids)
     problems = validate_complex(sub)
     if problems:

@@ -2,13 +2,14 @@
 
 A Ball wraps a Complex2 together with a cellwise covering map into V, the
 base vertex, per-vertex depths (graph distance on the 1-skeleton; lozenge
-diagonals are not edges) and interior flags.  A cell is interior when its
-full star is present: a vertex once the covering map lifts its image's link
-onto its own (``Ball.corner_lift``), an edge once all three incident
-face-sides exist.  Facts about V's links (Hamiltonian cycles, girth) then
-hold at every interior vertex through that lift.  The interior flags are
-computed on first read, so the intermediate balls of an expansion, which
-no caller asks about, never compute them.
+diagonals are not edges) and interior flags.  A ball built here is its base
+plus the closure of its faces.  A cell is interior when its full star is
+present: a vertex once the covering map lifts its image's link onto its own
+(``Ball.corner_lift``), an edge once all three incident face-sides exist.
+Facts about V's links (Hamiltonian cycles, girth) then hold at every
+interior vertex through that lift.  The interior flags are computed on
+first read, so the intermediate balls of an expansion, which no caller
+asks about, never compute them.
 
 Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a copy of the
@@ -34,7 +35,8 @@ created only to be folded away.
 Cell identifiers are canonical: once per expansion call the ball is
 renumbered by a breadth-first traversal from the base ordered by covering
 images, which makes serializations byte-stable across runs and construction
-histories.
+histories.  That traversal also gives the depths; ``verify_cover`` checks
+them against a second, independent search (``_depths``).
 """
 
 from __future__ import annotations
@@ -70,18 +72,21 @@ class Contradiction(Exception):
 
 
 class Ball:
-    """Immutable radius-annotated chunk of the universal cover of V."""
+    """Immutable radius-annotated chunk of the universal cover of V.
+
+    Keeps the tables it is handed, uncopied; its depths are those that
+    ``_canonical_ball``'s numbering walk recorded."""
 
     def __init__(self, complex2, v_complex, base, radius,
-                 vertex_image, edge_image, face_image):
+                 vertex_image, edge_image, face_image, depth):
         self.complex = complex2
         self.v_complex = v_complex
         self.base = base
         self.radius = radius
-        self.vertex_image = dict(vertex_image)
-        self.edge_image = dict(edge_image)
-        self.face_image = dict(face_image)
-        self.depth = self._depths()
+        self.vertex_image = vertex_image
+        self.edge_image = edge_image
+        self.face_image = face_image
+        self.depth = depth
         # per-ball tables filled on first use: corner lifts and lifted link
         # cycles by vertex, and the propagation results that
         # ``surfaces.propagate_surface`` keeps by (anchor, chosen cycle),
@@ -118,21 +123,6 @@ class Ball:
     def interior_edges_by_name(self):
         """The interior edges in ``str`` order."""
         return tuple(sorted(self.interior_edges, key=str))
-
-    def _depths(self):
-        dist = {self.base: 0}
-        queue = deque([self.base])
-        adj = {v: [] for v in self.complex.vertices}
-        for _eid, (s, t) in self.complex.edges.items():
-            adj[s].append(t)
-            adj[t].append(s)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
 
     def corner_lift(self, v):
         """The corner bijection (f, i) -> (face_image[f], i) at v, or None.
@@ -205,11 +195,6 @@ class Ball:
     def face_depth(self, fid):
         word = self.complex.faces[fid].word
         return min(self.depth[self.complex.src(oe)] for oe in word)
-
-
-def base_ball(v_complex, base_vertex):
-    """The radius-0 ball: a single vertex over the chosen V vertex."""
-    return expand_to_radius(v_complex, base_vertex, 0)
 
 
 def _find(parent, a):
@@ -326,9 +311,6 @@ class _Builder:
                 self.eunion(e1, e2)
 
     # folding --------------------------------------------------------------
-    def live_edges(self):
-        return [e for e in range(len(self.epar)) if _find(self.epar, e) == e]
-
     def live_faces(self):
         return [f for f in range(len(self.fpar)) if _find(self.fpar, f) == f]
 
@@ -358,16 +340,18 @@ class _Builder:
             union(a, b)
 
     # loading and attaching --------------------------------------------------
-    def load(self, ball):
-        vmap, emap = {}, {}
-        for v in ball.complex.vertices:
-            vmap[v] = self.new_vertex(ball.vertex_image[v])
-        for eid, (s, t) in sorted(ball.complex.edges.items()):
-            emap[eid] = self.new_edge(vmap[s], vmap[t], ball.edge_image[eid])
-        for fid in ball.complex.face_ids():
-            face = ball.complex.faces[fid]
-            word = [(emap[e], s) for e, s in face.word]
-            self.new_face(ball.face_image[fid], word)
+    def load(self, ball, faces):
+        """Copy the ball's base and the given faces, with their vertices and
+        edges; returns the vertex map.  A ball built by this module is its
+        base plus the closure of its faces, so all its faces copy it whole."""
+        cx = ball.complex
+        edges = dict.fromkeys(e for f in faces for e, _s in cx.faces[f].word)
+        ends = dict.fromkeys([ball.base] + [v for e in edges for v in cx.edges[e]])
+        vmap = {v: self.new_vertex(ball.vertex_image[v]) for v in ends}
+        emap = {e: self.new_edge(*(vmap[v] for v in cx.edges[e]), ball.edge_image[e])
+                for e in edges}
+        for f in faces:
+            self.new_face(ball.face_image[f], [(emap[e], s) for e, s in cx.faces[f].word])
         return vmap
 
     def _walk(self, u, keys):
@@ -443,49 +427,43 @@ def _canonical_ball(builder, base_root, radius):
     """Compact the folded builder into an immutable Ball with canonical ids.
 
     Vertices and edges are numbered by a breadth-first traversal from the
-    base that takes each vertex's germs in sorted (image, sign) order.
+    base that takes each vertex's germs in sorted (image, sign) order; the
+    traversal gives each vertex its depth as it numbers it.  Faces are
+    numbered by (image, edge numbers), which no two faces of a folded
+    complex share, and every id is formatted once, after the numbering.
     """
-    V = builder.V
-    vnum, enum = {}, {}
-    order = deque([base_root])
-    vnum[base_root] = 0
-    edge_order = []
-    while order:
-        v = order.popleft()
+    V, vpar = builder.V, builder.vpar
+    order, vnum, depths, enum = [base_root], {base_root: 0}, [0], {}
+    for v in order:
+        below = depths[vnum[v]] + 1
         for key, e in sorted(builder.vgerm[v].items()):
             e, w = builder.far_end(v, key, e)
             if e not in enum:
                 enum[e] = len(enum)
-                edge_order.append(e)
             if w not in vnum:
-                vnum[w] = len(vnum)
+                vnum[w] = len(order)
                 order.append(w)
-    # isolated base (radius 0) has no germs
-    vertices = {f"v{idx}" for idx in vnum.values()}
-    vertex_image = {f"v{vnum[v]}": builder.vimg[v] for v in vnum}
-    edges = {}
-    edge_image = {}
-    for e in edge_order:
-        eid = f"e{enum[e]}"
-        edges[eid] = (f"v{vnum[_find(builder.vpar, builder.esrc[e])]}",
-                      f"v{vnum[_find(builder.vpar, builder.etgt[e])]}")
+                depths.append(below)
+    vnames = [f"v{n}" for n in range(len(order))]
+    enames = [f"e{n}" for n in range(len(enum))]
+    edges, edge_image = {}, {}
+    for eid, e in zip(enames, enum):
+        edges[eid] = (vnames[vnum[_find(vpar, builder.esrc[e])]],
+                      vnames[vnum[_find(vpar, builder.etgt[e])]])
         edge_image[eid] = builder.esym[e]
-
-    face_rows = []
-    for f in builder.live_faces():
-        nums = [(enum[_find(builder.epar, e)], s) for e, s in builder.fword[f]]
-        word = tuple((f"e{n}", s) for n, s in nums)
-        face_rows.append((builder.fimg[f], tuple(n for n, _s in nums), word))
-    face_rows.sort()
-    faces = []
-    face_image = {}
-    for idx, (img, _key, word) in enumerate(face_rows):
+    rows = sorted((builder.fimg[f], tuple(enum[_find(builder.epar, e)]
+                                          for e, _s in builder.fword[f]), f)
+                  for f in builder.live_faces())
+    faces, face_image = [], {}
+    for idx, (img, nums, f) in enumerate(rows):
         fid = f"f{idx}"
+        word = tuple((enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f]))
         faces.append(Face(fid, V.faces[img].kind, word))
         face_image[fid] = img
-
-    cx = Complex2(vertices=vertices, edges=edges, faces=faces)
-    return Ball(cx, V, "v0", radius, vertex_image, edge_image, face_image)
+    cx = Complex2(vertices=vnames, edges=edges, faces=faces)
+    return Ball(cx, V, vnames[0], radius,
+                {name: builder.vimg[v] for name, v in zip(vnames, order)},
+                edge_image, face_image, dict(zip(vnames, depths)))
 
 
 def _expand_round(builder, base, radius):
@@ -513,9 +491,10 @@ def _expand_round(builder, base, radius):
 
 
 def expand_ball(ball):
-    """The ball of radius +1: one expansion round on the loaded ball."""
+    """The ball of radius +1: one expansion round on the ball, loaded as
+    its base and all its faces, then renumbered (which records depths)."""
     builder = _Builder(ball.v_complex)
-    vmap = builder.load(ball)
+    vmap = builder.load(ball, ball.complex.faces)
     builder.gen = 1
     _expand_round(builder, vmap[ball.base], ball.radius)
     return _canonical_ball(builder, _find(builder.vpar, vmap[ball.base]), ball.radius + 1)
@@ -538,28 +517,31 @@ def expand_to_radius(v_complex, base_vertex, radius):
 
 
 def restrict_ball(ball, radius):
-    """The sub-ball of the given radius: faces within depth radius-1."""
+    """The sub-ball of the given radius: the base and the faces within
+    depth radius-1."""
     if radius > ball.radius:
         raise ValueError("cannot restrict to a larger radius")
     keep = [f for f in ball.complex.face_ids() if ball.face_depth(f) <= radius - 1]
     builder = _Builder(ball.v_complex)
-    vmap, emap = {}, {}
+    vmap = builder.load(ball, keep)
+    return _canonical_ball(builder, vmap[ball.base], radius)
 
-    def getv(v):
-        if v not in vmap:
-            vmap[v] = builder.new_vertex(ball.vertex_image[v])
-        return vmap[v]
 
-    base_root = getv(ball.base)
-    for fid in keep:
-        word = []
-        for eid, sign in ball.complex.faces[fid].word:
-            if eid not in emap:
-                s, t = ball.complex.edges[eid]
-                emap[eid] = builder.new_edge(getv(s), getv(t), ball.edge_image[eid])
-            word.append((emap[eid], sign))
-        builder.new_face(ball.face_image[fid], word)
-    return _canonical_ball(builder, base_root, radius)
+def _depths(cx, base):
+    """Graph distance from base on the 1-skeleton of cx, searched afresh."""
+    adj = {v: [] for v in cx.vertices}
+    for s, t in cx.edges.values():
+        adj[s].append(t)
+        adj[t].append(s)
+    dist = {base: 0}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def verify_cover(ball):
@@ -569,9 +551,10 @@ def verify_cover(ball):
     words, that the covering map lifts the image link in V onto every
     interior link (``Ball.corner_lift``, so the link is labeled-isomorphic
     to its image and has its image's angular girth, reported per vertex),
-    that interior edges carry all three face-sides, that depths agree
-    with a fresh traversal, and that the interior flags are the ones the
-    depths give: vertices at depth <= radius-1 and the edges at them.
+    that interior edges carry all three face-sides, that the depths the
+    numbering walk recorded agree with an independent search
+    (``_depths``), and that the interior flags are the ones the depths
+    give: vertices at depth <= radius-1 and the edges at them.
     """
     cx, V = ball.complex, ball.v_complex
     problems = list(validate_complex(cx))
@@ -588,10 +571,6 @@ def verify_cover(ball):
     vertex_rows = {}
     for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
         interior = v in ball.interior_vertices
-        if ball.depth[v] <= ball.radius - 1 and not interior:
-            problems.append(
-                f"vertex {v}: depth {ball.depth[v]} requires a complete star "
-                f"at radius {ball.radius}")
         row = {"depth": ball.depth[v], "interior": interior}
         if interior:
             lifts = ball.corner_lift(v) is not None
@@ -607,17 +586,17 @@ def verify_cover(ball):
             problems.append(f"edge {eid}: interior but degree {sides} != {expected}")
         if sides > expected:
             problems.append(f"edge {eid}: degree {sides} exceeds image degree {expected}")
-    expected_depths = ball._depths()
-    if expected_depths != ball.depth:
+    if _depths(cx, ball.base) != ball.depth:
         problems.append("depth table inconsistent with traversal")
     # the interior flags follow the depths: a vertex is interior exactly at
-    # depth <= radius-1 (the converse is the "complete star" check above),
-    # an edge exactly when it has an end at such a vertex
+    # depth <= radius-1, an edge exactly when it has an end at such a vertex
     inner = {v for v in cx.vertices if ball.depth[v] <= ball.radius - 1}
-    for v in sorted(ball.interior_vertices - inner, key=lambda s: int(s[1:])):
+    for v in sorted(ball.interior_vertices ^ inner, key=lambda s: int(s[1:])):
+        d, r = ball.depth[v], ball.radius
         problems.append(
-            f"vertex {v}: interior at depth {ball.depth[v]}, but radius {ball.radius} "
-            f"makes only depths <= {ball.radius - 1} interior")
+            f"vertex {v}: depth {d} requires a complete star at radius {r}" if v in inner
+            else f"vertex {v}: interior at depth {d}, but radius {r} makes only depths "
+                 f"<= {r - 1} interior")
     inner_edges = {e for e, (s, t) in cx.edges.items() if s in inner or t in inner}
     for eid in sorted(ball.interior_edges ^ inner_edges, key=lambda s: int(s[1:])):
         problems.append(

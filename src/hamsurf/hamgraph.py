@@ -277,14 +277,14 @@ def labeled_isomorphic(g1, g2):
     return next(labeled_isomorphisms(g1, g2), None)
 
 
-def _iso_profile(g, ignore_labels):
+def _iso_profile(g):
     """Per node of g: its signature (degree and sorted incident labels) and
     its table neighbour -> Counter of the labels between them; "" stands
-    for no label, and for every label when labels are ignored."""
+    for no label."""
     incident = {n: [] for n in g.nodes}
     between = {n: {} for n in g.nodes}
     for (u, v, lbl, _t) in g.edges:
-        key = "" if lbl is None or ignore_labels else lbl
+        key = "" if lbl is None else lbl
         for a, b in ((u, v), (v, u)):
             incident[a].append(key)
             between[a].setdefault(b, Counter())[key] += 1
@@ -292,18 +292,18 @@ def _iso_profile(g, ignore_labels):
     return sigs, between
 
 
-def labeled_isomorphisms(g1, g2, ignore_labels=False):
+def labeled_isomorphisms(g1, g2):
     """Label-preserving isomorphisms g1 -> g2, generated lazily.
 
     Canonical search order: nodes of g1 are assigned in sorted order, each
     to candidate images in sorted order, so the output is deterministic.
-    ``ignore_labels`` compares the unlabeled graphs.  Parallel edges are
-    matched by multiplicity per label.  Node signatures and label tables are computed once per search.
+    Parallel edges are matched by multiplicity per label.  Node signatures
+    and label tables are computed once per search.
     """
     if g1.node_count() != g2.node_count() or g1.edge_count() != g2.edge_count():
         return
-    sigs1, between1 = _iso_profile(g1, ignore_labels)
-    sigs2, between2 = _iso_profile(g2, ignore_labels)
+    sigs1, between1 = _iso_profile(g1)
+    sigs2, between2 = _iso_profile(g2)
     nodes1 = g1.sorted_nodes()
     nodes2 = g2.sorted_nodes()
     mapping = {}
@@ -333,16 +333,22 @@ def labeled_isomorphisms(g1, g2, ignore_labels=False):
 def is_vertex_transitive(graph):
     """True if the unlabeled graph has a node-transitive automorphism group.
 
-    One search over the unlabeled automorphisms.  After each one the least
-    node's orbit under those found so far is closed; once it covers every
-    node the answer is True, as it lies inside the full group's orbit.  An
-    exhausted search has found the whole group, so False is exact too.
+    One search over the automorphisms of a copy with no edge labels.  After
+    each one the least node's orbit under those found so far is closed; once
+    it covers every node the answer is True, as it lies inside the full
+    group's orbit.  An exhausted search has found the whole group, so False
+    is exact too.
     """
     nodes = graph.sorted_nodes()
     if not nodes:
         return True
+    bare = LabeledGraph()
+    for n in nodes:
+        bare.add_node(n)
+    for u, v, _lbl, _tag in graph.edges:
+        bare.add_edge(u, v)
     found = []
-    for m in labeled_isomorphisms(graph, graph, ignore_labels=True):
+    for m in labeled_isomorphisms(bare, bare):
         found.append(m)
         orbit = components(nodes[:1], lambda x: (a[x] for a in found))[0]
         if len(orbit) == len(nodes):

@@ -6,22 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsurf.cellmap import check_cellmap, isomorphisms
-from hamsurf.corecomplex import LOZENGE, Complex2, validate_complex
+from hamsurf.corecomplex import LOZENGE, TRIANGLE, Complex2, Face, validate_complex
 from hamsurf.cover import (Ball, FoldConflictError, _Builder, _canonical_ball,
-                           _find, base_ball, expand_ball, expand_to_radius,
+                           _depths, _find, expand_ball, expand_to_radius,
                            restrict_ball, serialize_ball, verify_cover)
 from hamsurf.hamgraph import angular_girth, labeled_isomorphic
 from hamsurf.surfaces import propagate_surface
 
 
 def test_base_ball(V):
-    b0 = base_ball(V, "Q")
+    b0 = expand_to_radius(V, "Q", 0)
     assert b0.radius == 0
     assert len(b0.complex.vertices) == 1
     assert not b0.complex.edges and not b0.complex.faces
     assert b0.vertex_image[b0.base] == "Q"
     with pytest.raises(KeyError):
-        base_ball(V, "nope")
+        expand_to_radius(V, "nope", 0)
 
 
 def test_first_star(V, ball1):
@@ -81,7 +81,7 @@ def test_covering_map_commutes(V, ball2):
 
 def test_idempotent_restriction(V, ball1, ball2):
     assert serialize_ball(restrict_ball(ball2, 1)) == serialize_ball(ball1)
-    b0 = base_ball(V, "P")
+    b0 = expand_to_radius(V, "P", 0)
     assert serialize_ball(restrict_ball(ball1, 0)) == serialize_ball(b0)
 
 
@@ -136,7 +136,7 @@ def test_pinned_ball_digests(V, base, radius):
 def test_one_workspace_matches_expanding_ball_by_ball(V, base, radius):
     # expand_to_radius runs every round in one workspace; loading each
     # intermediate ball into a fresh one must give the same bytes
-    ball = base_ball(V, base)
+    ball = expand_to_radius(V, base, 0)
     for _ in range(radius):
         ball = expand_ball(ball)
     assert serialize_ball(expand_to_radius(V, base, radius)) == serialize_ball(ball)
@@ -196,10 +196,10 @@ def test_fold_follows_merges_through(V):
     for src, tgt, sym in ((a, x1, "s"), (b, x2, "s"), (a, y1, "t"), (b, y2, "t")):
         builder.new_edge(src, tgt, sym)
     builder.fold()
-    assert len(builder.live_edges()) == 4
+    assert sum(p == e for e, p in enumerate(builder.epar)) == 4
     builder.vunion(x1, x2)
     builder.fold()
-    assert len(builder.live_edges()) == 2
+    assert sum(p == e for e, p in enumerate(builder.epar)) == 2
     assert _find(builder.vpar, b) == a and _find(builder.vpar, y2) == y1
 
 
@@ -232,7 +232,7 @@ def test_attach_identifies_the_corners_where_its_walks_meet(V, start, at):
     builder.attach_corner(path[at], "a", 0)
     builder.fold()
     assert len(builder.vpar) == 4 and _find(builder.vpar, path[3]) == path[0]
-    assert len(builder.epar) == 4 and len(builder.live_edges()) == 3
+    assert len(builder.epar) == 4 and sum(p == e for e, p in enumerate(builder.epar)) == 3
     (face,) = builder.fword
     ends = [(_find(builder.vpar, builder.esrc[e]), _find(builder.vpar, builder.etgt[e]))
             for e, _sign in face]
@@ -252,7 +252,7 @@ def test_fold_confluence(ball1, ball2, data):
     fold_each = data.draw(st.booleans(), label="fold after each star")
     fresh = data.draw(st.booleans(), label="fresh copies")
     builder = _Builder(ball.v_complex)
-    vmap = builder.load(ball)
+    vmap = builder.load(ball, ball.complex.faces)
     builder.gen = 1
     builder.fold()
     for v in order:
@@ -271,16 +271,68 @@ def test_fold_confluence(ball1, ball2, data):
 
 
 def test_fold_refuses_to_merge_settled_cells(V):
-    # two loaded edges with one image leave the base: folding them would
-    # identify two cells of the ball being expanded
-    sym = next(s for s in sorted(V.edges) if V.src((s, 1)) == "P")
-    tgt = V.tgt((sym, 1))
-    cx = Complex2(["v0", "v1", "v2"], {"e0": ("v0", "v1"), "e1": ("v0", "v2")}, [])
-    ball = Ball(cx, V, "v0", 1, {"v0": "P", "v1": tgt, "v2": tgt},
-                {"e0": sym, "e1": sym}, {})
+    # two loaded copies of triangle a share only their corner-0 vertex, so
+    # two edges with one image leave it: folding them would identify two
+    # cells of the ball being expanded
+    word = V.faces["a"].word
+    assert all(sign == 1 for _sym, sign in word)
+    vertex_image, edges, edge_image, faces = {}, {}, {}, []
+    for k, at in enumerate((["v0", "v1", "v2"], ["v0", "v3", "v4"])):
+        for j, (sym, _sign) in enumerate(word):
+            vertex_image[at[j]] = V.src(word[j])
+            edges[f"e{3 * k + j}"] = (at[j], at[(j + 1) % 3])
+            edge_image[f"e{3 * k + j}"] = sym
+        faces.append(Face(f"f{k}", TRIANGLE, tuple((f"e{3 * k + j}", 1) for j in range(3))))
+    assert vertex_image["v0"] == "Q"
+    cx = Complex2(vertex_image, edges, faces)
+    depth = {v: int(v != "v0") for v in vertex_image}
+    ball = Ball(cx, V, "v0", 1, vertex_image, edge_image, {"f0": "a", "f1": "a"}, depth)
     with pytest.raises(FoldConflictError, match="settled edge") as info:
         expand_ball(ball)
     assert info.value.trail[2:] == ("generation", 0)
+
+
+@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("base", "PQR")
+def test_numbering_walk_depths_match_a_fresh_search(V, base, radius):
+    # the depths _canonical_ball records as it numbers the vertices are
+    # the graph distances an independent search finds
+    ball = expand_to_radius(V, base, radius)
+    balls = [ball]
+    if radius:
+        balls.append(restrict_ball(ball, radius - 1))
+        balls.append(expand_ball(balls[-1]))
+    for b in balls:
+        assert b.depth == _depths(b.complex, b.base)
+
+
+def test_one_depth_search_per_verification(V, ball2, monkeypatch):
+    # building a ball walks its 1-skeleton once, to number it; only
+    # verify_cover searches again, to check the depths that walk recorded
+    calls = []
+    search = _depths
+
+    def counting(cx, base):
+        calls.append(base)
+        return search(cx, base)
+
+    monkeypatch.setattr("hamsurf.cover._depths", counting)
+    ball = expand_to_radius(V, "P", 2)
+    expand_ball(restrict_ball(ball, 1))
+    assert calls == []
+    assert verify_cover(ball)["ok"]
+    assert calls == [ball.base]
+
+
+def test_verify_cover_reports_a_damaged_depth(ball2):
+    # a boundary vertex claims one more than its distance from the base
+    cx = ball2.complex
+    v = max(cx.vertices, key=lambda s: int(s[1:]))
+    depth = dict(ball2.depth)
+    depth[v] += 1
+    damaged = Ball(cx, ball2.v_complex, ball2.base, ball2.radius,
+                   ball2.vertex_image, ball2.edge_image, ball2.face_image, depth)
+    assert verify_cover(damaged)["problems"] == ["depth table inconsistent with traversal"]
 
 
 def _assert_eight_base_maps(b1, b2):
@@ -317,7 +369,7 @@ def _delete_face(ball, fid):
     cx2 = Complex2(cx.vertices, dict(cx.edges), faces)
     imgs = {f: ball.face_image[f] for f in cx2.faces}
     return Ball(cx2, ball.v_complex, ball.base, ball.radius,
-                ball.vertex_image, ball.edge_image, imgs)
+                ball.vertex_image, ball.edge_image, imgs, ball.depth)
 
 
 def test_deleted_face_fails_verification(ball1):
@@ -381,7 +433,7 @@ def test_verify_cover_checks_interior_flags_against_depths(ball2):
     # one vertex and one edge at depth = radius are claimed interior
     cx = ball2.complex
     claimed = Ball(cx, ball2.v_complex, ball2.base, ball2.radius,
-                   ball2.vertex_image, ball2.edge_image, ball2.face_image)
+                   ball2.vertex_image, ball2.edge_image, ball2.face_image, ball2.depth)
     v = min((u for u in cx.vertices if ball2.depth[u] == 2), key=lambda s: int(s[1:]))
     e = min((f for f, ends in cx.edges.items() if all(ball2.depth[u] == 2 for u in ends)),
             key=lambda s: int(s[1:]))

@@ -3,12 +3,22 @@ the names the benchmark relies on."""
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import hamsurf
 
 TREES = {path.name: ast.parse(path.read_text())
          for path in sorted(Path(hamsurf.__file__).parent.glob("*.py"))}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_imports_sit_at_module_level():
@@ -86,7 +96,6 @@ DEFAULTED_PARAMETERS = [
     "cover.__init__:trail",
     "hamgraph.add_edge:label",
     "hamgraph.add_edge:tag",
-    "hamgraph.labeled_isomorphisms:ignore_labels",
 ]
 
 
@@ -107,10 +116,7 @@ def test_defaulted_parameters():
 def test_traced_functions_exist():
     # the benchmark's tracer wraps these by name; a renamed or deleted one
     # would otherwise show only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     missing = []
     for module, attribute, _span, _note in tracer.TARGETS:
         obj = importlib.import_module(f"hamsurf.{module}")
@@ -119,3 +125,33 @@ def test_traced_functions_exist():
         if not callable(obj):
             missing.append((module, attribute))
     assert tracer.TARGETS and missing == []
+
+
+def _names_read(tree):
+    """How often each name is read in tree, as a variable or an attribute;
+    strings, docstrings among them, are not reads."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_every_src_name_has_a_caller():
+    # a function, method or class of src/ that neither src/ nor the
+    # benchmark reads outside its own definition backs nothing, and tests
+    # reach behaviour through the names that do.  Dunder methods are called
+    # by the language; the tracer names what it wraps in TARGETS strings.
+    bench = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    read = Counter()
+    for tree in [*TREES.values(), *bench]:
+        read += _names_read(tree)
+    read.update(part for _module, attribute, _span, _note in _tracer().TARGETS
+                for part in attribute.split("."))
+    uncalled = [
+        f"{name[:-3]}.{node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and read[node.name] == _names_read(node)[node.name]]
+    assert uncalled == []

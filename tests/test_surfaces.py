@@ -8,7 +8,7 @@ import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
-from hamsurf.cover import Ball, base_ball, expand_ball, expand_to_radius
+from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
@@ -331,7 +331,7 @@ def _delete_faces(ball, fids):
     cx2 = Complex2(cx.vertices, dict(cx.edges), faces)
     imgs = {f: ball.face_image[f] for f in cx2.faces}
     broken = Ball(cx2, ball.v_complex, ball.base, ball.radius,
-                  ball.vertex_image, ball.edge_image, imgs)
+                  ball.vertex_image, ball.edge_image, imgs, ball.depth)
     broken.interior_vertices = ball.interior_vertices
     return broken
 
@@ -432,7 +432,7 @@ def test_census_radius_four(ball4):
 def test_census_radius_zero(V):
     # the lone base vertex is not interior, so no face is constrained: the
     # search visits its root alone, and an empty face set is no surface
-    assert count_surfaces_exhaustive(base_ball(V, "P")) == ([], 1)
+    assert count_surfaces_exhaustive(expand_to_radius(V, "P", 0)) == ([], 1)
 
 
 def test_census_radius_one(ball1):
