@@ -37,7 +37,7 @@ from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
 from .cover import (expand_ball, expand_to_radius, restrict_ball, serialize_ball,
                     verify_cover)
 from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
-                       is_vertex_transitive, labeled_isomorphic, moebius_ladder,
+                       labeled_isomorphic, labeled_isomorphisms, moebius_ladder,
                        parse_graph_file)
 from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_check,
                        propagate_surface, vertex_trace_types)
@@ -81,20 +81,19 @@ def cmd_check_ladder(args):
     certs.append(check(
         "every edge lies on an even number of Hamiltonian cycles",
         "ladder.edge-parity", parity["even"], parity))
+    # labeled automorphisms are automorphisms of the unlabeled ladder too
+    orbit = {auto[0] for auto in labeled_isomorphisms(L, L)}
     certs.append(check(
         "the unlabeled ladder is vertex transitive",
-        "ladder.vertex-transitive", is_vertex_transitive(L), {}))
+        "ladder.vertex-transitive", orbit == set(L.nodes), {}))
     girth = angular_girth(L)
     certs.append(check(
         "angular girth of the ladder is six units",
         "ladder.girth", girth == 6, {"girth": girth}))
     try:
-        coxeter_path = args.coxeter
-        if coxeter_path:
-            text = Path(coxeter_path).read_text()
-        else:
-            text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
-        g = parse_graph_file(text)
+        source = (Path(args.coxeter) if args.coxeter
+                  else resources.files("hamsurf.data").joinpath("coxeter.graph"))
+        g = parse_graph_file(source.read_text(encoding="utf-8"))
         n_cycles = len(enumerate_hamiltonian_cycles(g))
         certs.append(check(
             "the 28-vertex cubic girth-7 graph has no Hamiltonian cycle",

@@ -12,9 +12,11 @@ The reference graph is the Moebius ladder on eight nodes: an 8-cycle rim with
 labels alternating l,t and four rungs joining antipodal rim nodes, each
 labeled L.  A rung is an L edge and nothing else: the ladder facts (the
 rungs a cycle uses or omits, its type) are read from the labels, so any
-graph carries them without extra marking.  Everything in this module is
-exact integer combinatorics; node identifiers are arbitrary hashable
-objects ordered by ``str`` for determinism.
+graph carries them without extra marking.  Links are properly
+3-edge-coloured, so an isomorphism between them is developed from one
+node.  Everything in this module is exact integer combinatorics; node
+identifiers are arbitrary hashable objects ordered by ``str`` for
+determinism.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ class LabeledGraph:
 
     def node_count(self):
         return len(self._nodes)
-
-    def edge_count(self):
-        return len(self.edges)
 
     def adjacency(self):
         """node -> list of (neighbor, edge index), deterministic order."""
@@ -231,8 +230,8 @@ def moebius_ladder():
     """The labeled Moebius ladder on four rungs and eight nodes.
 
     Rim 8-cycle 0..7 with labels alternating l,t starting at edge (0,1);
-    rungs (i, i+4) labeled L.  Cubic and vertex transitive as an unlabeled
-    graph.
+    rungs (i, i+4) labeled L: one l, one t and one L edge at each node.  Its
+    labeled automorphisms act transitively on the nodes.
     """
     g = LabeledGraph()
     for i in range(8):
@@ -277,83 +276,63 @@ def labeled_isomorphic(g1, g2):
     return next(labeled_isomorphisms(g1, g2), None)
 
 
-def _iso_profile(g):
-    """Per node of g: its signature (degree and sorted incident labels) and
-    its table neighbour -> Counter of the labels between them; "" stands
-    for no label."""
-    incident = {n: [] for n in g.nodes}
-    between = {n: {} for n in g.nodes}
-    for (u, v, lbl, _t) in g.edges:
-        key = "" if lbl is None else lbl
+def _label_table(g):
+    """node -> {label: neighbour} of g, or None when an edge is unlabeled
+    or a node has two edges of one label."""
+    table = {n: {} for n in g.nodes}
+    for u, v, lbl, _tag in g.edges:
         for a, b in ((u, v), (v, u)):
-            incident[a].append(key)
-            between[a].setdefault(b, Counter())[key] += 1
-    sigs = {n: (len(keys), tuple(sorted(keys))) for n, keys in incident.items()}
-    return sigs, between
+            if lbl is None or lbl in table[a]:
+                return None
+            table[a][lbl] = b
+    return table
+
+
+def _develop(table1, table2, start, image):
+    """The isomorphism forced by start -> image, or None where label sets
+    differ, two paths disagree, an image repeats or a node is missed."""
+    mapping, stack = {start: image}, [start]
+    while stack:
+        node = stack.pop()
+        here, there = table1[node], table2[mapping[node]]
+        if here.keys() != there.keys():
+            return None
+        for lbl, nbr in here.items():
+            if nbr not in mapping:
+                mapping[nbr] = there[lbl]
+                stack.append(nbr)
+            elif mapping[nbr] != there[lbl]:
+                return None
+    complete = len(mapping) == len(table1) == len(set(mapping.values()))
+    return mapping if complete else None
 
 
 def labeled_isomorphisms(g1, g2):
     """Label-preserving isomorphisms g1 -> g2, generated lazily.
 
-    Canonical search order: nodes of g1 are assigned in sorted order, each
-    to candidate images in sorted order, so the output is deterministic.
-    Parallel edges are matched by multiplicity per label.  Node signatures
-    and label tables are computed once per search.
+    The target must be connected and properly edge-coloured by its labels
+    (every edge labeled, no node with two edges of one label), as the ladder
+    and the links of V and of balls are; otherwise GraphError.  A source
+    that is not properly coloured has no isomorphism onto it: none yielded.
+
+    One edge per label at a node, so the image of g1's least node forces
+    the rest.  ``_develop`` follows labels from it onto each node of g2 in
+    sorted order, the output order (g onto g gives the identity first).  A
+    complete development is one-to-one onto a node set closed under g2's
+    edges, so onto g2, and sends edge (u, label) to edge (image of u,
+    label), a bijection as label sets agree node by node.  Differing counts
+    yield nothing; there is at most one development per node of g2.
     """
-    if g1.node_count() != g2.node_count() or g1.edge_count() != g2.edge_count():
+    table1, table2 = _label_table(g1), _label_table(g2)
+    if table2 is None or len(components(g2.nodes, lambda n: table2[n].values())) != 1:
+        raise GraphError("target must be connected and properly edge-coloured")
+    if not table1:  # not properly coloured, or empty while g2 is not
         return
-    sigs1, between1 = _iso_profile(g1)
-    sigs2, between2 = _iso_profile(g2)
-    nodes1 = g1.sorted_nodes()
-    nodes2 = g2.sorted_nodes()
-    mapping = {}
-    used = set()
-
-    def compatible(n1, n2):
-        return sigs1[n1] == sigs2[n2] and all(
-            between2[n2].get(mapping[m]) == labels
-            for m, labels in between1[n1].items() if m in mapping)
-
-    def assign(i):
-        if i == len(nodes1):
-            yield dict(mapping)
-            return
-        n1 = nodes1[i]
-        for n2 in nodes2:
-            if n2 not in used and compatible(n1, n2):
-                mapping[n1] = n2
-                used.add(n2)
-                yield from assign(i + 1)
-                del mapping[n1]
-                used.remove(n2)
-
-    yield from assign(0)
-
-
-def is_vertex_transitive(graph):
-    """True if the unlabeled graph has a node-transitive automorphism group.
-
-    One search over the automorphisms of a copy with no edge labels.  After
-    each one the least node's orbit under those found so far is closed; once
-    it covers every node the answer is True, as it lies inside the full
-    group's orbit.  An exhausted search has found the whole group, so False
-    is exact too.
-    """
-    nodes = graph.sorted_nodes()
-    if not nodes:
-        return True
-    bare = LabeledGraph()
-    for n in nodes:
-        bare.add_node(n)
-    for u, v, _lbl, _tag in graph.edges:
-        bare.add_edge(u, v)
-    found = []
-    for m in labeled_isomorphisms(bare, bare):
-        found.append(m)
-        orbit = components(nodes[:1], lambda x: (a[x] for a in found))[0]
-        if len(orbit) == len(nodes):
-            return True
-    return False
+    start = g1.sorted_nodes()[0]
+    for image in g2.sorted_nodes():
+        mapping = _develop(table1, table2, start, image)
+        if mapping is not None:
+            yield mapping
 
 
 def angular_girth(graph):

@@ -118,14 +118,25 @@ def to_networkx(g, labeled=True):
     return G
 
 
+def _same_labels(a, b):
+    """Whether two networkx multi-edge bundles carry one label multiset."""
+    return (sorted(d["label"] or "" for d in a.values())
+            == sorted(d["label"] or "" for d in b.values()))
+
+
 def networkx_isomorphic(g1, g2):
     import networkx as nx
 
-    G1, G2 = to_networkx(g1), to_networkx(g2)
-    return nx.is_isomorphic(
-        G1, G2,
-        edge_match=lambda a, b: sorted(d["label"] or "" for d in a.values())
-        == sorted(d["label"] or "" for d in b.values()))
+    return nx.is_isomorphic(to_networkx(g1), to_networkx(g2), edge_match=_same_labels)
+
+
+def networkx_isomorphisms(g1, g2):
+    """Every label-preserving isomorphism g1 -> g2 as a node dict, listed by
+    networkx's MultiGraphMatcher with edges matched on label multisets."""
+    from networkx.algorithms.isomorphism import MultiGraphMatcher
+
+    matcher = MultiGraphMatcher(to_networkx(g1), to_networkx(g2), edge_match=_same_labels)
+    return list(matcher.isomorphisms_iter())
 
 
 def brute_surfaces(ball):

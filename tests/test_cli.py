@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +16,10 @@ import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
 from hamsurf.cli import _ladder_rung_witnesses, main
-from hamsurf.hamgraph import (HamCycle, angular_girth, enumerate_hamiltonian_cycles,
+from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth,
+                              enumerate_hamiltonian_cycles, labeled_isomorphisms,
                               moebius_ladder)
+from oracles import networkx_vertex_transitive
 
 
 def run(capsys, *argv):
@@ -30,6 +35,23 @@ def test_check_ladder_passes(capsys):
     assert all(c["status"] == "pass" for c in certs)
     assert {"claim", "ref", "status", "witness", "version", "fixture_digest"} \
         <= set(certs[0])
+
+
+def test_vertex_transitivity_fails_on_a_ladder_with_moved_rungs(monkeypatch, capsys):
+    # the ladder's rim with rungs 1-5 and 3-7 moved to 1-7 and 3-5: still
+    # connected and properly coloured, but its labeled automorphisms move
+    # node 0 only to 4, and networkx finds it not vertex transitive
+    moved = LabeledGraph()
+    for i in range(8):
+        moved.add_edge(i, (i + 1) % 8, "l" if i % 2 == 0 else "t")
+    for u, v in ((0, 4), (1, 7), (2, 6), (3, 5)):
+        moved.add_edge(u, v, "L")
+    assert {auto[0] for auto in labeled_isomorphisms(moved, moved)} == {0, 4}
+    assert not networkx_vertex_transitive(moved)
+    monkeypatch.setattr(hamsurf.cli, "moebius_ladder", lambda: moved)
+    _code, out = run(capsys, "check-ladder")
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert by_ref["ladder.vertex-transitive"]["status"] == "fail"
 
 
 def test_rung_witnesses_name_the_first_counterexample():
@@ -383,6 +405,34 @@ def test_chart_that_is_not_utf8_yields_error_certificates(tmp_path, capsys, comm
                           "aut.fixture"], "check-quotient": ["quotient.fixture"]}[command]
     assert [c["ref"] for c in errors] == refs
     assert all("can't decode byte 0xff" in c["witness"]["error"] for c in errors)
+
+
+def test_coxeter_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, a locale-encoding read fails
+    # on the dash of the comment line
+    shipped = resources.files("hamsurf.data").joinpath("coxeter.graph")
+    graph = tmp_path / "coxeter.graph"
+    graph.write_text("# Coxeter graph \u2014 28 nodes\n" + shipped.read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    src = str(Path(hamsurf.cli.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "hamsurf.cli", "check-ladder", "--coxeter", str(graph)],
+        env=env, capture_output=True, text=True, timeout=120)
+    by_ref = {c["ref"]: c for c in json.loads(done.stdout)}
+    assert by_ref["ladder.coxeter"]["status"] == "pass"
+    assert by_ref["ladder.coxeter"]["witness"] == {"nodes": 28, "cycles": 0}
+
+
+def test_coxeter_file_that_is_not_utf8_yields_an_error_certificate(tmp_path, capsys):
+    bad = tmp_path / "latin1.graph"
+    bad.write_bytes("# Coxeter graph \u00b7 28 nodes\n".encode("latin-1"))
+    code, out = run(capsys, "check-ladder", "--coxeter", str(bad))
+    assert code == 1
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert by_ref["ladder.coxeter"]["status"] == "error"
+    assert "can't decode byte 0xb7" in by_ref["ladder.coxeter"]["witness"]["error"]
 
 
 @pytest.mark.parametrize("radius", [-1, 0])

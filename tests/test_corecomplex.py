@@ -84,7 +84,7 @@ def test_single_triangle_link_and_degrees():
     assert all(cx.edge_face_degree(s) == 1 for s in cx.edges)
     link = cx.vertex_link("u")
     assert link.node_count() == 2
-    assert link.edge_count() == 1
+    assert len(link.edges) == 1
     assert link.edges[0][2] == "t"
     with pytest.raises(ValueError):
         link_circle_length(cx, "u")
@@ -128,7 +128,7 @@ def test_open_complex_not_closed():
 def test_side_count_identity(V, S):
     for cx in (V, S):
         total_sides = sum(len(f.word) for f in cx.faces.values())
-        link_edges = sum(cx.vertex_link(v).edge_count() for v in cx.vertices)
+        link_edges = sum(len(cx.vertex_link(v).edges) for v in cx.vertices)
         assert link_edges == total_sides
         sides = sum(len(cx.edge_sides(sym)) for sym in cx.edges)
         assert sides == total_sides

@@ -5,13 +5,14 @@ from importlib import resources
 
 import pytest
 
+import hamsurf.hamgraph
 from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth,
                               classify_cycle, enumerate_hamiltonian_cycles,
-                              is_vertex_transitive, label_weight, labeled_isomorphic,
-                              labeled_isomorphisms, moebius_ladder, parse_graph_file)
+                              label_weight, labeled_isomorphic, labeled_isomorphisms,
+                              parse_graph_file)
 from oracles import (brute_weighted_girth, degree, naive_hamiltonian_cycles,
                      networkx_hamiltonian_count, networkx_isomorphic,
-                     networkx_vertex_transitive)
+                     networkx_isomorphisms, networkx_vertex_transitive)
 
 
 def cycle_graph(n, labels=None):
@@ -21,16 +22,6 @@ def cycle_graph(n, labels=None):
     for i in range(n):
         g.add_edge(i, (i + 1) % n, labels[i] if labels else None)
     return g
-
-
-def unlabeled(g):
-    """A copy of g with the same nodes and edges and no edge labels."""
-    bare = LabeledGraph()
-    for n in g.nodes:
-        bare.add_node(n)
-    for u, v, _lbl, _tag in g.edges:
-        bare.add_edge(u, v)
-    return bare
 
 
 def complete_graph(n):
@@ -239,31 +230,16 @@ def test_one_direction_at_the_least_node(kind):
 
 def test_ladder_shape(ladder):
     assert ladder.node_count() == 8
-    assert ladder.edge_count() == 12
+    assert len(ladder.edges) == 12
     assert all(degree(ladder, n) == 3 for n in ladder.nodes)
     assert len(rungs(ladder)) == 4
 
 
 def test_ladder_is_vertex_transitive(ladder):
-    assert is_vertex_transitive(ladder)
-    paw = cycle_graph(3)
-    paw.add_edge(2, 3)
-    assert not is_vertex_transitive(paw)
-
-
-def test_vertex_transitivity_against_networkx_orbits():
-    import networkx as nx
-
-    paw = cycle_graph(3)
-    paw.add_edge(2, 3)
-    graphs = {name: from_networkx(getattr(nx, name)())
-              for name in ("petersen_graph", "dodecahedral_graph", "heawood_graph",
-                           "frucht_graph")}
-    graphs["paw"] = paw
-    verdicts = {name: is_vertex_transitive(g) for name, g in graphs.items()}
-    assert verdicts == {name: networkx_vertex_transitive(g) for name, g in graphs.items()}
-    assert verdicts == {"petersen_graph": True, "dodecahedral_graph": True,
-                        "heawood_graph": True, "frucht_graph": False, "paw": False}
+    # the orbit of node 0 under the labeled automorphisms, as check-ladder
+    # certifies it, and the unlabeled claim by networkx
+    assert {auto[0] for auto in labeled_isomorphisms(ladder, ladder)} == set(range(8))
+    assert networkx_vertex_transitive(ladder)
 
 
 def test_ladder_census(ladder):
@@ -343,7 +319,7 @@ def test_tutte_parity_on_random_cubic_graphs():
         for c in cycles:
             for i in c.edge_indices:
                 counts[i] += 1
-        for idx in range(g.edge_count()):
+        for idx in range(len(g.edges)):
             assert counts.get(idx, 0) % 2 == 0
     assert found >= 5
 
@@ -365,52 +341,140 @@ def test_ladder_self_isomorphism(ladder):
 def test_ladder_not_isomorphic_to_rim(ladder):
     rim = cycle_graph(8, labels=["l", "t"] * 4)
     assert labeled_isomorphic(ladder, rim) is None
+    # the rim develops onto the ladder's rim, but misses the rungs
+    assert labeled_isomorphic(rim, ladder) is None
+
+
+def coloured_cubic(rng, n):
+    """A connected graph on nodes 0..n-1 (n even) made of three random
+    perfect matchings, labeled t, l and L: properly 3-edge-coloured."""
+    while True:
+        g = LabeledGraph()
+        for i in range(n):
+            g.add_node(i)
+        for lbl in ("t", "l", "L"):
+            order = rng.sample(range(n), n)
+            for u, v in zip(order[::2], order[1::2]):
+                g.add_edge(u, v, lbl)
+        if g.is_connected():
+            return g
+
+
+def relabeled(g, edges, perm=None):
+    """A graph on g's nodes, renamed by perm, with the given edges."""
+    perm = perm or {n: n for n in g.nodes}
+    h = LabeledGraph()
+    for n in g.nodes:
+        h.add_node(perm[n])
+    for u, v, lbl, _t in edges:
+        h.add_edge(perm[u], perm[v], lbl)
+    return h
+
+
+def shuffled(g, rng):
+    """g with its nodes renamed at random and its edges in random order."""
+    images = rng.sample(g.nodes, len(g.nodes))
+    return relabeled(g, rng.sample(g.edges, len(g.edges)), dict(zip(g.nodes, images)))
+
+
+def map_set(maps):
+    return {frozenset(m.items()) for m in maps}
+
+
+def labeled_edges(g, perm):
+    """The multiset of g's edges as (node pair, label), nodes renamed by perm."""
+    return Counter((frozenset((perm[u], perm[v])), lbl) for u, v, lbl, _t in g.edges)
 
 
 def test_isomorphism_respects_labels():
-    g1 = cycle_graph(3, labels=["t", "t", "t"])
-    g2 = cycle_graph(3, labels=["t", "t", "l"])
-    assert labeled_isomorphic(g1, g2) is None
-    assert next(labeled_isomorphisms(unlabeled(g1), unlabeled(g2)), None) is not None
+    rng = random.Random(11)
+    g = coloured_cubic(rng, 8)
+    # one edge recoloured: the source is no longer properly coloured
+    u, v, lbl, _t = g.edges[0]
+    recoloured = relabeled(g, [(u, v, {"t": "l", "l": "L", "L": "t"}[lbl], None)]
+                           + g.edges[1:])
+    assert labeled_isomorphic(recoloured, g) is None
+    assert not networkx_isomorphic(recoloured, g)
+    with pytest.raises(GraphError):
+        labeled_isomorphic(g, recoloured)
 
 
 def test_isomorphism_against_networkx():
     rng = random.Random(4242)
-    agreements = 0
-    for _ in range(40):
-        n = rng.randint(3, 7)
-        g1 = random_graph(rng, n, rng.uniform(0.3, 0.8))
-        labels = [rng.choice(["t", "l", "L"]) for _ in g1.edges]
-        g1l = LabeledGraph()
-        for i in range(n):
-            g1l.add_node(i)
-        for (u, v, _l, _t), lbl in zip(g1.edges, labels):
-            g1l.add_edge(u, v, lbl)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        g2l = LabeledGraph()
-        for i in range(n):
-            g2l.add_node(i)
-        edge_order = list(g1l.edges)
-        rng.shuffle(edge_order)
-        for (u, v, lbl, _t) in edge_order:
-            g2l.add_edge(perm[u], perm[v], lbl)
-        mine = labeled_isomorphic(g1l, g2l) is not None
-        assert mine == networkx_isomorphic(g1l, g2l)
-        assert mine
-        # and against a graph with one relabeled edge
-        if g2l.edges:
-            u, v, lbl, _t = g2l.edges[0]
-            g3 = LabeledGraph()
-            for i in range(n):
-                g3.add_node(i)
-            swapped = {"t": "l", "l": "L", "L": "t"}
-            g3.add_edge(u, v, swapped[lbl])
-            for (a, b, l2, _t2) in g2l.edges[1:]:
-                g3.add_edge(a, b, l2)
-            assert (labeled_isomorphic(g2l, g3) is not None) == networkx_isomorphic(g2l, g3)
-        agreements += 1
-    assert agreements == 40
+    switched = Counter()
+    for _ in range(60):
+        g = coloured_cubic(rng, rng.randrange(8, 41, 2))
+        h = shuffled(g, rng)
+        maps = list(labeled_isomorphisms(g, h))
+        assert maps and map_set(maps) == map_set(networkx_isomorphisms(g, h))
+        assert labeled_edges(g, maps[0]) == labeled_edges(h, {n: n for n in h.nodes})
+        # two L edges swap partners: a, b and c, d become a, d and c, b; the
+        # L edges are a matching, so the four nodes differ and no loop forms
+        (i, (a, b, _l, _t)), (j, (c, d, _l2, _t2)) = rng.sample(
+            [(k, e) for k, e in enumerate(h.edges) if e[2] == "L"], 2)
+        edges = [e for k, e in enumerate(h.edges) if k not in (i, j)]
+        switch = relabeled(h, edges + [(a, d, "L", None), (c, b, "L", None)])
+        if not switch.is_connected():
+            continue
+        verdict = labeled_isomorphic(g, switch) is not None
+        assert verdict == networkx_isomorphic(g, switch)
+        switched[verdict] += 1
+    assert sum(switched.values()) >= 40 and set(switched) == {True, False}
+
+
+def test_differing_node_counts_yield_nothing(ladder):
+    # a double cover develops onto its base from every node, but not one
+    # to one; a spare node is never reached
+    rim = cycle_graph(8, labels=["l", "t"] * 4)
+    assert labeled_isomorphic(cycle_graph(16, labels=["l", "t"] * 8), rim) is None
+    spare = relabeled(ladder, ladder.edges)
+    spare.add_node(8)
+    assert labeled_isomorphic(spare, ladder) is None
+
+
+def test_disjoint_k4s_are_not_the_ladder(ladder):
+    # two properly coloured K4s: 8 nodes and 12 edges, like the ladder
+    two_k4 = LabeledGraph()
+    for base in (0, 4):
+        for lbl, pairs in (("t", ((0, 1), (2, 3))), ("l", ((0, 2), (1, 3))),
+                           ("L", ((0, 3), (1, 2)))):
+            for u, v in pairs:
+                two_k4.add_edge(base + u, base + v, lbl)
+    assert labeled_isomorphic(two_k4, ladder) is None
+    assert not networkx_isomorphic(two_k4, ladder)
+    with pytest.raises(GraphError, match="connected"):
+        labeled_isomorphic(ladder, two_k4)
+
+
+@pytest.mark.parametrize("damage", ["unlabeled edge", "two l edges", "disconnected"])
+def test_isomorphism_target_must_be_connected_and_properly_coloured(ladder, damage):
+    edges = list(ladder.edges)
+    if damage == "unlabeled edge":
+        edges[0] = (*edges[0][:2], None, None)
+    elif damage == "two l edges":
+        edges[1] = (*edges[1][:2], "l", None)
+    target = relabeled(ladder, edges)
+    if damage == "disconnected":
+        target.add_node(8)
+    with pytest.raises(GraphError):
+        labeled_isomorphic(ladder, target)
+
+
+def test_enumeration_makes_one_development_per_target_node(monkeypatch):
+    # a return to backtracking would show here as more developments, not as
+    # a slower run
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return develop(*args)
+
+    develop = hamsurf.hamgraph._develop
+    monkeypatch.setattr(hamsurf.hamgraph, "_develop", counting)
+    g = coloured_cubic(random.Random(40), 40)
+    autos = list(labeled_isomorphisms(g, g))
+    assert {n: n for n in g.nodes} in autos
+    assert len(calls) <= g.node_count() == 40
 
 
 def test_isomorphism_deterministic(ladder):
@@ -418,11 +482,17 @@ def test_isomorphism_deterministic(ladder):
     assert maps[0] == maps[1] == maps[2]
 
 
-def test_all_isomorphisms_of_ladder(ladder):
-    # the labeled ladder has a dihedral symmetry group of order 8
+def test_all_isomorphisms_of_ladder(ladder, V):
+    # the labeled ladder has a dihedral symmetry group of order 8, and each
+    # link of V has 8 isomorphisms onto it: exactly those networkx lists
     autos = list(labeled_isomorphisms(ladder, ladder))
-    assert len(autos) == 8
-    assert len({tuple(sorted(a.items())) for a in autos}) == 8
+    assert len(autos) == len(map_set(autos)) == 8
+    assert map_set(autos) == map_set(networkx_isomorphisms(ladder, ladder))
+    assert V.vertices == ("P", "Q", "R")
+    for v in V.vertices:
+        link = V.vertex_link(v)
+        maps = map_set(labeled_isomorphisms(link, ladder))
+        assert len(maps) == 8 and maps == map_set(networkx_isomorphisms(link, ladder))
 
 
 # --- angular girth -------------------------------------------------------
@@ -468,7 +538,7 @@ def test_angular_girth_against_brute_force():
 def test_parse_graph_file_roundtrip():
     text = "node a\nnode b\nnode c\nedge a b L\nedge b c\n# comment\n"
     g = parse_graph_file(text)
-    assert g.node_count() == 3 and g.edge_count() == 2
+    assert g.node_count() == 3 and len(g.edges) == 2
     assert rungs(g) == {frozenset(("a", "b"))}
 
 
@@ -485,7 +555,7 @@ def test_parse_graph_file_errors():
 def test_coxeter_fixture_shape():
     g = coxeter_graph()
     assert g.node_count() == 28
-    assert g.edge_count() == 42
+    assert len(g.edges) == 42
     assert all(degree(g, n) == 3 for n in g.nodes)
     # unweighted girth 7, via breadth-first search per edge
     from collections import deque
