@@ -11,6 +11,8 @@ every subcommand in turn.
 - a chart file that cannot be read, parsed, validated or built ends in one
   ``<family>.fixture`` error certificate for each such subcommand, in place
   of its claims;
+- it builds each ball of V's cover at most once per run, so ``find-surfaces``
+  reads the ball ``check-cover`` built around the same base;
 - it stamps the chart's SHA-256 as ``fixture_digest`` on every certificate
   of those subcommands, so no subcommand passes a digest; the ladder's
   certificates carry ``""``, as do the fixture errors of a chart that did
@@ -191,7 +193,7 @@ def quotient_surface_certs(S):
     ]
 
 
-def cmd_check_quotient(_args, cd, V):
+def cmd_check_quotient(_args, cd, V, _balls):
     certs = []
     try:
         S, Sp = build_S(cd), build_Sprime(cd)
@@ -237,7 +239,7 @@ def cmd_check_quotient(_args, cd, V):
     return certs
 
 
-def cmd_check_cover(args, _cd, V):
+def cmd_check_cover(args, _cd, V, balls):
     certs = []
     radius = args.radius
     error = _radius_error(
@@ -246,8 +248,8 @@ def cmd_check_cover(args, _cd, V):
     if error:
         return [error]
     for base in V.vertices:
-        smaller = expand_to_radius(V, base, radius - 1)
-        ball = expand_ball(smaller)
+        smaller = _ball(balls, V, base, radius - 1)
+        ball = _ball(balls, V, base, radius)
         rep = verify_cover(ball)
         certs.append(check(
             f"ball of radius {radius} from {base} verifies as a cover chunk",
@@ -270,14 +272,29 @@ def cmd_check_cover(args, _cd, V):
     return certs
 
 
-def cmd_find_surfaces(args, _cd, V):
+def cmd_find_surfaces(args, _cd, V, balls):
     radius = args.radius
     error = _radius_error(
         "surfaces.radius", radius, 2,
         "a smaller ball has no interior triangle, so its surfaces are only link germs")
     if error:
         return [error]
-    return ball_surface_certs(expand_to_radius(V, V.vertices[0], radius), args.budget)
+    return ball_surface_certs(_ball(balls, V, V.vertices[0], radius), args.budget)
+
+
+def _ball(balls, V, base, radius):
+    """The ball of the given radius around base, built once per run.
+
+    ``balls`` is the run's table by (base, radius).  A ball one radius
+    smaller in the table is expanded by one round, as ``check-cover`` builds
+    its pairs; any other ball is expanded from the base.  The table lives
+    for one ``run_commands`` call, so no ball outlives its run.
+    """
+    if (base, radius) not in balls:
+        smaller = balls.get((base, radius - 1))
+        balls[base, radius] = (expand_ball(smaller) if smaller is not None
+                               else expand_to_radius(V, base, radius))
+    return balls[base, radius]
 
 
 def ball_surface_certs(ball, budget):
@@ -357,7 +374,7 @@ AUT_CLAIMS = (
 )
 
 
-def cmd_check_aut(_args, cd, V):
+def cmd_check_aut(_args, cd, V, _balls):
     try:
         group = automorphism_group(V)
         thetas = theta_maps(V)
@@ -436,10 +453,11 @@ def build_parser():
 def run_commands(args, names):
     """The certificates of the named subcommands, in order.
 
-    A subcommand that reads ``--charts`` is called as ``command(args, cd, V)``,
-    the others as ``command(args)``.
+    A subcommand that reads ``--charts`` is called as
+    ``command(args, cd, V, balls)``, the others as ``command(args)``;
+    ``balls`` is this call's table of balls (see ``_ball``).
     """
-    certs, charts = [], None
+    certs, charts, balls = [], None, {}
     for name in names:
         command = COMMANDS[name]
         if "--charts" not in COMMAND_OPTIONS[name]:
@@ -457,7 +475,8 @@ def run_commands(args, names):
             certs.append(error_certificate("chart fixture loads", ref, str(charts)))
         else:
             cd, V = charts
-            certs += [replace(c, fixture_digest=cd.digest) for c in command(args, cd, V)]
+            certs += [replace(c, fixture_digest=cd.digest)
+                      for c in command(args, cd, V, balls)]
     return certs
 
 

@@ -107,19 +107,21 @@ class Complex2:
         return self.src(reverse(oedge))
 
     def _build_indexes(self):
-        sides = {sym: [] for sym in self.edges}
+        edges = self.edges
+        sides = {sym: [] for sym in edges}
         corners = {v: [] for v in self.vertices}
         for fid in self.face_ids():
-            word = self.faces[fid].word
-            for i, (s, sign) in enumerate(word):
-                if s in sides:
-                    sides[s].append((fid, i, sign))
-                v = self.src(word[i]) if s in self.edges else None
+            for i, (sym, sign) in enumerate(self.faces[fid].word):
+                if sym not in edges:
+                    continue
+                sides[sym].append((fid, i, sign))
+                s, t = edges[sym]
+                v = s if sign > 0 else t
                 if v in corners:
                     corners[v].append((fid, i))
         germs = {v: [] for v in self.vertices}
         for sym in self.edge_symbols():
-            s, t = self.edges[sym]
+            s, t = edges[sym]
             germs.setdefault(s, []).append((sym, 1))
             germs.setdefault(t, []).append((sym, -1))
         self._sides = sides
@@ -247,9 +249,10 @@ def validate_complex(cx):
         if bad_sym:
             continue
         n = len(face.word)
+        ends = [cx.edges[sym] if sign > 0 else cx.edges[sym][::-1] for sym, sign in face.word]
         for i in range(n):
-            here = cx.tgt(face.word[i])
-            there = cx.src(face.word[(i + 1) % n])
+            here = ends[i][1]
+            there = ends[(i + 1) % n][0]
             if here != there:
                 violations.append(
                     f"face {fid}: boundary word not closed between positions {i} "

@@ -104,9 +104,10 @@ class Ball:
     @cached_property
     def interior_edges(self):
         """The edges that carry as many face-sides as their image in V."""
-        cx, V = self.complex, self.v_complex
+        cx, edge_image = self.complex, self.edge_image
+        degree = _image_degrees(self.v_complex)
         return frozenset(e for e in cx.edges
-                         if len(cx.edge_sides(e)) == len(V.edge_sides(self.edge_image[e])))
+                         if len(cx.edge_sides(e)) == degree.get(edge_image[e], 0))
 
     @cached_property
     def interior_vertices_by_name(self):
@@ -132,7 +133,9 @@ class Ball:
         one-to-one onto the corners at p, and the two germs of every corner
         onto the two germs of its image corner.  The bijection is then a
         label-preserving isomorphism of v's link onto p's link (corner
-        labels depend only on the face kind and the corner index).
+        labels depend only on the face kind and the corner index).  A vertex
+        with fewer or more germs than p, such as every boundary vertex of a
+        ball, is rejected on that count before any germ is mapped.
         Computed on first use and kept for the ball.
         """
         if v not in self._lifts:
@@ -142,14 +145,18 @@ class Ball:
     def _lift(self, v):
         cx, V = self.complex, self.v_complex
         p = self.vertex_image[v]
-        if sorted(map(self.map_oedge, cx.germs_at(v))) != sorted(V.germs_at(p)):
+        germs, image_germs = cx.germs_at(v), V.germs_at(p)
+        if len(germs) != len(image_germs):
             return None
-        lift = {(f, i): (self.face_image[f], i) for f, i in cx.corners_at(v)}
+        edge_image, face_image = self.edge_image, self.face_image
+        if sorted((edge_image[e], s) for e, s in germs) != sorted(image_germs):
+            return None
+        lift = {(f, i): (face_image[f], i) for f, i in cx.corners_at(v)}
         if sorted(lift.values()) != sorted(V.corners_at(p)):
             return None
         for corner, image in lift.items():
-            germs = tuple(map(self.map_oedge, cx.corner_germs(*corner)))
-            if germs != V.corner_germs(*image):
+            (e1, s1), (e2, s2) = cx.corner_germs(*corner)
+            if ((edge_image[e1], s1), (edge_image[e2], s2)) != V.corner_germs(*image):
                 return None
         return lift
 
@@ -188,13 +195,14 @@ class Ball:
         """The number of distinct faces with a corner at each vertex."""
         return Counter(v for vs in self.face_vertices.values() for v in vs)
 
-    def map_oedge(self, oedge):
-        eid, sign = oedge
-        return (self.edge_image[eid], sign)
-
     def face_depth(self, fid):
         word = self.complex.faces[fid].word
         return min(self.depth[self.complex.src(oe)] for oe in word)
+
+
+def _image_degrees(V):
+    """The number of face-sides on each edge of V, by symbol."""
+    return {sym: len(V.edge_sides(sym)) for sym in V.edges}
 
 
 def _find(parent, a):
@@ -311,9 +319,6 @@ class _Builder:
                 self.eunion(e1, e2)
 
     # folding --------------------------------------------------------------
-    def live_faces(self):
-        return [f for f in range(len(self.fpar)) if _find(self.fpar, f) == f]
-
     def far_end(self, v, key, e):
         """The root at the other end of edge e, filed under key at root v."""
         e = _find(self.epar, e)
@@ -431,13 +436,19 @@ def _canonical_ball(builder, base_root, radius):
     traversal gives each vertex its depth as it numbers it.  Faces are
     numbered by (image, edge numbers), which no two faces of a folded
     complex share, and every id is formatted once, after the numbering.
+    The union-find roots are resolved once, before the walk.
     """
-    V, vpar = builder.V, builder.vpar
+    V, vpar, epar, fpar = builder.V, builder.vpar, builder.epar, builder.fpar
+    vroot = [_find(vpar, v) for v in range(len(vpar))]
+    eroot = [_find(epar, e) for e in range(len(epar))]
+    esrc = [vroot[v] for v in builder.esrc]
+    etgt = [vroot[v] for v in builder.etgt]
     order, vnum, depths, enum = [base_root], {base_root: 0}, [0], {}
-    for v in order:
-        below = depths[vnum[v]] + 1
-        for key, e in sorted(builder.vgerm[v].items()):
-            e, w = builder.far_end(v, key, e)
+    for n, v in enumerate(order):
+        below = depths[n] + 1
+        for (_sym, sign), e in sorted(builder.vgerm[v].items()):
+            e = eroot[e]
+            w = etgt[e] if sign > 0 else esrc[e]
             if e not in enum:
                 enum[e] = len(enum)
             if w not in vnum:
@@ -448,17 +459,16 @@ def _canonical_ball(builder, base_root, radius):
     enames = [f"e{n}" for n in range(len(enum))]
     edges, edge_image = {}, {}
     for eid, e in zip(enames, enum):
-        edges[eid] = (vnames[vnum[_find(vpar, builder.esrc[e])]],
-                      vnames[vnum[_find(vpar, builder.etgt[e])]])
+        edges[eid] = (vnames[vnum[esrc[e]]], vnames[vnum[etgt[e]]])
         edge_image[eid] = builder.esym[e]
-    rows = sorted((builder.fimg[f], tuple(enum[_find(builder.epar, e)]
-                                          for e, _s in builder.fword[f]), f)
-                  for f in builder.live_faces())
+    rows = sorted((builder.fimg[f], tuple(enum[eroot[e]] for e, _s in builder.fword[f]), f)
+                  for f in range(len(fpar)) if fpar[f] == f)
+    kinds = {img: face.kind for img, face in V.faces.items()}
     faces, face_image = [], {}
     for idx, (img, nums, f) in enumerate(rows):
         fid = f"f{idx}"
         word = tuple((enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f]))
-        faces.append(Face(fid, V.faces[img].kind, word))
+        faces.append(Face(fid, kinds[img], word))
         face_image[fid] = img
     cx = Complex2(vertices=vnames, edges=edges, faces=faces)
     return Ball(cx, V, vnames[0], radius,
@@ -504,10 +514,13 @@ def expand_to_radius(v_complex, base_vertex, radius):
     """The ball of the given radius around a lift of base_vertex.
 
     One workspace runs one expansion round per radius, round n attaching
-    the cells of generation n, and is renumbered once at the end.
+    the cells of generation n, and is renumbered once at the end.  Radius
+    0 is the base alone; a negative radius is a ValueError.
     """
     if base_vertex not in v_complex.vertices:
         raise KeyError(f"unknown vertex {base_vertex!r}")
+    if radius < 0:
+        raise ValueError(f"negative radius {radius}")
     builder = _Builder(v_complex)
     base = builder.new_vertex(base_vertex)
     for r in range(radius):
@@ -517,10 +530,12 @@ def expand_to_radius(v_complex, base_vertex, radius):
 
 
 def restrict_ball(ball, radius):
-    """The sub-ball of the given radius: the base and the faces within
-    depth radius-1."""
+    """The sub-ball of the given radius (0 up to the ball's): the base and
+    the faces within depth radius-1."""
     if radius > ball.radius:
         raise ValueError("cannot restrict to a larger radius")
+    if radius < 0:
+        raise ValueError(f"negative radius {radius}")
     keep = [f for f in ball.complex.face_ids() if ball.face_depth(f) <= radius - 1]
     builder = _Builder(ball.v_complex)
     vmap = builder.load(ball, keep)
@@ -557,16 +572,16 @@ def verify_cover(ball):
     give: vertices at depth <= radius-1 and the edges at them.
     """
     cx, V = ball.complex, ball.v_complex
+    vertex_image, edge_image = ball.vertex_image, ball.edge_image
+    degree = _image_degrees(V)
     problems = list(validate_complex(cx))
-    for eid in cx.edges:
-        sym = ball.edge_image[eid]
-        s, t = cx.edges[eid]
-        if ball.vertex_image[s] != V.src((sym, 1)) or ball.vertex_image[t] != V.tgt((sym, 1)):
+    for eid, (s, t) in cx.edges.items():
+        image_s, image_t = V.edges[edge_image[eid]]
+        if vertex_image[s] != image_s or vertex_image[t] != image_t:
             problems.append(f"edge {eid}: covering map does not commute with endpoints")
     for fid in cx.face_ids():
         word = cx.faces[fid].word
-        target = V.faces[ball.face_image[fid]].word
-        if tuple(ball.map_oedge(oe) for oe in word) != tuple(target):
+        if tuple((edge_image[e], s) for e, s in word) != V.faces[ball.face_image[fid]].word:
             problems.append(f"face {fid}: boundary word image is misaligned")
     vertex_rows = {}
     for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
@@ -581,7 +596,7 @@ def verify_cover(ball):
         vertex_rows[v] = row
     for eid in sorted(cx.edges, key=lambda s: int(s[1:])):
         sides = len(cx.edge_sides(eid))
-        expected = len(V.edge_sides(ball.edge_image[eid]))
+        expected = degree.get(edge_image[eid], 0)
         if eid in ball.interior_edges and sides != expected:
             problems.append(f"edge {eid}: interior but degree {sides} != {expected}")
         if sides > expected:

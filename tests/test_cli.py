@@ -15,7 +15,7 @@ import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
-from hamsurf.cli import _ladder_rung_witnesses, main
+from hamsurf.cli import COMMANDS, _ladder_rung_witnesses, build_parser, main, run_commands
 from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth,
                               enumerate_hamiltonian_cycles, labeled_isomorphisms,
                               moebius_ladder)
@@ -184,6 +184,29 @@ def test_charts_are_loaded_only_for_subcommands_that_read_them(
         monkeypatch, capsys, command, loads):
     calls = count_loads(monkeypatch, capsys, command)
     assert calls == Counter({"load_default_charts": loads, "build_V": loads})
+
+
+def test_check_all_builds_each_ball_once(monkeypatch):
+    # check-cover builds each base's radius-1 ball and expands it once;
+    # find-surfaces reads P's radius-2 ball from the run's table.  A second
+    # run builds its own balls.
+    built = []
+
+    def counting(fn):
+        def wrapped(*args):
+            ball = fn(*args)
+            built.append((ball.vertex_image[ball.base], ball.radius))
+            return ball
+        return wrapped
+
+    for name in ("expand_to_radius", "expand_ball"):
+        monkeypatch.setattr(hamsurf.cli, name, counting(getattr(hamsurf.cli, name)))
+    args = build_parser().parse_args(["check-all", "--radius", "2"])
+    first = run_commands(args, COMMANDS)
+    assert sorted(built) == [(b, r) for b in "PQR" for r in (1, 2)]
+    built.clear()
+    assert run_commands(args, COMMANDS) == first
+    assert sorted(built) == [(b, r) for b in "PQR" for r in (1, 2)]
 
 
 def test_every_chart_certificate_carries_the_chart_digest(capsys):

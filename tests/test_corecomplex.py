@@ -5,7 +5,7 @@ import pytest
 
 from hamsurf.corecomplex import (Complex2, Face, link_circle_length, subcomplex,
                                  surface_report, trace_status, validate_complex)
-from hamsurf.hamgraph import classify_cycle, enumerate_hamiltonian_cycles
+from hamsurf.hamgraph import classify_cycle, enumerate_hamiltonian_cycles, label_weight
 from oracles import brute_orientable, degree, naive_hamiltonian_cycles
 
 
@@ -52,31 +52,107 @@ def test_smallest_valid_complex():
     assert validate_complex(one_triangle()) == []
 
 
-def test_unclosed_boundary_is_flagged():
-    cx = Complex2(
+def unclosed_triangle():
+    return Complex2(
         vertices=["u", "v", "w"],
         edges={"e1": ("u", "v"), "e2": ("v", "w"), "e3": ("u", "w")},
         faces=[Face("t", "triangle", (("e1", 1), ("e2", 1), ("e3", 1)))],
     )
-    problems = validate_complex(cx)
-    assert problems and all("face t" in p for p in problems)
 
 
-def test_wrong_arity_and_unknown_symbol_flagged():
-    cx = Complex2(
+def wrong_arity_and_unknown_symbol():
+    return Complex2(
         vertices=["u", "v"],
         edges={"e1": ("u", "v")},
         faces=[Face("f", "lozenge", (("e1", 1), ("e1", -1), ("e1", 1))),
                Face("g", "triangle", (("e1", 1), ("zz", 1), ("e1", -1)))],
     )
-    problems = "\n".join(validate_complex(cx))
+
+
+def ghost_endpoint():
+    return Complex2(vertices=["u"], edges={"e": ("u", "ghost")}, faces=[])
+
+
+def test_unclosed_boundary_is_flagged():
+    problems = validate_complex(unclosed_triangle())
+    assert problems and all("face t" in p for p in problems)
+
+
+def test_wrong_arity_and_unknown_symbol_flagged():
+    problems = "\n".join(validate_complex(wrong_arity_and_unknown_symbol()))
     assert "length 3, expected 4" in problems
     assert "undeclared edge symbol zz" in problems
 
 
 def test_unknown_endpoint_flagged():
-    cx = Complex2(vertices=["u"], edges={"e": ("u", "ghost")}, faces=[])
-    assert any("ghost" in p for p in validate_complex(cx))
+    assert any("ghost" in p for p in validate_complex(ghost_endpoint()))
+
+
+def _naive_indexes(cx):
+    """Face-sides by symbol, corners by vertex and germs by vertex, read
+    letter by letter: faces in ``str`` order, ends through ``cx.src``, and
+    letters over undeclared symbols skipped."""
+    sides = {sym: [] for sym in cx.edges}
+    corners = {v: [] for v in cx.vertices}
+    germs = {}
+    for fid in sorted(cx.faces, key=str):
+        for i, oedge in enumerate(cx.faces[fid].word):
+            if oedge[0] in cx.edges:
+                sides[oedge[0]].append((fid, i, oedge[1]))
+                if cx.src(oedge) in corners:
+                    corners[cx.src(oedge)].append((fid, i))
+    for sym in sorted(cx.edges, key=str):
+        for sign in (1, -1):
+            germs.setdefault(cx.src((sym, sign)), []).append((sym, sign))
+    return sides, corners, germs
+
+
+def _naive_violations(cx):
+    """validate_complex's list, checked letter by letter through
+    ``cx.src`` and ``cx.tgt``."""
+    found = []
+    for sym in sorted(cx.edges, key=str):
+        for v in cx.edges[sym]:
+            if v not in cx.vertices:
+                found.append(f"edge {sym}: endpoint {v} is not a declared vertex")
+    for fid in sorted(cx.faces, key=str):
+        face = cx.faces[fid]
+        want = 3 if face.kind == "triangle" else 4
+        if len(face.word) != want:
+            found.append(f"face {fid}: {face.kind} word has length {len(face.word)}, "
+                         f"expected {want}")
+            continue
+        unknown = [sym for sym, _sign in face.word if sym not in cx.edges]
+        found += [f"face {fid}: undeclared edge symbol {sym}" for sym in unknown]
+        if unknown:
+            continue
+        for i in range(want):
+            here, there = cx.tgt(face.word[i]), cx.src(face.word[(i + 1) % want])
+            if here != there:
+                found.append(f"face {fid}: boundary word not closed between positions "
+                             f"{i} and {(i + 1) % want} ({here} != {there})")
+        # a polygon's angles sum to (n - 2) pi, 3 (n - 2) units
+        total = sum(label_weight(face.corner_label(i)) for i in range(want))
+        if total != 3 * (want - 2):
+            found.append(f"face {fid}: corner weights sum to {total}, "
+                         f"expected {3 * (want - 2)}")
+    return found
+
+
+def test_indexes_and_violations_match_a_naive_reading(V, S, ball2):
+    complexes = [V, S, ball2.complex, unclosed_triangle(),
+                 wrong_arity_and_unknown_symbol(), ghost_endpoint()]
+    for cx in complexes:
+        sides, corners, germs = _naive_indexes(cx)
+        assert {sym: cx.edge_sides(sym) for sym in cx.edges} == sides
+        assert {v: cx.corners_at(v) for v in cx.vertices} == corners
+        assert {v: cx.germs_at(v) for v in germs} == germs
+        assert all(cx.germs_at(v) == [] for v in cx.vertices if v not in germs)
+        assert validate_complex(cx) == _naive_violations(cx)
+    # the malformed complexes show each kind of violation
+    assert [len(validate_complex(cx)) for cx in complexes] == [0, 0, 0, 2, 2, 1]
+    assert wrong_arity_and_unknown_symbol().edge_sides("zz") == []
+    assert ghost_endpoint().germs_at("ghost") == [("e", -1)]
 
 
 def test_single_triangle_link_and_degrees():

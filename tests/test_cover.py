@@ -75,7 +75,7 @@ def test_covering_map_commutes(V, ball2):
         assert ball2.vertex_image[s] == V.src((sym, 1))
         assert ball2.vertex_image[t] == V.tgt((sym, 1))
     for fid in cx.face_ids():
-        img_word = tuple(ball2.map_oedge(oe) for oe in cx.faces[fid].word)
+        img_word = tuple((ball2.edge_image[e], s) for e, s in cx.faces[fid].word)
         assert img_word == tuple(V.faces[ball2.face_image[fid]].word)
 
 
@@ -390,6 +390,73 @@ def test_corner_lift(V, ball2):
     assert boundary and all(ball2.corner_lift(v) is None for v in boundary)
 
 
+def _claiming(ball, cx=None, edge_image=None, face_image=None):
+    """A copy of ball with some tables replaced, still claiming its interior."""
+    damaged = Ball(cx or ball.complex, ball.v_complex, ball.base, ball.radius,
+                   ball.vertex_image, edge_image or ball.edge_image,
+                   face_image or ball.face_image, ball.depth)
+    damaged.interior_vertices = ball.interior_vertices
+    damaged.interior_edges = ball.interior_edges
+    return damaged
+
+
+def _swapped_germ_image(ball):
+    # one edge at the base maps to another edge of V with the same ends
+    V, v = ball.v_complex, ball.base
+    e, _sign = ball.complex.germs_at(v)[0]
+    sym = ball.edge_image[e]
+    other = min(s for s in V.edges if s != sym and V.edges[s] == V.edges[sym])
+    return _claiming(ball, edge_image={**ball.edge_image, e: other}), v
+
+
+def _rotated_word(ball):
+    # one face at the base reads its word from the next letter on
+    cx, v = ball.complex, ball.base
+    fid, _i = cx.corners_at(v)[0]
+    face = cx.faces[fid]
+    faces = [Face(f, face.kind, face.word[1:] + face.word[:1]) if f == fid else cx.faces[f]
+             for f in cx.face_ids()]
+    return _claiming(ball, cx=Complex2(cx.vertices, cx.edges, faces)), v
+
+
+def _deleted_face(ball):
+    fid, _i = ball.complex.corners_at(ball.base)[0]
+    return _claiming(ball, cx=_delete_face(ball, fid).complex), ball.base
+
+
+def _swapped_face_images(ball):
+    # two triangles with their corners at the base, at the same index, swap
+    # their images: the corners still map onto the image's corners
+    cx, v = ball.complex, ball.base
+    (f, i), (g, j) = [c for c in cx.corners_at(v) if cx.faces[c[0]].kind == TRIANGLE][:2]
+    assert i == j
+    images = {**ball.face_image, f: ball.face_image[g], g: ball.face_image[f]}
+    return _claiming(ball, face_image=images), v
+
+
+@pytest.mark.parametrize("damage, germs_map, corners_map", [
+    (_swapped_germ_image, False, True),
+    (_rotated_word, True, False),
+    (_deleted_face, True, False),
+    (_swapped_face_images, True, True),
+])
+def test_each_lift_condition_rejects_on_its_own(ball2, damage, germs_map, corners_map):
+    # the damaged vertex keeps its image's germ count, so the count check
+    # lets it through; the germ map, the corner map or, when both hold,
+    # the germs of a corner must then reject it
+    damaged, v = damage(ball2)
+    cx, V = damaged.complex, damaged.v_complex
+    p = damaged.vertex_image[v]
+    assert len(cx.germs_at(v)) == len(V.germs_at(p))
+    assert (sorted((damaged.edge_image[e], s) for e, s in cx.germs_at(v))
+            == sorted(V.germs_at(p))) is germs_map
+    assert (sorted((damaged.face_image[f], i) for f, i in cx.corners_at(v))
+            == sorted(V.corners_at(p))) is corners_map
+    assert damaged.corner_lift(v) is None
+    assert f"vertex {v}: interior link does not match its image link" \
+        in verify_cover(damaged)["problems"]
+
+
 def test_interior_flags_are_computed_on_first_read(V, monkeypatch):
     # the intermediate balls of an expansion are never asked about their
     # interior, so only the result's vertices are lifted; the interior
@@ -449,3 +516,14 @@ def test_verify_cover_checks_interior_flags_against_depths(ball2):
 def test_restrict_rejects_larger_radius(ball1):
     with pytest.raises(ValueError):
         restrict_ball(ball1, 5)
+
+
+def test_restrict_rejects_a_negative_radius(ball2):
+    # a "radius -1" ball would be the base alone, and would verify
+    with pytest.raises(ValueError, match="negative radius -1"):
+        restrict_ball(ball2, -1)
+
+
+def test_expand_to_radius_rejects_a_negative_radius(V):
+    with pytest.raises(ValueError, match="negative radius -2"):
+        expand_to_radius(V, "P", -2)
