@@ -269,6 +269,7 @@ def cmd_check_cover(args, _cd, V, balls):
             "cover.idempotent",
             serialize_ball(again) == serialize_ball(smaller),
             {"base": base}))
+        del balls[base, radius - 1]  # only the radius-r balls are read again
     return certs
 
 

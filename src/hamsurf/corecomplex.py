@@ -45,15 +45,16 @@ def reverse(oedge):
 
 
 class Face:
-    """A 2-cell: id, kind (triangle or lozenge) and cyclic boundary word."""
+    """A 2-cell: id, kind (triangle or lozenge) and cyclic boundary word,
+    kept as given: (edge symbol, sign) letters, the signs the ints 1 and -1."""
 
     def __init__(self, fid, kind, word):
         if kind not in _WORD_LENGTH:
             raise ValueError(f"face {fid}: unknown kind {kind!r}")
         self.fid = fid
         self.kind = kind
-        self.word = tuple((sym, int(sign)) for sym, sign in word)
-        for sym, sign in self.word:
+        self.word = tuple(word)
+        for _sym, sign in self.word:
             if sign not in (1, -1):
                 raise ValueError(f"face {fid}: bad orientation sign {sign}")
 
@@ -80,6 +81,8 @@ class Complex2:
         self.vertices = tuple(sorted(vertices, key=str))
         self.edges = dict(edges)
         self.faces = {f.fid: f for f in faces}
+        self._face_ids = tuple(sorted(self.faces, key=str))
+        self._edge_symbols = tuple(sorted(self.edges, key=str))
         self.facesets = {}  # name -> face ids, as charts.build_V records them
         self._vertex_set = set(self.vertices)
         self._sides = None
@@ -93,10 +96,10 @@ class Complex2:
                 f"{len(self.edges)} edges, {len(self.faces)} faces)")
 
     def face_ids(self):
-        return sorted(self.faces, key=str)
+        return self._face_ids
 
     def edge_symbols(self):
-        return sorted(self.edges, key=str)
+        return self._edge_symbols
 
     def src(self, oedge):
         sym, sign = oedge
@@ -138,7 +141,9 @@ class Complex2:
         """Number of face-sides incident to the edge, with multiplicity."""
         if sym not in self.edges:
             raise KeyError(f"unknown edge {sym!r}")
-        return len(self.edge_sides(sym))
+        if self._sides is None:
+            self._build_indexes()
+        return len(self._sides[sym])
 
     def corners_at(self, v):
         """All face-corners at vertex v: list of (fid, corner index)."""
@@ -230,8 +235,8 @@ def validate_complex(cx):
     (lozenge).
     """
     violations = []
-    for sym, (s, t) in sorted(cx.edges.items(), key=lambda kv: str(kv[0])):
-        for v in (s, t):
+    for sym in cx.edge_symbols():
+        for v in cx.edges[sym]:
             if v not in cx._vertex_set:
                 violations.append(f"edge {sym}: endpoint {v} is not a declared vertex")
     for fid in cx.face_ids():

@@ -37,6 +37,10 @@ renumbered by a breadth-first traversal from the base ordered by covering
 images, which makes serializations byte-stable across runs and construction
 histories.  That traversal also gives the depths; ``verify_cover`` checks
 them against a second, independent search (``_depths``).
+
+V's facts read for every ball cell come from tables derived once per builder
+(``_Builder``) and once per ball (``Ball._image_tables``), which live as long
+as their object: none is kept on V or in the module to leak a damaged ball.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from functools import cached_property
 
-from .corecomplex import Complex2, Face, validate_complex
+from .corecomplex import Complex2, Face, reverse, validate_complex
 
 
 class FoldConflictError(RuntimeError):
@@ -105,9 +109,9 @@ class Ball:
     def interior_edges(self):
         """The edges that carry as many face-sides as their image in V."""
         cx, edge_image = self.complex, self.edge_image
-        degree = _image_degrees(self.v_complex)
+        degree = self._image_tables[-1]
         return frozenset(e for e in cx.edges
-                         if len(cx.edge_sides(e)) == degree.get(edge_image[e], 0))
+                         if cx.edge_face_degree(e) == degree.get(edge_image[e], 0))
 
     @cached_property
     def interior_vertices_by_name(self):
@@ -142,21 +146,31 @@ class Ball:
             self._lifts[v] = self._lift(v)
         return self._lifts[v]
 
+    @cached_property
+    def _image_tables(self):
+        """V's facts: each vertex's germs and corners, sorted, each corner's
+        germs, and each edge's number of face-sides."""
+        V = self.v_complex
+        corners = {p: sorted(V.corners_at(p)) for p in V.vertices}
+        return ({p: sorted(V.germs_at(p)) for p in V.vertices}, corners,
+                {c: V.corner_germs(*c) for cs in corners.values() for c in cs},
+                {sym: V.edge_face_degree(sym) for sym in V.edges})
+
     def _lift(self, v):
-        cx, V = self.complex, self.v_complex
-        p = self.vertex_image[v]
-        germs, image_germs = cx.germs_at(v), V.germs_at(p)
+        cx, p = self.complex, self.vertex_image[v]
+        germs_of, corners_of, corner_germs_of, _degree = self._image_tables
+        germs, image_germs = cx.germs_at(v), germs_of.get(p, [])
         if len(germs) != len(image_germs):
             return None
         edge_image, face_image = self.edge_image, self.face_image
-        if sorted((edge_image[e], s) for e, s in germs) != sorted(image_germs):
+        if sorted((edge_image[e], s) for e, s in germs) != image_germs:
             return None
         lift = {(f, i): (face_image[f], i) for f, i in cx.corners_at(v)}
-        if sorted(lift.values()) != sorted(V.corners_at(p)):
+        if sorted(lift.values()) != corners_of[p]:
             return None
         for corner, image in lift.items():
             (e1, s1), (e2, s2) = cx.corner_germs(*corner)
-            if ((edge_image[e1], s1), (edge_image[e2], s2)) != V.corner_germs(*image):
+            if ((edge_image[e1], s1), (edge_image[e2], s2)) != corner_germs_of[image]:
                 return None
         return lift
 
@@ -200,11 +214,6 @@ class Ball:
         return min(self.depth[self.complex.src(oe)] for oe in word)
 
 
-def _image_degrees(V):
-    """The number of face-sides on each edge of V, by symbol."""
-    return {sym: len(V.edge_sides(sym)) for sym in V.edges}
-
-
 def _find(parent, a):
     """Union-find root of a in the parent array, halving the path."""
     while parent[a] != a:
@@ -226,10 +235,22 @@ class _Builder:
     that folding must identify: the pair waits on ``pending`` until ``fold``.
     Cells attached while ``gen`` is n belong to round n; cells of an earlier
     round are settled.
+
+    From V it derives, once: ``walks[fid, c]``, V-face fid's germ keys from
+    corner c on, forward and reversed; ``corners[p]`` and ``germ_keys[p]``,
+    V-vertex p's corners and germ keys, sorted.
     """
 
     def __init__(self, v_complex):
-        self.V = v_complex
+        self.V = V = v_complex
+        self.walks = {}
+        for fid, face in V.faces.items():
+            word, n = face.word, len(face.word)
+            back = [reverse(key) for key in reversed(word)]
+            for c in range(n):
+                self.walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
+        self.corners = {p: sorted(V.corners_at(p)) for p in V.vertices}
+        self.germ_keys = {p: sorted(V.germs_at(p)) for p in V.vertices}
         self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
         self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
             [], [], [], [], [], [])
@@ -386,10 +407,9 @@ class _Builder:
         """
         word = self.V.faces[v_fid].word
         n = len(word)
-        order = [(corner + k) % n for k in range(n)]
-        ahead, ahead_at = self._walk(v, [word[j] for j in order])
-        back_order = [(corner - 1 - k) % n for k in range(n - len(ahead))]
-        back, back_at = self._walk(v, [(word[j][0], -word[j][1]) for j in back_order])
+        keys, back_keys = self.walks[v_fid, corner]
+        ahead, ahead_at = self._walk(v, keys)
+        back, back_at = self._walk(v, back_keys[:n - len(ahead)])
         if len(ahead) + len(back) == n and ahead_at[-1] != back_at[-1]:
             if back:
                 back.pop()
@@ -397,16 +417,16 @@ class _Builder:
             else:
                 ahead.pop()
                 ahead_at.pop()
-        edges = dict(zip(order, ahead))
-        edges.update(zip(back_order, back))
-        gap = order[len(ahead):n - len(back)]
-        at = [ahead_at[-1]] + [self.new_vertex(self.V.src(word[j])) for j in gap[1:]]
+        gap = range(len(ahead), n - len(back))
+        at = [ahead_at[-1]] + [self.new_vertex(self.V.src(keys[j])) for j in gap[1:]]
         at.append(back_at[-1])
         for k, j in enumerate(gap):
-            sym, sign = word[j]
+            sym, sign = keys[j]
             a, b = (at[k], at[k + 1]) if sign > 0 else (at[k + 1], at[k])
-            edges[j] = self.new_edge(a, b, sym)
-        self.new_face(v_fid, [(edges[j], word[j][1]) for j in range(n)])
+            ahead.append(self.new_edge(a, b, sym))
+        edges = ahead + back[::-1]  # the word's edges from the corner on
+        edges = edges[n - corner:] + edges[:n - corner]
+        self.new_face(v_fid, [(e, sign) for e, (_sym, sign) in zip(edges, word)])
 
     def missing_corners(self, v):
         """The corners of root v's image in V that no face at v fills yet,
@@ -417,7 +437,7 @@ class _Builder:
             for img, pos in self.eside[_find(self.epar, e)]:
                 if faces[img].word[pos][1] == sign:
                     present.add((img, pos))
-        return sorted(c for c in self.V.corners_at(self.vimg[v]) if c not in present)
+        return [c for c in self.corners[self.vimg[v]] if c not in present]
 
     def complete_star(self, v):
         """Attach copies for every missing corner at v; returns count."""
@@ -432,7 +452,8 @@ def _canonical_ball(builder, base_root, radius):
     """Compact the folded builder into an immutable Ball with canonical ids.
 
     Vertices and edges are numbered by a breadth-first traversal from the
-    base that takes each vertex's germs in sorted (image, sign) order; the
+    base that takes each vertex's germs in sorted (image, sign) order (its
+    image's keys, unless a loaded ball's edge images give it others); the
     traversal gives each vertex its depth as it numbers it.  Faces are
     numbered by (image, edge numbers), which no two faces of a folded
     complex share, and every id is formatted once, after the numbering.
@@ -443,12 +464,15 @@ def _canonical_ball(builder, base_root, radius):
     eroot = [_find(epar, e) for e in range(len(epar))]
     esrc = [vroot[v] for v in builder.esrc]
     etgt = [vroot[v] for v in builder.etgt]
+    vimg, vgerm, germ_keys = builder.vimg, builder.vgerm, builder.germ_keys
     order, vnum, depths, enum = [base_root], {base_root: 0}, [0], {}
     for n, v in enumerate(order):
         below = depths[n] + 1
-        for (_sym, sign), e in sorted(builder.vgerm[v].items()):
-            e = eroot[e]
-            w = etgt[e] if sign > 0 else esrc[e]
+        germs = vgerm[v]
+        keys = [key for key in germ_keys.get(vimg[v], ()) if key in germs]
+        for key in keys if len(keys) == len(germs) else sorted(germs):
+            e = eroot[germs[key]]
+            w = etgt[e] if key[1] > 0 else esrc[e]
             if e not in enum:
                 enum[e] = len(enum)
             if w not in vnum:
@@ -461,13 +485,13 @@ def _canonical_ball(builder, base_root, radius):
     for eid, e in zip(enames, enum):
         edges[eid] = (vnames[vnum[esrc[e]]], vnames[vnum[etgt[e]]])
         edge_image[eid] = builder.esym[e]
-    rows = sorted((builder.fimg[f], tuple(enum[eroot[e]] for e, _s in builder.fword[f]), f)
-                  for f in range(len(fpar)) if fpar[f] == f)
+    rows = sorted([(builder.fimg[f], tuple([enum[eroot[e]] for e, _s in builder.fword[f]]), f)
+                   for f in range(len(fpar)) if fpar[f] == f])
     kinds = {img: face.kind for img, face in V.faces.items()}
     faces, face_image = [], {}
     for idx, (img, nums, f) in enumerate(rows):
         fid = f"f{idx}"
-        word = tuple((enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f]))
+        word = tuple([(enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f])])
         faces.append(Face(fid, kinds[img], word))
         face_image[fid] = img
     cx = Complex2(vertices=vnames, edges=edges, faces=faces)
@@ -573,7 +597,7 @@ def verify_cover(ball):
     """
     cx, V = ball.complex, ball.v_complex
     vertex_image, edge_image = ball.vertex_image, ball.edge_image
-    degree = _image_degrees(V)
+    degree = ball._image_tables[-1]
     problems = list(validate_complex(cx))
     for eid, (s, t) in cx.edges.items():
         image_s, image_t = V.edges[edge_image[eid]]
@@ -595,7 +619,7 @@ def verify_cover(ball):
                 problems.append(f"vertex {v}: interior link does not match its image link")
         vertex_rows[v] = row
     for eid in sorted(cx.edges, key=lambda s: int(s[1:])):
-        sides = len(cx.edge_sides(eid))
+        sides = cx.edge_face_degree(eid)
         expected = degree.get(edge_image[eid], 0)
         if eid in ball.interior_edges and sides != expected:
             problems.append(f"edge {eid}: interior but degree {sides} != {expected}")

@@ -15,7 +15,8 @@ import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
-from hamsurf.cli import COMMANDS, _ladder_rung_witnesses, build_parser, main, run_commands
+from hamsurf.cli import (COMMANDS, _ladder_rung_witnesses, build_parser, cmd_check_cover, main,
+                         run_commands)
 from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth,
                               enumerate_hamiltonian_cycles, labeled_isomorphisms,
                               moebius_ladder)
@@ -207,6 +208,16 @@ def test_check_all_builds_each_ball_once(monkeypatch):
     built.clear()
     assert run_commands(args, COMMANDS) == first
     assert sorted(built) == [(b, r) for b in "PQR" for r in (1, 2)]
+
+
+def test_check_cover_keeps_only_the_balls_read_again(V):
+    # cover.idempotent is the last reader of each radius r-1 ball; the
+    # radius-r balls stay, for find-surfaces
+    balls = {}
+    certs = cmd_check_cover(build_parser().parse_args(["check-cover", "--radius", "2"]),
+                            None, V, balls)
+    assert all(c.ok() for c in certs)
+    assert sorted(balls) == [(b, 2) for b in "PQR"]
 
 
 def test_every_chart_certificate_carries_the_chart_digest(capsys):

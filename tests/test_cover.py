@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -129,6 +130,40 @@ def test_pinned_ball_digests(V, base, radius):
     ball = expand_to_radius(V, base, radius)
     digest = hashlib.sha256(serialize_ball(ball).encode()).hexdigest()
     assert digest == BALL_DIGESTS[base, radius]
+
+
+# frozen from verified expansions: the whole verify_cover report of each
+# BALL_DIGESTS ball, every per-vertex row included.  The report names no
+# covering image, so the three radius-3 balls share one digest.
+COVER_REPORT_DIGESTS = {
+    ("P", 3): "4263236940af98bf2c986c3dbcecd033680708c89c4b60e6bd7a0c747624a564",
+    ("Q", 3): "4263236940af98bf2c986c3dbcecd033680708c89c4b60e6bd7a0c747624a564",
+    ("R", 3): "4263236940af98bf2c986c3dbcecd033680708c89c4b60e6bd7a0c747624a564",
+    ("P", 4): "2b12c426f88d9b98c4eef1f3f961ab4c868964257e829bade793b5059ee7a869",
+}
+
+
+@pytest.mark.parametrize("base,radius", sorted(COVER_REPORT_DIGESTS))
+def test_pinned_cover_reports(V, base, radius):
+    report = json.dumps(verify_cover(expand_to_radius(V, base, radius)), sort_keys=True)
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == COVER_REPORT_DIGESTS[base, radius]
+
+
+def test_restriction_numbers_germs_outside_the_image(ball2):
+    # one edge at the base maps to a V edge with other ends (x_a: Q -> P
+    # becomes y_a: P -> R), so the base carries a germ key its image P
+    # lacks; the numbering walk still takes every germ, in sorted key order
+    cx = ball2.complex
+    e = min((e for e, _s in cx.germs_at(ball2.base) if ball2.edge_image[e] == "x_a"),
+            key=lambda s: int(s[1:]))
+    damaged = Ball(cx, ball2.v_complex, ball2.base, ball2.radius, ball2.vertex_image,
+                   {**ball2.edge_image, e: "y_a"}, ball2.face_image, ball2.depth)
+    restricted = restrict_ball(damaged, 1)
+    assert [len(cells) for cells in (restricted.complex.vertices, restricted.complex.edges,
+                                     restricted.complex.faces)] == [17, 28, 12]
+    digest = hashlib.sha256(serialize_ball(restricted).encode()).hexdigest()
+    assert digest == "a79ad8496d7630a9b54ee2fbe22338249d4e48e9ccd84f9af2ed37676427bdba"
 
 
 @pytest.mark.parametrize("radius", range(4))
