@@ -231,8 +231,7 @@ def validate_complex(cx):
 
     Empty list iff the complex is well formed: edge endpoints declared,
     boundary words of the right arity over declared symbols, cyclically
-    closed, and corner-label sums of 3 units (triangle) or 6 units
-    (lozenge).
+    closed.
     """
     violations = []
     for sym in cx.edge_symbols():
@@ -262,11 +261,6 @@ def validate_complex(cx):
                 violations.append(
                     f"face {fid}: boundary word not closed between positions {i} "
                     f"and {(i + 1) % n} ({here} != {there})")
-        total = sum(label_weight(face.corner_label(i)) for i in range(n))
-        expect = 3 if face.kind == TRIANGLE else 6
-        if total != expect:
-            violations.append(
-                f"face {fid}: corner weights sum to {total}, expected {expect}")
     return violations
 
 

@@ -68,11 +68,11 @@ class FoldConflictError(RuntimeError):
 class Contradiction(Exception):
     """Propagation dead end; carries the blocking cell and the trail."""
 
-    def __init__(self, cell, reason, trail=None):
+    def __init__(self, cell, reason, trail):
         super().__init__(f"contradiction at {cell}: {reason}")
         self.cell = cell
         self.reason = reason
-        self.trail = trail or []
+        self.trail = trail
 
 
 class Ball:
@@ -194,7 +194,7 @@ class Ball:
                          frozenset(lift))
             self._type3[v] = entry
         if self._type3[v] is None:
-            raise Contradiction(v, "link does not lift to its image link in V")
+            raise Contradiction(v, "link does not lift to its image link in V", [])
         return self._type3[v]
 
     @cached_property
@@ -210,8 +210,9 @@ class Ball:
         return Counter(v for vs in self.face_vertices.values() for v in vs)
 
     def face_depth(self, fid):
-        word = self.complex.faces[fid].word
-        return min(self.depth[self.complex.src(oe)] for oe in word)
+        # a letter's source is its edge's first end, or its last when reversed
+        edges, depth = self.complex.edges, self.depth
+        return min(depth[edges[sym][sign < 0]] for sym, sign in self.complex.faces[fid].word)
 
 
 def _find(parent, a):

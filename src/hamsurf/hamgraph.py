@@ -61,7 +61,7 @@ class LabeledGraph:
             self._node_set.add(n)
             self._nodes.append(n)
 
-    def add_edge(self, u, v, label=None, tag=None):
+    def add_edge(self, u, v, label, tag=None):
         if u == v:
             raise GraphError(f"self-loop at {u!r} rejected")
         if label is not None and label not in LABEL_WEIGHTS:

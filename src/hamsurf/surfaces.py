@@ -13,10 +13,12 @@ faces in each (interior) vertex link is one spanning cycle, as
 
 Propagation reads the admissible (type-3) link cycles of V, enumerated once
 per V, as the ball carries them to its vertices through the covering map
-(``Ball.type3_cycles``, lifted once per ball vertex).  Its result depends on
-the seed only through the anchor vertex and the chosen link cycle, so each
-ball keeps one result per such pair, its key, and every seed that maps to
-the key shares it (``propagate_surface``).  The same table lets a run stop
+(``Ball.type3_cycles``, lifted once per ball vertex).  It forces by that
+vertex rule alone: coverage 2 on an interior edge follows from it at the
+edge's interior end (``_propagate``).  Its result depends on the seed only
+through the anchor vertex and the chosen link cycle, so each ball keeps
+one result per such pair, its key, and every seed that maps to the key
+shares it (``propagate_surface``).  The same table lets a run stop
 early: once its state settles every face at a vertex whose key is known to
 end in a surface that agrees with the run's start, the run ends in that
 surface (the lemma at ``_propagate``), so on V's cover almost every run
@@ -29,7 +31,6 @@ worklist that pops a random entry.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball, Contradiction
@@ -147,16 +148,16 @@ def propagate_surface(ball, seed_lozenge, choice):
     choice raises SurfaceError.
 
     Worklist propagation: a face joins when every admissible cycle at some
-    vertex uses one of its corners, leaves when none does, and interior
-    edges force the complementary side once two of their three faces are
-    settled.  Returns the member FaceSet on success and raises
-    Contradiction otherwise.
+    interior vertex uses one of its corners and leaves when none does,
+    which also keeps every interior edge at coverage 2 (``_propagate``).
+    Returns the member FaceSet on success and raises Contradiction
+    otherwise.
 
     One run per (anchor, chosen cycle) and ball.  The seeding settles
     exactly the corners at the anchor, in or out as the chosen cycle
     dictates, and after it the worklist never reads the seed; so two seeds
     with the same anchor and chosen cycle start from the same state, queue
-    the same cells and end in the same result.  The first call for a key
+    the same vertices and end in the same result.  The first call for a key
     runs (``_propagate``) and keeps the surface, or the contradiction's
     cell, reason and trail, in ``ball.propagations``; later calls with the
     key return that surface's FaceSet or raise that contradiction again.
@@ -209,10 +210,19 @@ def _propagate(ball, anchor, chosen):
 
     A state settles some faces IN or OUT.  The start state settles the
     faces at the anchor, IN exactly on the chosen cycle.  The worklist
-    applies the forced steps of ``check_vertex`` and ``check_edge`` to every
-    interior cell, and again to each cell around a face it settles, so a
-    run that does not contradict ends in a fixpoint: a state in which no
-    step forces anything and no check fails.
+    applies the forced steps of ``check_vertex`` to every interior vertex,
+    and again to each interior vertex of a face it settles, so a run that
+    does not contradict ends in a fixpoint: a state in which no step forces
+    anything and no check fails.
+
+    The edge rule, coverage 2 on interior edges, needs no step of its own.
+    A germ's corners are its edge's face-sides (the lemma in ``census``),
+    every interior edge has an end v at an interior vertex (as
+    ``verify_cover`` checks), and a Hamiltonian link cycle at v uses two of
+    the three corners at each germ.  So two sides IN leave the third on no
+    admissible cycle at v, one side OUT puts the other two on all of them,
+    and three IN or two OUT leave none: each edge step or refutation is a
+    vertex step or refutation at v, which every settled face there queues.
 
     Early stop.  Let A be the end state of a run that ended in a surface.
     A state agrees with A when A contains it.  Lemma: if a run starts in
@@ -226,9 +236,6 @@ def _propagate(ball, anchor, chosen):
       shrink as the state grows, so those of the smaller state include
       A's: a corner on all of them lies on all of A's, and one on none of
       them on none of A's, and A, a fixpoint, already settles its face that
-      way.  At an edge, the coverage counts are monotone: the IN sides only
-      grow and the open sides only shrink, so an edge that is full, or that
-      needs both open sides, is so in A too, and A settles its sides that
       way.  A check that failed on the smaller state would fail on A.
     - So a run that starts in agreement with A never leaves A, and its
       fixpoint lies in A.  Once the run's state contains the start state of
@@ -252,7 +259,7 @@ def _propagate(ball, anchor, chosen):
     the size of the ball.
     """
     cx = ball.complex
-    interior_vertices, interior_edges = ball.interior_vertices, ball.interior_edges
+    interior_vertices = ball.interior_vertices
     face_vertices, face_counts = ball.face_vertices, ball.face_counts
     trail = []
     state = {}         # the settled faces, IN or OUT
@@ -286,15 +293,15 @@ def _propagate(ball, anchor, chosen):
 
     work = deque()
     pending = set()
-    swept = None       # the cells the sweep has passed, once it has begun
+    swept = None       # the vertices the sweep has passed, once it has begun
 
-    def push(cell):
-        # a queued cell reads the state when it is popped, so one entry is
-        # enough; a cell the sweep has not reached yet is queued there
-        if cell in pending or (swept is not None and cell not in swept):
+    def push(v):
+        # a queued vertex reads the state when it is popped, so one entry is
+        # enough; a vertex the sweep has not reached yet is queued there
+        if v in pending or (swept is not None and v not in swept):
             return
-        pending.add(cell)
-        work.append(cell)
+        pending.add(v)
+        work.append(v)
 
     def settle(fid, value, why):
         old = state.get(fid)
@@ -306,29 +313,18 @@ def _propagate(ball, anchor, chosen):
         trail.append((fid, "in" if value == IN else "out", why))
         for v in face_vertices[fid]:
             if v in interior_vertices:
-                push(("v", v))
+                push(v)
                 open_faces[v] = open_faces.get(v, face_counts[v]) - 1
                 if not open_faces[v]:
                     closed(v)
-        for sym, _sign in cx.faces[fid].word:
-            if sym in interior_edges:
-                push(("e", sym))
 
     def check_vertex(v):
         cycles, all_tags = cycles_at(v)
-        admissible = []
-        for c in cycles:
-            if any(state.get(tag[0]) == OUT for tag in c):
-                continue
-            # corners outside c whose face is IN rule c out only if that
-            # face has a corner at v not on c
-            conflict = False
-            for tag in all_tags - c:
-                if state.get(tag[0]) == IN:
-                    conflict = True
-                    break
-            if not conflict:
-                admissible.append(c)
+        # c is ruled out by an OUT face with a corner on c, or by an IN face
+        # with a corner at v off c
+        admissible = [c for c in cycles
+                      if not any(state.get(tag[0]) == OUT for tag in c)
+                      and not any(state.get(tag[0]) == IN for tag in all_tags - c)]
         if not admissible:
             raise Contradiction(v, "no admissible link cycle", trail)
         common = frozenset.intersection(*admissible)
@@ -340,50 +336,27 @@ def _propagate(ball, anchor, chosen):
             if tag[0] not in state:
                 settle(tag[0], OUT, f"excluded at {v}")
 
-    def check_edge(sym):
-        sides = [fid for fid, _i, _s in cx.edge_sides(sym)]
-        ins = [f for f in sides if state.get(f) == IN]
-        unknown = [f for f in sides if f not in state]
-        if len(ins) > 2:
-            raise Contradiction(sym, "edge covered more than twice", trail)
-        if len(ins) + len(unknown) < 2:
-            raise Contradiction(sym, "edge can no longer reach coverage 2", trail)
-        if len(ins) == 2:
-            for f in unknown:
-                settle(f, OUT, f"edge {sym} full")
-        elif len(ins) + len(unknown) == 2:
-            for f in list(unknown):
-                settle(f, IN, f"edge {sym} needs both")
-
-    def check(cell):
-        kind, name = cell
-        if kind == "v":
-            check_vertex(name)
-        else:
-            check_edge(name)
-
     def pop():
-        cell = work.popleft()
-        pending.discard(cell)
-        return cell
+        v = work.popleft()
+        pending.discard(v)
+        return v
 
     try:
         # seed the anchor: its trace is exactly the chosen cycle
         for tag in sorted(anchor_corners):
             settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
-        # the cells the seeding queued, then the sweep: every other interior
-        # cell once, vertices by depth and edges by name, then the cells
-        # queued since the sweep began
+        # the vertices the seeding queued, then the sweep: every other
+        # interior vertex once, by depth, then the vertices queued since the
+        # sweep began
         swept = set(pending)
         for _ in range(len(work)):
-            check(pop())
-        for cell in chain((("v", v) for v in ball.interior_vertices_by_depth),
-                          (("e", e) for e in ball.interior_edges_by_name)):
-            if cell not in swept:
-                swept.add(cell)
-                check(cell)
+            check_vertex(pop())
+        for v in ball.interior_vertices_by_depth:
+            if v not in swept:
+                swept.add(v)
+                check_vertex(v)
         while work:
-            check(pop())
+            check_vertex(pop())
     except _Known as stop:
         return stop.surface
     members = frozenset(f for f, s in state.items() if s == IN)

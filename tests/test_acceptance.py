@@ -258,7 +258,7 @@ def test_criterion_10_enumerator_soundness(table):
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < rng.uniform(0.3, 0.9):
-                    g.add_edge(i, j)
+                    g.add_edge(i, j, None)
         if not g.is_connected():
             continue
         mine = {c.edge_indices for c in enumerate_hamiltonian_cycles(g)}

@@ -155,6 +155,15 @@ def test_indexes_and_violations_match_a_naive_reading(V, S, ball2):
     assert ghost_endpoint().germs_at("ghost") == [("e", -1)]
 
 
+def test_corner_weights_are_the_polygon_angle_sum():
+    # corner labels depend only on the face kind and the corner index, so
+    # every face of a kind carries the angle sum of an n-gon, (n - 2) pi or
+    # 3 (n - 2) units, and validate_complex has no sum to check
+    for kind, n in (("triangle", 3), ("lozenge", 4)):
+        face = Face("f", kind, [("e", 1)] * n)
+        assert sum(label_weight(face.corner_label(i)) for i in range(n)) == 3 * (n - 2)
+
+
 def test_single_triangle_link_and_degrees():
     cx = one_triangle()
     assert all(cx.edge_face_degree(s) == 1 for s in cx.edges)

@@ -93,8 +93,6 @@ def test_no_write_only_locals():
 DEFAULTED_PARAMETERS = [
     "census.count_surfaces_exhaustive:budget",
     "cli.main:argv",
-    "cover.__init__:trail",
-    "hamgraph.add_edge:label",
     "hamgraph.add_edge:tag",
 ]
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import deque
 from itertools import combinations
@@ -162,11 +164,10 @@ def test_propagation_confluence(V, monkeypatch):
             return super().popleft()
 
     monkeypatch.setattr(hamsurf.surfaces, "deque", RandomPops)
-    vertices, edges = ball.interior_vertices_by_depth, ball.interior_edges_by_name
+    vertices = ball.interior_vertices_by_depth
     for shuffle in range(8):
         rng = random.Random(shuffle)
         ball.interior_vertices_by_depth = tuple(rng.sample(vertices, len(vertices)))
-        ball.interior_edges_by_name = tuple(rng.sample(edges, len(edges)))
         assert _end_state(hamsurf.surfaces._propagate(ball, *key)) == reference
     assert pops and max(pops) > 1
     assert not ball.propagations
@@ -213,12 +214,43 @@ def test_shared_runs_equal_unshared_runs(V, base, radius, results):
     assert not fresh.propagations
 
 
+# frozen from verified runs: every (anchor, chosen cycle) key of the ball
+# run in full, its members and OUT faces or its contradiction's cell, reason
+# and trail.  Any change to the forcing rules or their order that changes a
+# result moves them
+PROPAGATION_DIGESTS = {
+    ("P", 1): "282bca2928ef09760372f00078acff54cb328aa77d695ed97689fa0c07b5c5d8",
+    ("Q", 1): "3009858a4b2751041520b9a97ef85b9f6eb34fb2c58ca2e23e965c0f779947f6",
+    ("R", 1): "dff9cbf295be598ee409a978ef94bfd08c4cda89c26a0fababd3b11c34b7e33a",
+    ("P", 2): "79a3eeff9d174797468e9fda201e7c9ce3b4aa539601c7e32caf27354ffa7267",
+    ("Q", 2): "d4f0821677ed02f65ba7d0a4a77984b158ae4f0c233e7e5e907b0f1cfee8de84",
+    ("R", 2): "76df267faac6a3e94200e5fa94b97c6ace9bab1dcc4cf4695a057b737119bb5c",
+    ("P", 3): "39205ee47362ca38d817ea1e22d5f88855bb0f7dba8eb3748b21cda2373b578d",
+}
+
+
+@pytest.mark.parametrize("base, radius", list(PROPAGATION_DIGESTS))
+def test_pinned_propagation_runs(V, base, radius):
+    ball = expand_to_radius(V, base, radius)
+    keys = {hamsurf.surfaces._anchor_cycle(ball, seed, choice)
+            for seed in interior_lozenge_seeds(ball) for choice in ("with", "other")}
+    runs = []
+    for anchor, chosen in sorted(keys, key=lambda key: (key[0], sorted(key[1]))):
+        found = _outcome(lambda: hamsurf.surfaces._propagate(ball, anchor, chosen))
+        if isinstance(found, hamsurf.surfaces._Surface):
+            found = (sorted(found.faceset.members), sorted(found.out))
+        runs.append((anchor, sorted(chosen), found))
+    assert not ball.propagations
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert digest == PROPAGATION_DIGESTS[base, radius]
+
+
 def test_runs_stop_early_at_known_surfaces(V, monkeypatch):
     # the 98 keys of the radius-3 ball from P through the table, where a run
     # stops once it settles every face at a vertex whose key is known to
     # end in a surface that agrees with its start, against the same keys
-    # run in full on a ball whose table stays empty: about 700 worklist
-    # pops against about 7,300
+    # run in full on a ball whose table stays empty: about 360 worklist
+    # pops against about 5,400
     pops = [0]
 
     class CountedPops(deque):
