@@ -10,7 +10,7 @@ certificate files are byte-stable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -53,7 +53,7 @@ def _plain(value):
 
 
 def to_json(certificates):
-    payload = [_plain(asdict(c)) for c in certificates]
+    payload = [_plain(vars(c)) for c in certificates]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

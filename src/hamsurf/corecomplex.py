@@ -17,9 +17,9 @@ Conventions:
 The link of a vertex has one node per edge germ there and one edge per
 face corner, tagged (fid, i).  ``trace_status`` is the one test of whether
 a set of faces traces a single spanning cycle in a link, and of its type;
-``Complex2.type3_cycles`` enumerates a link's type-3 Hamiltonian cycles,
-and ``Complex2.link_girth`` computes its angular girth, once per complex
-and vertex.
+``Complex2.vertex_link`` builds a link, ``Complex2.type3_cycles``
+enumerates its type-3 Hamiltonian cycles and ``Complex2.link_girth``
+computes its angular girth, each once per complex and vertex.
 
 Cell identifiers are stable opaque strings; maps between complexes are
 explicit tables keyed on them.
@@ -88,6 +88,7 @@ class Complex2:
         self._sides = None
         self._corners = None
         self._germs = None
+        self._links = {}
         self._type3 = {}
         self._girth = {}
 
@@ -168,14 +169,18 @@ class Complex2:
         return (reverse(prev), word[i])
 
     def vertex_link(self, v):
-        """The link of v: one node per germ, one labeled edge per corner."""
-        link = LabeledGraph()
-        for germ in self.germs_at(v):
-            link.add_node(germ)
-        for fid, i in self.corners_at(v):
-            g_in, g_out = self.corner_germs(fid, i)
-            link.add_edge(g_in, g_out, self.faces[fid].corner_label(i), tag=(fid, i))
-        return link
+        """The link of v: one node per germ, one labeled edge per corner;
+        built on first use and kept for the complex, so callers must not
+        change it."""
+        if v not in self._links:
+            link = LabeledGraph()
+            for germ in self.germs_at(v):
+                link.add_node(germ)
+            for fid, i in self.corners_at(v):
+                g_in, g_out = self.corner_germs(fid, i)
+                link.add_edge(g_in, g_out, self.faces[fid].corner_label(i), tag=(fid, i))
+            self._links[v] = link
+        return self._links[v]
 
     def type3_cycles(self, v):
         """The type-3 Hamiltonian cycles of v's link, as frozensets of corner

@@ -31,6 +31,7 @@ worklist that pops a random entry.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball, Contradiction
@@ -64,6 +65,13 @@ class FaceSet:
         if unknown:
             raise SurfaceError(f"faces not in ambient: {sorted(unknown)}")
 
+    @cached_property
+    def traces(self):
+        """(v, status, detail) of ``trace_status`` at each interior vertex,
+        in ``interior_vertices`` order; computed once per face set."""
+        return [(v, *trace_status(self.cx.vertex_link(v), self.members))
+                for v in self.interior_vertices]
+
 
 def _members_connected(cx, members):
     adj = {f: set() for f in members}
@@ -92,8 +100,7 @@ def is_hamiltonian(fs):
     ok, witness = is_enveloping(fs)
     if not ok:
         return False, witness
-    for v in fs.interior_vertices:
-        status, detail = trace_status(fs.cx.vertex_link(v), fs.members)
+    for v, status, detail in fs.traces:
         if status != "cycle":
             return False, {"reason": "vertex trace", "vertex": v,
                            "status": status, "detail": detail}
@@ -103,8 +110,7 @@ def is_hamiltonian(fs):
 def vertex_trace_types(fs):
     """Cycle type of the trace at each interior vertex (requires cycles)."""
     out = {}
-    for v in fs.interior_vertices:
-        status, ctype = trace_status(fs.cx.vertex_link(v), fs.members)
+    for v, status, ctype in fs.traces:
         if status != "cycle":
             raise SurfaceError(f"trace at {v} is not a single cycle")
         out[v] = ctype

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from importlib import resources
 
@@ -140,6 +141,79 @@ def test_known_cycle_counts_beyond_the_oracle():
     assert len(enumerate_hamiltonian_cycles(from_networkx(nx.dodecahedral_graph()))) == 30
 
 
+def test_tutte_graph_has_no_cycle():
+    # Tutte's 1946 counterexample to Tait's conjecture: cubic, planar,
+    # 3-connected, 46 nodes, and not Hamiltonian
+    import networkx as nx
+
+    assert enumerate_hamiltonian_cycles(from_networkx(nx.tutte_graph())) == []
+
+
+def test_random_cubic_graphs_against_the_oracles():
+    # edge sets against the permutation oracle up to 8 nodes; at 10 nodes
+    # its 9! orderings are too slow, so counts against networkx
+    import networkx as nx
+
+    rng = random.Random(3101)
+    with_cycles = 0
+    for n in (6, 8, 10) * 6:
+        G = nx.random_regular_graph(3, n, seed=rng.randrange(10**6))
+        if not nx.is_connected(G):
+            continue
+        g = from_networkx(G)
+        mine = [c.edge_indices for c in enumerate_hamiltonian_cycles(g)]
+        assert len(set(mine)) == len(mine)
+        if n <= 8:
+            assert set(mine) == naive_hamiltonian_cycles(g)
+        else:
+            assert len(mine) == networkx_hamiltonian_count(g)
+        with_cycles += bool(mine)
+    assert with_cycles >= 12
+
+
+def test_parallel_edge_ties_are_sorted_by_edge_indices():
+    # K4 with every edge doubled: each node sequence is 16 cycles, one per
+    # choice of parallel edge, and they come out by sorted edge indices
+    g = complete_graph(4)
+    for u, v, _l, _t in list(g.edges):
+        g.add_edge(u, v, None)
+    cycles = enumerate_hamiltonian_cycles(g)
+    keys = [(tuple(map(str, c.nodes)), sorted(c.edge_indices)) for c in cycles]
+    assert len(cycles) == 3 * 16 and len(set(c.edge_indices for c in cycles)) == 48
+    assert keys == sorted(keys)
+    assert Counter(c.nodes for c in cycles) == Counter({c.nodes: 16 for c in cycles})
+
+
+def test_coxeter_search_effort():
+    # the search branches 98 times on the Coxeter graph; left out, either
+    # degree rule costs thousands of branches, so a weaker search shows
+    # here as more calls, not only as a slower run
+    calls = []
+
+    def profile(frame, event, _arg):
+        if (event == "call" and frame.f_code.co_name == "search"
+                and frame.f_code.co_filename == hamsurf.hamgraph.__file__):
+            calls.append(event)
+
+    g = coxeter_graph()
+    sys.setprofile(profile)
+    try:
+        cycles = enumerate_hamiltonian_cycles(g)
+    finally:
+        sys.setprofile(None)
+    assert cycles == [] and 0 < len(calls) <= 100
+
+
+def test_repeated_calls_agree():
+    # the search undoes every decision from its trail, so nothing carries
+    # over from one call to the next, nor from a branch to its sibling
+    import networkx as nx
+
+    for g in (coxeter_graph(), from_networkx(nx.dodecahedral_graph()), complete_graph(6)):
+        first = enumerate_hamiltonian_cycles(g)
+        assert enumerate_hamiltonian_cycles(g) == first
+
+
 def test_pendant_node_gives_no_cycles():
     g = complete_graph(4)
     g.add_edge(0, 4, None)
@@ -187,7 +261,7 @@ def test_coxeter_with_another_chord_pinned():
 def least_node_variant(rng, kind):
     """A random graph on 5-7 nodes whose least node 0 has parallel edges,
     degree 2, or degree 5 or more; away from node 0 it may have a parallel
-    edge too, which can let a cycle's reverse copy pass the pruning rule."""
+    edge too.  Each cycle must still come out once, in one direction."""
     n = rng.randint(5, 7)
     g = random_graph(rng, n, 0.6, parallel=True)
     rest = [(u, v) for u, v, _l, _t in g.edges if 0 not in (u, v)]

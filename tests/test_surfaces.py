@@ -6,12 +6,14 @@ from itertools import combinations
 
 import pytest
 
+import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
+from hamsurf.cli import ball_surface_certs
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
 from hamsurf.cover import Ball, expand_ball, expand_to_radius
-from hamsurf.hamgraph import (CycleType, angular_girth, classify_cycle,
+from hamsurf.hamgraph import (CycleType, LabeledGraph, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
 from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
                               is_hamiltonian, periodicity_check, propagate_surface,
@@ -82,6 +84,30 @@ def test_empty_and_partial_traces(V):
 def test_face_set_rejects_unknown_faces(V):
     with pytest.raises(SurfaceError):
         FaceSet(V, ["nope"])
+
+
+def test_links_are_built_once_per_complex(monkeypatch, V):
+    # the surface predicates read each interior vertex's link of the ball
+    # once, however many face sets and predicates read it; V's own links,
+    # which propagation lifts its cycles from, are built before counting
+    ball = expand_to_radius(V, "P", 3)
+    for v in V.vertices:
+        assert V.vertex_link(v) is V.vertex_link(v)
+    built = []
+
+    class CountingGraph(LabeledGraph):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(hamsurf.corecomplex, "LabeledGraph", CountingGraph)
+    for _ in range(2):
+        certs = {c.ref: c for c in ball_surface_certs(ball, 10**8)}
+        assert certs["surfaces.hamiltonian"].ok() and certs["surfaces.type-three"].ok()
+    assert len(built) == len(ball.interior_vertices) == 49
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            V.vertex_link("nope")
 
 
 # --- link facts lifted from V ---------------------------------------------------
