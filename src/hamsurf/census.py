@@ -57,6 +57,9 @@ from __future__ import annotations
 from collections import deque
 
 
+NODE_LIMIT = 10**4  # from P on the shipped chart: 32 to 1,067 nodes at r=2-5
+
+
 class BudgetExceeded(RuntimeError):
     pass
 
@@ -93,14 +96,15 @@ def _face_order(ball, rel):
     return order
 
 
-def count_surfaces_exhaustive(ball, budget=10**8):
+def count_surfaces_exhaustive(ball):
     """All nonempty face sets of the ball with coverage 2 on every interior
     edge and one spanning trace cycle at every interior vertex, connected
     or not, as sorted id tuples, and the number of search nodes visited:
     the root and every decision whose propagation met no contradiction.
     Forced assignments are not nodes.
 
-    Raises BudgetExceeded when the number of nodes passes the budget.
+    Raises BudgetExceeded when the number of nodes passes NODE_LIMIT, a
+    safety bound against bad charts that no census of the shipped one nears.
 
     Lemma: each face-side on an edge gives one corner at each of the
     edge's two germs, so a germ's trace degree is the number of member
@@ -242,8 +246,6 @@ def count_surfaces_exhaustive(ball, budget=10**8):
     solutions = []
     decisions = []  # per decision: its face, trail mark and union mark
     nodes = 1
-    if nodes > budget:
-        raise BudgetExceeded(f"census exceeded {budget} nodes")
     # the edge rule at the root: an edge with fewer than two sides fails
     # whatever is decided, and an edge with exactly two forces them in
     ok = all(force(e) for e in range(len(edges))) and propagate(0)
@@ -273,6 +275,6 @@ def count_surfaces_exhaustive(ball, budget=10**8):
         ok = assign(k, keep) and propagate(mark)
         if ok:
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"census exceeded {budget} nodes")
+            if nodes > NODE_LIMIT:
+                raise BudgetExceeded(f"census exceeded {NODE_LIMIT} nodes")
     return sorted(solutions), nodes

@@ -280,7 +280,7 @@ def cmd_find_surfaces(args, _cd, V, balls):
         "a smaller ball has no interior triangle, so its surfaces are only link germs")
     if error:
         return [error]
-    return ball_surface_certs(_ball(balls, V, V.vertices[0], radius), args.budget)
+    return ball_surface_certs(_ball(balls, V, V.vertices[0], radius))
 
 
 def _ball(balls, V, base, radius):
@@ -298,7 +298,7 @@ def _ball(balls, V, base, radius):
     return balls[base, radius]
 
 
-def ball_surface_certs(ball, budget):
+def ball_surface_certs(ball):
     """The two-surface claims on a ball of the universal cover of V.
 
     ``find-surfaces`` issues these for the ball around V's first vertex;
@@ -352,17 +352,13 @@ def ball_surface_certs(ball, budget):
         "the two surfaces project onto S and S', one each",
         "surfaces.periodicity", projections == ["S", "S'"],
         {"projections": projections}))
+    claim, ref = "the exhaustive census returns the same two face sets", "surfaces.census"
     try:
-        sols, nodes = count_surfaces_exhaustive(ball, budget=budget)
-        certs.append(check(
-            "the exhaustive census returns the same two face sets",
-            "surfaces.census", set(map(frozenset, sols)) == set(surfaces),
-            {"solutions": len(sols), "nodes": nodes}))
+        sols, nodes = count_surfaces_exhaustive(ball)
     except BudgetExceeded as exc:
-        certs.append(error_certificate(
-            "the exhaustive census returns the same two face sets",
-            "surfaces.census", str(exc)))
-    return certs
+        return certs + [error_certificate(claim, ref, str(exc))]
+    return certs + [check(claim, ref, set(map(frozenset, sols)) == set(surfaces),
+                          {"solutions": len(sols), "nodes": nodes})]
 
 
 AUT_CLAIMS = (
@@ -419,8 +415,6 @@ OPTIONS = {
     "--charts": dict(default=None, help="chart fixture path (default: shipped fixture)"),
     "--radius": dict(type=int, default=2,
                      help="ball radius for cover/surface checks (default 2)"),
-    "--budget": dict(type=int, default=10**8,
-                     help="backtracking node budget for the census"),
     "--coxeter": dict(default=None, help="path to the 28-vertex graph fixture"),
     "--out": dict(default=None, help="directory to write <command>.json into"),
     "--format": dict(choices=("json", "text"), default="json"),
@@ -431,9 +425,9 @@ COMMAND_OPTIONS = {
     "check-ladder": ("--coxeter",),
     "check-quotient": ("--charts",),
     "check-cover": ("--charts", "--radius"),
-    "find-surfaces": ("--charts", "--radius", "--budget"),
+    "find-surfaces": ("--charts", "--radius"),
     "check-aut": ("--charts",),
-    "check-all": ("--charts", "--radius", "--budget", "--coxeter"),
+    "check-all": ("--charts", "--radius", "--coxeter"),
 }
 
 

@@ -91,10 +91,6 @@ class LabeledGraph:
             adj[n].sort(key=lambda p: (str(p[0]), p[1]))
         return adj
 
-    def is_connected(self):
-        adj = self.adjacency()
-        return len(components(self._nodes, lambda n: (m for m, _ in adj[n]))) <= 1
-
 
 def components(nodes, neighbours):
     """Connected components of the graph on ``nodes`` whose adjacency is
@@ -171,16 +167,24 @@ def enumerate_hamiltonian_cycles(graph):
       that misses a node.  ``other[u]`` is the far end of the fragment
       that ends at u (u itself while u has no IN edge).
 
+    Forced values wait on one stack.  An IN fails at an end with two IN
+    edges or when it closes a fragment early, an OUT when it leaves a
+    node fewer than two edges not OUT.  A value popped for an edge
+    already decided agrees with it and is skipped, as each rule's push
+    makes the opposite value fail; only the early-closing test stops the
+    IN of one of two parallel closing edges that the other's OUT forced.
+
     The search branches on an undecided edge at a node with fewer than
     two IN edges, the most IN edges and the fewest undecided ones; IN
-    first.  A leaf has n
-    IN edges, two at each node and no cycle closed early: a Hamiltonian
-    cycle, as a full edge set, walked from the least node.  Sibling
-    branches differ on an edge, so each cycle is found once, and parallel
-    edges give distinct cycles.  On the 28-node Coxeter graph the search
-    makes 98 branch decisions (the node-by-node path search it replaced
-    made 4,168 steps).  The result is sorted by canonical node sequence,
-    then by sorted edge indices.
+    first.  A leaf has n IN edges, two at each node, and its walk from
+    the least node checks that they visit every node and close (else
+    AssertionError): a leaf is a Hamiltonian cycle, as a full edge set,
+    whatever the stack's order.  Sibling branches differ on an edge, so
+    each cycle is found once, and parallel edges give distinct cycles.
+    On the 28-node Coxeter graph the search makes 98 branch decisions
+    (the node-by-node path search it replaced made 4,168 steps).  The
+    result is sorted by canonical node sequence, then by sorted edge
+    indices.
 
     Raises GraphError on graphs with fewer than 3 nodes or disconnected
     graphs.
@@ -188,9 +192,6 @@ def enumerate_hamiltonian_cycles(graph):
     n = graph.node_count()
     if n < 3:
         raise GraphError("need at least 3 nodes for a Hamiltonian cycle")
-    if not graph.is_connected():
-        raise GraphError("graph is disconnected")
-
     order = graph.sorted_nodes()
     index = {node: i for i, node in enumerate(order)}
     ends = [(index[u], index[v]) for u, v, _l, _t in graph.edges]
@@ -198,6 +199,8 @@ def enumerate_hamiltonian_cycles(graph):
     for e, (u, v) in enumerate(ends):
         inc[u].append(e)
         inc[v].append(e)
+    if len(components(range(n), lambda x: (sum(ends[e]) - x for e in inc[x]))) > 1:
+        raise GraphError("graph is disconnected")
     state = [None] * len(ends)  # None undecided, True IN, False OUT
     deg = [0] * n  # IN edges per node
     free = [len(es) for es in inc]  # edges that are not OUT, per node
@@ -214,10 +217,8 @@ def enumerate_hamiltonian_cycles(graph):
             take = e >= 0
             if not take:
                 e = ~e
-            if state[e] is not None:
-                if state[e] is take:
-                    continue
-                return False
+            if state[e] is not None:  # decided the same way (docstring)
+                continue
             u, v = ends[e]
             if take:
                 a, b = other[u], other[v]
@@ -282,13 +283,13 @@ def enumerate_hamiltonian_cycles(graph):
     def closed_walk():
         seq, edge_seq, x, e = [], [], 0, None
         for _ in range(n):
-            for f in inc[x]:
-                if state[f] and f != e:
-                    break
+            f = next(f for f in inc[x] if state[f] and f != e)
             seq.append(order[x])
             edge_seq.append(f)
             u, v = ends[f]
             x, e = (v if u == x else u), f
+        if x != 0 or len(set(seq)) != n:
+            raise AssertionError("a leaf's IN edges are not one Hamiltonian cycle")
         return _make_cycle(graph, tuple(seq), edge_seq)
 
     if min(free) >= 2 and settle([e for es in inc if len(es) == 2 for e in es]):

@@ -85,7 +85,10 @@ def brute_orientable(cx):
 
 def brute_weighted_girth(g, weights):
     """Minimum cycle weight by enumerating all simple cycles."""
-    adj = g.adjacency()
+    adj = {n: [] for n in g.nodes}
+    for idx, (u, v, _l, _t) in enumerate(g.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
     best = [None]
 
     def walk(start, node, used_edges, used_nodes, total):
@@ -105,6 +108,12 @@ def brute_weighted_girth(g, weights):
     for start in g.sorted_nodes():
         walk(start, start, frozenset(), frozenset((start,)), 0)
     return best[0]
+
+
+def networkx_connected(g):
+    import networkx as nx
+
+    return nx.is_connected(to_networkx(g))
 
 
 def to_networkx(g, labeled=True):

@@ -54,7 +54,7 @@ from hamsurf.certs import FAIL, PASS
 from hamsurf.cli import (COMMANDS, ball_surface_certs, build_parser,
                          quotient_surface_certs, run_commands)
 from hamsurf.hamgraph import LabeledGraph, enumerate_hamiltonian_cycles
-from oracles import brute_orientable, degree, naive_hamiltonian_cycles
+from oracles import brute_orientable, degree, naive_hamiltonian_cycles, networkx_connected
 
 CLAIMS = {
     1: ["ladder.census", "ladder.omitted-rungs", "ladder.used-rung-distance",
@@ -217,7 +217,7 @@ def test_criterion_07_two_surfaces(table, ball1):
     # the census claim can fail: around the one interior vertex of the
     # radius-1 ball every Hamiltonian link cycle is a solution, not only
     # the two type-3 germs that propagation grows
-    small = {c.ref: c for c in ball_surface_certs(ball1, 10**8)}["surfaces.census"]
+    small = {c.ref: c for c in ball_surface_certs(ball1)}["surfaces.census"]
     crit.expect((small.status, small.witness.get("solutions")) == (FAIL, 5),
                 f"radius-1 census: fail with 5 solutions expected, got {small.status} "
                 f"with {small.witness}")
@@ -259,7 +259,7 @@ def test_criterion_10_enumerator_soundness(table):
             for j in range(i + 1, n):
                 if rng.random() < rng.uniform(0.3, 0.9):
                     g.add_edge(i, j, None)
-        if not g.is_connected():
+        if not networkx_connected(g):
             continue
         mine = {c.edge_indices for c in enumerate_hamiltonian_cycles(g)}
         crit.expect(mine == naive_hamiltonian_cycles(g),

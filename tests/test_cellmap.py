@@ -1,6 +1,6 @@
 import pytest
 
-from hamsurf.cellmap import (CellMapError, automorphism_group, check_cellmap,
+from hamsurf.cellmap import (CellMap, CellMapError, automorphism_group, check_cellmap,
                              generated_subgroup, identity_map, isomorphisms,
                              map_from_edge_table, theta_maps,
                              verify_theta_relations, word_match)
@@ -12,6 +12,44 @@ def test_identity_is_valid(V):
     assert check_cellmap(ident) == []
     assert ident.is_identity()
     assert ident.order() == 1
+
+
+DAMAGED_THETA2 = [
+    # R -> R beside Q -> R: nothing reaches Q, and the edges at R lose an end
+    (dict(vertex={"R": "R"}),
+     ["vertex map is not onto the target vertices",
+      *(f"edge y_{k}: target does not commute" for k in "abcd"),
+      *(f"edge z_{k}: source does not commute" for k in "abcd")]),
+    (dict(edge={"x_a": ("w", -1)}),
+     ["edge x_a: image w undeclared", "edge map is not a bijection on symbols",
+      "face a: word does not match face a", "face x: word does not match face y'",
+      "face x': word does not match face y"]),
+    # y_a forwards, not reversed: P -> R where Q -> P should go to R -> P
+    (dict(edge={"x_a": ("y_a", 1)}),
+     ["edge x_a: source does not commute", "edge x_a: target does not commute",
+      "face a: word does not match face a", "face x: word does not match face y'",
+      "face x': word does not match face y"]),
+    (dict(face={"a": "x"}),
+     ["face a: kind changes under the map", "face map is not onto the target faces"]),
+    # b and c kept in place while their edges are swapped
+    (dict(face={"b": "b", "c": "c"}),
+     ["face b: word does not match face b", "face c: word does not match face c"]),
+    # theta2 sends b onto c; c onto c as well leaves b without a preimage
+    (dict(face={"c": "c"}),
+     ["face c: word does not match face c", "face map is not onto the target faces"]),
+]
+
+
+@pytest.mark.parametrize("damage, problems", DAMAGED_THETA2, ids=[
+    "vertex-not-onto", "edge-undeclared", "edge-ends", "face-kind", "face-word",
+    "two-faces-onto-one"])
+def test_check_cellmap_names_each_damage(V, damage, problems):
+    theta2 = theta_maps(V)["theta2"]
+    assert check_cellmap(theta2) == []
+    damaged = CellMap(V, V, {**theta2.vertex_map, **damage.get("vertex", {})},
+                      {**theta2.edge_map, **damage.get("edge", {})},
+                      {**theta2.face_map, **damage.get("face", {})})
+    assert check_cellmap(damaged) == problems
 
 
 def test_word_match_parity():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hamsurf.cellmap
+import hamsurf.census
 import hamsurf.cli
 import hamsurf.corecomplex
 import hamsurf.surfaces
@@ -350,9 +351,12 @@ def test_check_all_certificates_are_pinned(capsys):
     ["check-ladder", "--radius", "3"],
     ["check-ladder", "--charts", "x.charts"],
     ["check-quotient", "--radius", "3"],
-    ["check-cover", "--budget", "5"],
+    ["check-cover", "--coxeter", "x.graph"],
     ["find-surfaces", "--coxeter", "x.graph"],
     ["check-aut", "--radius", "3"],
+    # the census node bound is a constant, not an option
+    ["find-surfaces", "--budget", "5"],
+    ["check-all", "--budget", "5"],
 ])
 def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
@@ -508,12 +512,22 @@ def test_link_girths_are_computed_once_per_vertex_of_v(capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_census_budget_propagates(capsys):
-    code, out = run(capsys, "find-surfaces", "--budget", "5")
-    certs = json.loads(out)
-    by_ref = {c["ref"]: c for c in certs}
-    assert by_ref["surfaces.census"]["status"] == "error"
+def test_census_budget_propagates(tmp_path, capsys):
+    # with z's corners reordered the radius-2 census keeps 1,328 solutions
+    # in 2,706 nodes, and at radius 3 it passes the node limit: the run
+    # ends in an error certificate, not in exhausted memory
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    bad = tmp_path / "mutated.charts"
+    bad.write_text(text.replace("face z lozenge : z_c+ z_b- z_d+ z_a-",
+                                "face z lozenge : z_a+ z_b- z_d+ z_c-"))
+    code = main(["check-all", "--radius", "3", "--charts", str(bad)])
+    captured = capsys.readouterr()
     assert code == 1
+    assert "Traceback" not in captured.err
+    by_ref = {c["ref"]: c for c in json.loads(captured.out)}
+    assert by_ref["surfaces.census"]["status"] == "error"
+    assert by_ref["surfaces.census"]["witness"] == {
+        "error": f"census exceeded {hamsurf.census.NODE_LIMIT} nodes"}
 
 
 def test_certificate_renderers():

@@ -370,6 +370,51 @@ def test_verify_cover_reports_a_damaged_depth(ball2):
     assert verify_cover(damaged)["problems"] == ["depth table inconsistent with traversal"]
 
 
+def test_verify_cover_reports_an_edge_image_with_other_ends(ball2):
+    # the x_a damage of test_restriction_numbers_germs_outside_the_image:
+    # e0 (Q -> P in V) is sent to y_a (P -> R), so its ends do not commute,
+    # the words through it are misaligned and the base loses its lift
+    cx = ball2.complex
+    e = min((e for e, _s in cx.germs_at(ball2.base) if ball2.edge_image[e] == "x_a"),
+            key=lambda s: int(s[1:]))
+    damaged = Ball(cx, ball2.v_complex, ball2.base, ball2.radius, ball2.vertex_image,
+                   {**ball2.edge_image, e: "y_a"}, ball2.face_image, ball2.depth)
+    assert e == "e0"
+    assert verify_cover(damaged)["problems"] == [
+        "edge e0: covering map does not commute with endpoints",
+        "face f0: boundary word image is misaligned",
+        "face f29: boundary word image is misaligned",
+        "face f34: boundary word image is misaligned",
+        "vertex v0: depth 0 requires a complete star at radius 2",
+        "vertex v1: depth 1 requires a complete star at radius 2",
+    ]
+
+
+def test_verify_cover_reports_an_edge_with_a_fourth_side(ball2):
+    # a copy of face f0 under a new id gives each of its three edges a
+    # fourth face-side, one more than their image edges have in V
+    cx = ball2.complex
+    face = cx.faces["f0"]
+    copy = f"f{len(cx.faces)}"
+    cx2 = Complex2(cx.vertices, cx.edges,
+                   [*cx.faces.values(), Face(copy, face.kind, face.word)])
+    damaged = Ball(cx2, ball2.v_complex, ball2.base, ball2.radius, ball2.vertex_image,
+                   ball2.edge_image, {**ball2.face_image, copy: ball2.face_image["f0"]},
+                   ball2.depth)
+    assert [sym for sym, _s in face.word] == ["e0", "e4", "e11"]
+    assert verify_cover(damaged)["problems"] == [
+        "edge e0: degree 4 exceeds image degree 3",
+        "edge e4: degree 4 exceeds image degree 3",
+        "edge e11: degree 4 exceeds image degree 3",
+        "vertex v0: depth 0 requires a complete star at radius 2",
+        "vertex v1: depth 1 requires a complete star at radius 2",
+        "vertex v5: depth 1 requires a complete star at radius 2",
+        "edge e0: interior flag disagrees with the depths of its ends at radius 2",
+        "edge e4: interior flag disagrees with the depths of its ends at radius 2",
+        "edge e11: interior flag disagrees with the depths of its ends at radius 2",
+    ]
+
+
 def _assert_eight_base_maps(b1, b2):
     """Exactly eight cellular isomorphisms b1 -> b2, all sending base to base."""
     isos = isomorphisms(b1.complex, b2.complex)

@@ -12,8 +12,9 @@ from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth
                               label_weight, labeled_isomorphic, labeled_isomorphisms,
                               parse_graph_file)
 from oracles import (brute_weighted_girth, degree, naive_hamiltonian_cycles,
-                     networkx_hamiltonian_count, networkx_isomorphic,
-                     networkx_isomorphisms, networkx_vertex_transitive)
+                     networkx_connected, networkx_hamiltonian_count,
+                     networkx_isomorphic, networkx_isomorphisms,
+                     networkx_vertex_transitive)
 
 
 def cycle_graph(n, labels=None):
@@ -100,6 +101,11 @@ def test_too_small_and_disconnected_rejected():
     g.add_node(99)
     with pytest.raises(GraphError):
         enumerate_hamiltonian_cycles(g)
+    two = cycle_graph(3)
+    for i in range(3):
+        two.add_edge(3 + i, 3 + (i + 1) % 3, None)
+    with pytest.raises(GraphError, match="disconnected"):
+        enumerate_hamiltonian_cycles(two)
 
 
 def test_enumeration_matches_permutation_oracle():
@@ -108,7 +114,7 @@ def test_enumeration_matches_permutation_oracle():
     for _ in range(60):
         n = rng.randint(3, 8)
         g = random_graph(rng, n, rng.uniform(0.25, 0.9), parallel=rng.random() < 0.3)
-        if not g.is_connected():
+        if not networkx_connected(g):
             continue
         mine = {c.edge_indices for c in enumerate_hamiltonian_cycles(g)}
         assert mine == naive_hamiltonian_cycles(g)
@@ -217,8 +223,21 @@ def test_repeated_calls_agree():
 def test_pendant_node_gives_no_cycles():
     g = complete_graph(4)
     g.add_edge(0, 4, None)
-    assert g.is_connected()
+    assert networkx_connected(g)
     assert enumerate_hamiltonian_cycles(g) == []
+
+
+def test_parallel_closing_edges_are_refused():
+    # node 4's two edges go IN at the root, and both parallel 0-1 edges
+    # then close the fragment 0-4-1 early, so both are pushed OUT.  The
+    # first OUT leaves node 1 two edges that are not OUT, which pushes the
+    # second IN above its own pending OUT: only the early-closing refusal
+    # stops the 3-cycle 0-1-4 (without it a leaf's walk raises)
+    g = LabeledGraph()
+    for u, v in [(0, 1), (0, 1), (0, 2), (0, 4), (1, 4), (2, 3), (2, 3)]:
+        g.add_edge(u, v, None)
+    assert enumerate_hamiltonian_cycles(g) == []
+    assert naive_hamiltonian_cycles(g) == set()
 
 
 def coxeter_graph():
@@ -289,7 +308,7 @@ def test_one_direction_at_the_least_node(kind):
     checked = with_cycles = 0
     while checked < 25:
         g = least_node_variant(rng, kind)
-        if not g.is_connected():
+        if not networkx_connected(g):
             continue
         cycles = enumerate_hamiltonian_cycles(g)
         edge_sets = [c.edge_indices for c in cycles]
@@ -430,7 +449,7 @@ def coloured_cubic(rng, n):
             order = rng.sample(range(n), n)
             for u, v in zip(order[::2], order[1::2]):
                 g.add_edge(u, v, lbl)
-        if g.is_connected():
+        if networkx_connected(g):
             return g
 
 
@@ -488,7 +507,7 @@ def test_isomorphism_against_networkx():
             [(k, e) for k, e in enumerate(h.edges) if e[2] == "L"], 2)
         edges = [e for k, e in enumerate(h.edges) if k not in (i, j)]
         switch = relabeled(h, edges + [(a, d, "L", None), (c, b, "L", None)])
-        if not switch.is_connected():
+        if not networkx_connected(switch):
             continue
         verdict = labeled_isomorphic(g, switch) is not None
         assert verdict == networkx_isomorphic(g, switch)

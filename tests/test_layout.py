@@ -91,7 +91,6 @@ def test_no_write_only_locals():
 # otherwise it is a constant, and tests reach the other behaviour from
 # outside.  Add an entry here only with such callers.
 DEFAULTED_PARAMETERS = [
-    "census.count_surfaces_exhaustive:budget",
     "cli.main:argv",
     "hamgraph.add_edge:tag",
 ]

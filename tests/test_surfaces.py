@@ -2,10 +2,11 @@ import hashlib
 import json
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import hamsurf.census
 import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
@@ -72,6 +73,24 @@ def test_two_disjoint_cycles_is_a_violation(V):
     assert not ok
 
 
+def test_mixed_lozenge_choices_fail_at_a_vertex(V):
+    # the triangles and one lozenge of each pair x/x', y/y', z/z' cover
+    # every edge twice; only S and S' give one spanning cycle at every
+    # vertex, and each of the six mixed choices splits a vertex's trace
+    split = {"reason": "vertex trace", "status": "violation",
+             "detail": "trace splits into several components including a cycle"}
+    first_split = {}
+    for choice in product(("x", "x'"), ("y", "y'"), ("z", "z'")):
+        fs = FaceSet(V, ["a", "b", "c", "d", *choice])
+        assert is_enveloping(fs)[0]
+        ok, witness = is_hamiltonian(fs)
+        if not ok:
+            assert witness == {**split, "vertex": witness["vertex"]}
+            first_split["".join(choice)] = witness["vertex"]
+    assert first_split == {"xyz'": "R", "xy'z": "P", "xy'z'": "P",
+                           "x'yz": "Q", "x'yz'": "R", "x'y'z": "Q"}
+
+
 def test_empty_and_partial_traces(V):
     fs = FaceSet(V, ["a"])
     status, _ = trace_status(V.vertex_link("P"), fs.members)
@@ -102,7 +121,7 @@ def test_links_are_built_once_per_complex(monkeypatch, V):
 
     monkeypatch.setattr(hamsurf.corecomplex, "LabeledGraph", CountingGraph)
     for _ in range(2):
-        certs = {c.ref: c for c in ball_surface_certs(ball, 10**8)}
+        certs = {c.ref: c for c in ball_surface_certs(ball)}
         assert certs["surfaces.hamiltonian"].ok() and certs["surfaces.type-three"].ok()
     assert len(built) == len(ball.interior_vertices) == 49
     for _ in range(2):
@@ -427,7 +446,7 @@ def propagated_pair(ball):
 
 
 def test_census_matches_propagation(ball2):
-    sols, nodes = count_surfaces_exhaustive(ball2, budget=10**8)
+    sols, nodes = count_surfaces_exhaustive(ball2)
     assert set(sols) == propagated_pair(ball2)
     assert len(sols) == 2
     assert nodes == 32
@@ -497,21 +516,27 @@ def test_census_radius_one(ball1):
     # only the base vertex is interior at radius 1, so every Hamiltonian
     # link cycle yields a valid local face set: five raw solutions, two of
     # which are the admissible type-3 germs that propagation picks
-    sols, _nodes = count_surfaces_exhaustive(ball1, budget=10**7)
+    sols, _nodes = count_surfaces_exhaustive(ball1)
     assert len(sols) == 5
     germs = propagated_pair(ball1)
     assert len(germs) == 2
     assert germs <= set(sols)
 
 
-def test_census_budget_guard(ball2):
-    with pytest.raises(BudgetExceeded):
-        count_surfaces_exhaustive(ball2, budget=10)
+def test_census_budget_guard(ball2, monkeypatch):
+    # the radius-2 census visits 32 nodes: a limit of 32 lets it finish,
+    # and one less stops it
+    monkeypatch.setattr(hamsurf.census, "NODE_LIMIT", 32)
+    assert count_surfaces_exhaustive(ball2)[1] == 32
+    monkeypatch.setattr(hamsurf.census, "NODE_LIMIT", 31)
+    with pytest.raises(BudgetExceeded, match="census exceeded 31 nodes"):
+        count_surfaces_exhaustive(ball2)
 
 
-def test_census_budget_guard_radius_three(ball3):
+def test_census_budget_guard_radius_three(ball3, monkeypatch):
+    monkeypatch.setattr(hamsurf.census, "NODE_LIMIT", 50)
     with pytest.raises(BudgetExceeded, match="census exceeded 50 nodes"):
-        count_surfaces_exhaustive(ball3, budget=50)
+        count_surfaces_exhaustive(ball3)
 
 
 def test_census_with_deleted_cells(ball2):
@@ -525,7 +550,7 @@ def test_census_with_deleted_cells(ball2):
     star_loz = [f for f, _i in cx.corners_at(ball2.base)
                 if cx.faces[f].kind == LOZENGE][0]
     broken = _delete_face(ball2, star_loz)
-    sols, nodes = count_surfaces_exhaustive(broken, budget=10**7)
+    sols, nodes = count_surfaces_exhaustive(broken)
     assert len(sols) == 1
     keeper = next(m for m in survivors.values() if star_loz not in m)
     assert sols[0] == tuple(sorted(keeper))
@@ -533,7 +558,7 @@ def test_census_with_deleted_cells(ball2):
 
     tri = sorted(interior_triangles(ball2))[0]
     no_tri = _delete_face(ball2, tri)
-    sols2, nodes2 = count_surfaces_exhaustive(no_tri, budget=10**7)
+    sols2, nodes2 = count_surfaces_exhaustive(no_tri)
     assert sols2 == []
     assert nodes2 == 2
 
