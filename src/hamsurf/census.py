@@ -33,14 +33,18 @@ The cycle rule only rejects.
 
 Full assignments are kept when every constrained edge has coverage
 exactly 2 (so every interior vertex carries one spanning trace cycle) and
-the member set is nonempty.  The members need not be connected: a surface
-cut down to a ball need not stay connected, so a census that demanded it
-could miss a local solution.  Without the test it returns a superset of
-the connected solutions, and its agreement with propagation's pair (whose
-connectivity ``surfaces.is_enveloping`` checks) says at least as much as
-before.  Nothing here knows about cycle types or the ladder, and the
-module imports nothing else from the package: agreement with the
-propagation engine is the point of the module.
+the member set is nonempty.  The first needs no test at a leaf: the edge
+rule checks each constrained edge after its last face is assigned, when
+no undecided side is left, and then admits exactly two member sides.  The
+second rejects the empty leaf of a ball with no constrained edge.  The
+members need not be connected: a surface cut down to a ball need not stay
+connected, so a census that demanded it could miss a local solution.
+Without the test it returns a superset of the connected solutions, and
+its agreement with propagation's pair (whose connectivity
+``surfaces.is_enveloping`` checks) says at least as much as before.
+Nothing here knows about cycle types or the ladder, and the module
+imports nothing else from the package: agreement with the propagation
+engine is the point of the module.
 
 The search is incremental.  Faces, constrained edges and the germs of
 interior vertices are numbered once per call, and assigning a face
@@ -144,7 +148,7 @@ def count_surfaces_exhaustive(ball):
     order.
     """
     cx = ball.complex
-    vertices = sorted(ball.interior_vertices, key=lambda v: (ball.depth[v], int(v[1:])))
+    vertices = [v for v in cx.vertices if v in ball.interior_vertices]
     edges = sorted(ball.interior_edges | {sym for v in vertices for sym, _ in cx.germs_at(v)},
                    key=str)
     edge_faces = [[fid for fid, _i, _s in cx.edge_sides(sym)] for sym in edges]
@@ -256,7 +260,7 @@ def count_surfaces_exhaustive(ball):
                 k += 1
             if k == n:
                 members = [order[j] for j in range(n) if value[j]]
-                if members and all(m == 2 for m in member_sides):
+                if members:
                     solutions.append(tuple(sorted(members)))
                 ok = False
                 continue

@@ -42,7 +42,7 @@ from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycl
                        labeled_isomorphic, labeled_isomorphisms, moebius_ladder,
                        parse_graph_file)
 from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_check,
-                       propagate_surface, vertex_trace_types)
+                       propagate_surface)
 
 MAX_RADIUS = 5
 
@@ -334,9 +334,9 @@ def ball_surface_certs(ball):
         "both propagated face sets are interior-Hamiltonian",
         "surfaces.hamiltonian", bool(ham) and all(ham.values()),
         {"ok": sorted(ham.values())}))
-    types = set()
-    for fs in surfaces.values():
-        types |= {t.value for t in vertex_trace_types(fs).values()}
+    # a trace that is not one cycle puts its status among the types
+    types = {detail.value if status == "cycle" else status
+             for fs in surfaces.values() for _v, status, detail in fs.traces}
     certs.append(check(
         "every vertex trace of both surfaces is a type-3 cycle",
         "surfaces.type-three", types == {"type3"}, {"types": sorted(types)}))
@@ -357,7 +357,8 @@ def ball_surface_certs(ball):
         sols, nodes = count_surfaces_exhaustive(ball)
     except BudgetExceeded as exc:
         return certs + [error_certificate(claim, ref, str(exc))]
-    return certs + [check(claim, ref, set(map(frozenset, sols)) == set(surfaces),
+    return certs + [check(claim, ref,
+                          len(surfaces) == 2 and set(map(frozenset, sols)) == set(surfaces),
                           {"solutions": len(sols), "nodes": nodes})]
 
 

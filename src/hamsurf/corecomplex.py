@@ -30,8 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .hamgraph import (CycleType, LabeledGraph, angular_girth, classify_cycle, components,
-                       enumerate_hamiltonian_cycles, label_type, label_weight)
+from .hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth, classify_cycle,
+                       components, enumerate_hamiltonian_cycles, label_type, label_weight)
 
 TRIANGLE = "triangle"
 LOZENGE = "lozenge"
@@ -84,10 +84,23 @@ class Complex2:
         self._face_ids = tuple(sorted(self.faces, key=str))
         self._edge_symbols = tuple(sorted(self.edges, key=str))
         self.facesets = {}  # name -> face ids, as charts.build_V records them
-        self._vertex_set = set(self.vertices)
-        self._sides = None
-        self._corners = None
-        self._germs = None
+        # the incidence index, read as stored by the accessors below; a
+        # letter's source is its edge's first end, or its last when reversed
+        edges = self.edges
+        self._sides = sides = {sym: [] for sym in edges}
+        self._corners = corners = {v: [] for v in self.vertices}
+        for fid in self._face_ids:
+            for i, (sym, sign) in enumerate(self.faces[fid].word):
+                if sym in edges:
+                    sides[sym].append((fid, i, sign))
+                    at = corners.get(edges[sym][sign < 0])
+                    if at is not None:
+                        at.append((fid, i))
+        self._germs = germs = {v: [] for v in self.vertices}
+        for sym in self._edge_symbols:
+            s, t = edges[sym]
+            germs.setdefault(s, []).append((sym, 1))
+            germs.setdefault(t, []).append((sym, -1))
         self._links = {}
         self._type3 = {}
         self._girth = {}
@@ -110,56 +123,27 @@ class Complex2:
     def tgt(self, oedge):
         return self.src(reverse(oedge))
 
-    def _build_indexes(self):
-        edges = self.edges
-        sides = {sym: [] for sym in edges}
-        corners = {v: [] for v in self.vertices}
-        for fid in self.face_ids():
-            for i, (sym, sign) in enumerate(self.faces[fid].word):
-                if sym not in edges:
-                    continue
-                sides[sym].append((fid, i, sign))
-                s, t = edges[sym]
-                v = s if sign > 0 else t
-                if v in corners:
-                    corners[v].append((fid, i))
-        germs = {v: [] for v in self.vertices}
-        for sym in self.edge_symbols():
-            s, t = edges[sym]
-            germs.setdefault(s, []).append((sym, 1))
-            germs.setdefault(t, []).append((sym, -1))
-        self._sides = sides
-        self._corners = corners
-        self._germs = germs
-
     def edge_sides(self, sym):
-        """All face-sides through edge sym: list of (fid, position, sign)."""
-        if self._sides is None:
-            self._build_indexes()
-        return list(self._sides.get(sym, ()))
+        """All face-sides through edge sym: list of (fid, position, sign),
+        by face id, then position; kept for the complex, so callers must
+        not change it."""
+        return self._sides.get(sym, [])
 
     def edge_face_degree(self, sym):
         """Number of face-sides incident to the edge, with multiplicity."""
-        if sym not in self.edges:
-            raise KeyError(f"unknown edge {sym!r}")
-        if self._sides is None:
-            self._build_indexes()
         return len(self._sides[sym])
 
     def corners_at(self, v):
-        """All face-corners at vertex v: list of (fid, corner index)."""
-        if v not in self._vertex_set:
-            raise KeyError(f"unknown vertex {v!r}")
-        if self._corners is None:
-            self._build_indexes()
-        return list(self._corners[v])
+        """All face-corners at vertex v: list of (fid, corner index), by face
+        id, then corner index; kept for the complex, so callers must not
+        change it."""
+        return self._corners[v]
 
     def germs_at(self, v):
         """Oriented edges leaving v: edge symbols in ``str`` order, an
-        outgoing germ before an incoming one."""
-        if self._germs is None:
-            self._build_indexes()
-        return list(self._germs.get(v, ()))
+        outgoing germ before an incoming one; kept for the complex, so
+        callers must not change it."""
+        return self._germs.get(v, [])
 
     def corner_germs(self, fid, i):
         """The two germs flanking corner i of face fid (both leave the
@@ -184,13 +168,18 @@ class Complex2:
 
     def type3_cycles(self, v):
         """The type-3 Hamiltonian cycles of v's link, as frozensets of corner
-        tags (fid, i); enumerated on first use and kept for the complex."""
+        tags (fid, i); enumerated on first use and kept for the complex.  A
+        link with fewer than 3 nodes, or a disconnected one, on which the
+        enumeration raises GraphError, has no Hamiltonian cycle: ()."""
         if v not in self._type3:
             link = self.vertex_link(v)
+            try:
+                cycles = enumerate_hamiltonian_cycles(link)
+            except GraphError:
+                cycles = []
             self._type3[v] = tuple(
                 frozenset(link.edges[i][3] for i in cyc.edge_indices)
-                for cyc in enumerate_hamiltonian_cycles(link)
-                if classify_cycle(cyc) is CycleType.TYPE3)
+                for cyc in cycles if classify_cycle(cyc) is CycleType.TYPE3)
         return self._type3[v]
 
     def link_girth(self, v):
@@ -239,9 +228,10 @@ def validate_complex(cx):
     closed.
     """
     violations = []
+    vertices = set(cx.vertices)
     for sym in cx.edge_symbols():
         for v in cx.edges[sym]:
-            if v not in cx._vertex_set:
+            if v not in vertices:
                 violations.append(f"edge {sym}: endpoint {v} is not a declared vertex")
     for fid in cx.face_ids():
         face = cx.faces[fid]

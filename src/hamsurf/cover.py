@@ -148,17 +148,16 @@ class Ball:
 
     @cached_property
     def _image_tables(self):
-        """V's facts: each vertex's germs and corners, sorted, each corner's
-        germs, and each edge's number of face-sides."""
+        """V's facts: each vertex's germs, sorted, each corner's germs, and
+        each edge's number of face-sides."""
         V = self.v_complex
-        corners = {p: sorted(V.corners_at(p)) for p in V.vertices}
-        return ({p: sorted(V.germs_at(p)) for p in V.vertices}, corners,
-                {c: V.corner_germs(*c) for cs in corners.values() for c in cs},
+        return ({p: sorted(V.germs_at(p)) for p in V.vertices},
+                {c: V.corner_germs(*c) for p in V.vertices for c in V.corners_at(p)},
                 {sym: V.edge_face_degree(sym) for sym in V.edges})
 
     def _lift(self, v):
         cx, p = self.complex, self.vertex_image[v]
-        germs_of, corners_of, corner_germs_of, _degree = self._image_tables
+        germs_of, corner_germs_of, _degree = self._image_tables
         germs, image_germs = cx.germs_at(v), germs_of.get(p, [])
         if len(germs) != len(image_germs):
             return None
@@ -166,7 +165,7 @@ class Ball:
         if sorted((edge_image[e], s) for e, s in germs) != image_germs:
             return None
         lift = {(f, i): (face_image[f], i) for f, i in cx.corners_at(v)}
-        if sorted(lift.values()) != corners_of[p]:
+        if sorted(lift.values()) != self.v_complex.corners_at(p):
             return None
         for corner, image in lift.items():
             (e1, s1), (e2, s2) = cx.corner_germs(*corner)
@@ -238,8 +237,8 @@ class _Builder:
     round are settled.
 
     From V it derives, once: ``walks[fid, c]``, V-face fid's germ keys from
-    corner c on, forward and reversed; ``corners[p]`` and ``germ_keys[p]``,
-    V-vertex p's corners and germ keys, sorted.
+    corner c on, forward and reversed; ``germ_keys[p]``, V-vertex p's germ
+    keys, sorted.
     """
 
     def __init__(self, v_complex):
@@ -250,7 +249,6 @@ class _Builder:
             back = [reverse(key) for key in reversed(word)]
             for c in range(n):
                 self.walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
-        self.corners = {p: sorted(V.corners_at(p)) for p in V.vertices}
         self.germ_keys = {p: sorted(V.germs_at(p)) for p in V.vertices}
         self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
         self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
@@ -438,7 +436,7 @@ class _Builder:
             for img, pos in self.eside[_find(self.epar, e)]:
                 if faces[img].word[pos][1] == sign:
                     present.add((img, pos))
-        return [c for c in self.corners[self.vimg[v]] if c not in present]
+        return [c for c in self.V.corners_at(self.vimg[v]) if c not in present]
 
     def complete_star(self, v):
         """Attach copies for every missing corner at v; returns count."""

@@ -198,7 +198,7 @@ def _anchor_cycle(ball, seed_lozenge, choice):
     cycles, _all_tags = ball.type3_cycles(anchor)
     with_seed = [c for c in cycles if any(tag[0] == seed_lozenge for tag in c)]
     without = [c for c in cycles if not any(tag[0] == seed_lozenge for tag in c)]
-    if len(with_seed) != 1 or len(without) != len(cycles) - 1:
+    if len(with_seed) != 1:
         raise SurfaceError("seed corner is not on exactly one admissible cycle")
     if choice == "with":
         return anchor, with_seed[0]
@@ -336,11 +336,9 @@ def _propagate(ball, anchor, chosen):
         common = frozenset.intersection(*admissible)
         union = frozenset.union(*admissible)
         for tag in sorted(common):
-            if tag[0] not in state:
-                settle(tag[0], IN, f"forced at {v}")
+            settle(tag[0], IN, f"forced at {v}")
         for tag in sorted(all_tags - union):
-            if tag[0] not in state:
-                settle(tag[0], OUT, f"excluded at {v}")
+            settle(tag[0], OUT, f"excluded at {v}")
 
     def pop():
         v = work.popleft()

@@ -266,6 +266,22 @@ def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _check_all_on_edited_chart(tmp_path, capsys, edits):
+    """check-all's certificates by ref on the shipped chart with the edits
+    made, after checking that it exits 1 without a traceback."""
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "mutated.charts"
+    bad.write_text(text)
+    code = main(["check-all", "--charts", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    return {c["ref"]: c for c in json.loads(captured.out)}
+
+
 # one-line chart edits that load and build, but whose V breaks a claim
 # family's computation: each must end in failing or error certificates
 @pytest.mark.parametrize("edits, ref, status, detail", [
@@ -281,17 +297,7 @@ def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
      "aut.swap", "error", {"error": "chart file declares no faceset \"S'\""}),
 ])
 def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, status, detail):
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
-    for old, new in edits.items():
-        assert old in text
-        text = text.replace(old, new)
-    bad = tmp_path / "mutated.charts"
-    bad.write_text(text)
-    code = main(["check-all", "--charts", str(bad)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "Traceback" not in captured.err
-    by_ref = {c["ref"]: c for c in json.loads(captured.out)}
+    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
     cert = by_ref[ref]
     assert cert["status"] == status
     if status == "fail":
@@ -308,6 +314,30 @@ def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, statu
             assert [r for r, s in aut.items() if s == "error"] == ["aut.swap"]
         else:
             assert set(aut.values()) == {"error"}
+
+
+# chart edits that load and build, and once ended in a traceback.  Flipping
+# the signs of x's word makes x equal x', so a propagated face set has a
+# trace that is not one cycle.  With x and z' reordered instead, a link of V
+# is disconnected, so it has no Hamiltonian cycle and admits no
+# propagation; the census, finding nothing either, must not pass on
+# agreeing with it
+@pytest.mark.parametrize("edits, failing", [
+    ({"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_c- x_b+ x_d- x_a+"},
+     {"surfaces.type-three": {"types": ["paths", "type3"]}}),
+    ({"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_d- x_a+ x_c- x_b+",
+      "face z' lozenge : z_b- z_c+ z_d- z_a+": "face z' lozenge : z_c- z_a+ z_d- z_b+",
+      "recheck z' : z_b- z_c+ z_d- z_a+\n": ""},
+     {"surfaces.two": {"surfaces": 0, "failed_runs": 96},
+      "surfaces.census": {"solutions": 0, "nodes": 8}}),
+])
+def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, edits, failing):
+    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
+    assert by_ref["quotient.links-ladder"]["status"] == "fail"
+    for ref, detail in failing.items():
+        cert = by_ref[ref]
+        assert cert["status"] == "fail"
+        assert {k: cert["witness"][k] for k in detail} == detail
 
 
 def test_check_quotient_reports_the_orientability_failure(capsys):

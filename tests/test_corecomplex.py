@@ -5,7 +5,7 @@ import pytest
 
 from hamsurf.corecomplex import (Complex2, Face, link_circle_length, subcomplex,
                                  surface_report, trace_status, validate_complex)
-from hamsurf.hamgraph import classify_cycle, enumerate_hamiltonian_cycles, label_weight
+from hamsurf.hamgraph import GraphError, classify_cycle, enumerate_hamiltonian_cycles, label_weight
 from oracles import brute_orientable, degree, naive_hamiltonian_cycles
 
 
@@ -177,6 +177,29 @@ def test_single_triangle_link_and_degrees():
         cx.vertex_link("nope")
     with pytest.raises(KeyError):
         cx.edge_face_degree("nope")
+
+
+def bowtie():
+    # two triangles that share only the vertex o: o's link is two disjoint
+    # edges
+    return Complex2(
+        vertices=["o", "a", "b", "c", "d"],
+        edges={"e1": ("o", "a"), "e2": ("a", "b"), "e3": ("b", "o"),
+               "e4": ("o", "c"), "e5": ("c", "d"), "e6": ("d", "o")},
+        faces=[Face("s", "triangle", (("e1", 1), ("e2", 1), ("e3", 1))),
+               Face("t", "triangle", (("e4", 1), ("e5", 1), ("e6", 1)))],
+    )
+
+
+def test_links_without_hamiltonian_cycles_have_no_type3_cycles():
+    # the enumeration refuses a link of fewer than 3 nodes and a
+    # disconnected one; neither has a Hamiltonian cycle, so neither has an
+    # admissible one
+    for cx, v, reason in ((one_triangle(), "u", "at least 3 nodes"),
+                          (bowtie(), "o", "disconnected")):
+        with pytest.raises(GraphError, match=reason):
+            enumerate_hamiltonian_cycles(cx.vertex_link(v))
+        assert cx.type3_cycles(v) == ()
 
 
 def test_lozenge_torus_report():

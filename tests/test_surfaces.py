@@ -563,6 +563,16 @@ def test_census_with_deleted_cells(ball2):
     assert nodes2 == 2
 
 
+def test_census_claim_needs_two_surfaces(ball2):
+    # with an interior triangle deleted, propagation and the census both
+    # find nothing: they agree, but the census claim is about two surfaces
+    tri = sorted(interior_triangles(ball2))[0]
+    certs = {c.ref: c for c in ball_surface_certs(_delete_face(ball2, tri))}
+    assert certs["surfaces.two"].witness["surfaces"] == 0
+    census = certs["surfaces.census"]
+    assert (census.status, census.witness) == ("fail", {"solutions": 0, "nodes": 2})
+
+
 # --- periodicity ----------------------------------------------------------------
 
 def test_projection_hits_s_and_sprime(ball2):
