@@ -36,8 +36,7 @@ from .cellmap import CellMapError, automorphism_group, theta_maps, verify_theta_
 from .census import BudgetExceeded, count_surfaces_exhaustive
 from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
                           surface_report, validate_complex)
-from .cover import (expand_ball, expand_to_radius, restrict_ball, serialize_ball,
-                    verify_cover)
+from .cover import expand_to_radius, restrict_ball, serialize_ball, verify_cover
 from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
                        labeled_isomorphic, labeled_isomorphisms, moebius_ladder,
                        parse_graph_file)
@@ -248,7 +247,6 @@ def cmd_check_cover(args, _cd, V, balls):
     if error:
         return [error]
     for base in V.vertices:
-        smaller = _ball(balls, V, base, radius - 1)
         ball = _ball(balls, V, base, radius)
         rep = verify_cover(ball)
         certs.append(check(
@@ -263,13 +261,14 @@ def cmd_check_cover(args, _cd, V, balls):
             f"interior links from {base} have angular girth six",
             "cover.girth", all(g == 6 for g in girths.values()),
             {"base": base, "girths": sorted(set(girths.values()))}))
-        again = restrict_ball(ball, radius - 1)
+        # the restriction is compared with a radius r-1 ball grown from V on
+        # its own, which the run's table does not keep
+        again = serialize_ball(restrict_ball(ball, radius - 1))
         certs.append(check(
             f"restricting the radius-{radius} ball reproduces radius {radius-1}",
             "cover.idempotent",
-            serialize_ball(again) == serialize_ball(smaller),
+            again == serialize_ball(expand_to_radius(V, base, radius - 1)),
             {"base": base}))
-        del balls[base, radius - 1]  # only the radius-r balls are read again
     return certs
 
 
@@ -284,17 +283,13 @@ def cmd_find_surfaces(args, _cd, V, balls):
 
 
 def _ball(balls, V, base, radius):
-    """The ball of the given radius around base, built once per run.
+    """The ball of the given radius around base, grown from V once per run.
 
-    ``balls`` is the run's table by (base, radius).  A ball one radius
-    smaller in the table is expanded by one round, as ``check-cover`` builds
-    its pairs; any other ball is expanded from the base.  The table lives
-    for one ``run_commands`` call, so no ball outlives its run.
+    ``balls`` is the run's table by (base, radius).  The table lives for one
+    ``run_commands`` call, so no ball outlives its run.
     """
     if (base, radius) not in balls:
-        smaller = balls.get((base, radius - 1))
-        balls[base, radius] = (expand_ball(smaller) if smaller is not None
-                               else expand_to_radius(V, base, radius))
+        balls[base, radius] = expand_to_radius(V, base, radius)
     return balls[base, radius]
 
 
@@ -480,11 +475,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     certs = run_commands(args, COMMANDS if args.command == "check-all" else [args.command])
     rendered = to_json(certs) if args.format == "json" else to_text(certs)
+    sys.stdout.write(rendered)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{args.command}.json").write_text(to_json(certs))
-    sys.stdout.write(rendered)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"{args.command}.json").write_text(
+                rendered if args.format == "json" else to_json(certs))
+        except OSError as exc:
+            sys.stderr.write(f"hamsurf: cannot write --out {args.out}: {exc}\n")
+            return 2
     return 0 if all(c.ok() for c in certs) else 1
 
 

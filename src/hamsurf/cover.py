@@ -15,7 +15,7 @@ Expansion to the next radius completes the star of every vertex at depth
 <= radius: for each missing corner of the image link a copy of the
 corresponding V-face is attached at that corner, and the result is folded
 to a fixpoint after each star.  One round over the stars suffices (see
-``expand_ball``), and ``expand_to_radius`` runs one round per radius in a
+``_expand_round``), and ``expand_to_radius`` runs one round per radius in a
 single workspace.  Folding identifies two edges at a common
 vertex with the same covering image and the same end there, and two face
 copies over the same V-face that share an edge at the same boundary
@@ -114,20 +114,10 @@ class Ball:
                          if cx.edge_face_degree(e) == degree.get(edge_image[e], 0))
 
     @cached_property
-    def interior_vertices_by_name(self):
-        """The interior vertices in ``str`` order, as ``FaceSet`` reads them."""
-        return tuple(sorted(self.interior_vertices, key=str))
-
-    @cached_property
     def interior_vertices_by_depth(self):
         """The interior vertices by depth, then by number: propagation's sweep."""
         return tuple(sorted(self.interior_vertices,
                             key=lambda v: (self.depth[v], int(v[1:]))))
-
-    @cached_property
-    def interior_edges_by_name(self):
-        """The interior edges in ``str`` order."""
-        return tuple(sorted(self.interior_edges, key=str))
 
     def corner_lift(self, v):
         """The corner bijection (f, i) -> (face_image[f], i) at v, or None.
@@ -236,9 +226,9 @@ class _Builder:
     Cells attached while ``gen`` is n belong to round n; cells of an earlier
     round are settled.
 
-    From V it derives, once: ``walks[fid, c]``, V-face fid's germ keys from
-    corner c on, forward and reversed; ``germ_keys[p]``, V-vertex p's germ
-    keys, sorted.
+    From V it derives, once, ``walks[fid, c]``: V-face fid's germ keys from
+    corner c on, forward and reversed.  ``_canonical_ball`` is the germ
+    tables' last reader and drops them.
     """
 
     def __init__(self, v_complex):
@@ -249,7 +239,6 @@ class _Builder:
             back = [reverse(key) for key in reversed(word)]
             for c in range(n):
                 self.walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
-        self.germ_keys = {p: sorted(V.germs_at(p)) for p in V.vertices}
         self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
         self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
             [], [], [], [], [], [])
@@ -451,25 +440,24 @@ def _canonical_ball(builder, base_root, radius):
     """Compact the folded builder into an immutable Ball with canonical ids.
 
     Vertices and edges are numbered by a breadth-first traversal from the
-    base that takes each vertex's germs in sorted (image, sign) order (its
-    image's keys, unless a loaded ball's edge images give it others); the
-    traversal gives each vertex its depth as it numbers it.  Faces are
+    base that takes each vertex's germs in sorted (edge image, sign) order;
+    the traversal gives each vertex its depth as it numbers it.  Faces are
     numbered by (image, edge numbers), which no two faces of a folded
     complex share, and every id is formatted once, after the numbering.
-    The union-find roots are resolved once, before the walk.
+    The union-find roots are resolved once, before the walk.  The walk is
+    the germ tables' last reader, so they are dropped before the ball's
+    complex and its incidence index are built.
     """
     V, vpar, epar, fpar = builder.V, builder.vpar, builder.epar, builder.fpar
     vroot = [_find(vpar, v) for v in range(len(vpar))]
     eroot = [_find(epar, e) for e in range(len(epar))]
     esrc = [vroot[v] for v in builder.esrc]
     etgt = [vroot[v] for v in builder.etgt]
-    vimg, vgerm, germ_keys = builder.vimg, builder.vgerm, builder.germ_keys
     order, vnum, depths, enum = [base_root], {base_root: 0}, [0], {}
     for n, v in enumerate(order):
         below = depths[n] + 1
-        germs = vgerm[v]
-        keys = [key for key in germ_keys.get(vimg[v], ()) if key in germs]
-        for key in keys if len(keys) == len(germs) else sorted(germs):
+        germs = builder.vgerm[v]
+        for key in sorted(germs):
             e = eroot[germs[key]]
             w = etgt[e] if key[1] > 0 else esrc[e]
             if e not in enum:
@@ -478,6 +466,7 @@ def _canonical_ball(builder, base_root, radius):
                 vnum[w] = len(order)
                 order.append(w)
                 depths.append(below)
+    builder.vgerm = builder.eside = None
     vnames = [f"v{n}" for n in range(len(order))]
     enames = [f"e{n}" for n in range(len(enum))]
     edges, edge_image = {}, {}

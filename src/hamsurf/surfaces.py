@@ -52,8 +52,8 @@ class FaceSet:
     def __init__(self, ambient, members):
         if isinstance(ambient, Ball):
             self.cx = ambient.complex
-            self.interior_vertices = ambient.interior_vertices_by_name
-            self.interior_edges = ambient.interior_edges_by_name
+            self.interior_vertices = sorted(ambient.interior_vertices, key=str)
+            self.interior_edges = sorted(ambient.interior_edges, key=str)
         elif isinstance(ambient, Complex2):
             self.cx = ambient
             self.interior_vertices = list(ambient.vertices)

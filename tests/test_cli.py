@@ -189,20 +189,18 @@ def test_charts_are_loaded_only_for_subcommands_that_read_them(
 
 
 def test_check_all_builds_each_ball_once(monkeypatch):
-    # check-cover builds each base's radius-1 ball and expands it once;
-    # find-surfaces reads P's radius-2 ball from the run's table.  A second
-    # run builds its own balls.
+    # check-cover grows each base's radius-2 ball from V, and its radius-1
+    # ball on its own for cover.idempotent; find-surfaces reads P's radius-2
+    # ball from the run's table.  A second run builds its own balls.
     built = []
+    grow = hamsurf.cli.expand_to_radius
 
-    def counting(fn):
-        def wrapped(*args):
-            ball = fn(*args)
-            built.append((ball.vertex_image[ball.base], ball.radius))
-            return ball
-        return wrapped
+    def counting(*args):
+        ball = grow(*args)
+        built.append((ball.vertex_image[ball.base], ball.radius))
+        return ball
 
-    for name in ("expand_to_radius", "expand_ball"):
-        monkeypatch.setattr(hamsurf.cli, name, counting(getattr(hamsurf.cli, name)))
+    monkeypatch.setattr(hamsurf.cli, "expand_to_radius", counting)
     args = build_parser().parse_args(["check-all", "--radius", "2"])
     first = run_commands(args, COMMANDS)
     assert sorted(built) == [(b, r) for b in "PQR" for r in (1, 2)]
@@ -212,8 +210,8 @@ def test_check_all_builds_each_ball_once(monkeypatch):
 
 
 def test_check_cover_keeps_only_the_balls_read_again(V):
-    # cover.idempotent is the last reader of each radius r-1 ball; the
-    # radius-r balls stay, for find-surfaces
+    # the radius-r balls stay in the run's table, for find-surfaces; the
+    # radius r-1 balls grown for cover.idempotent are never kept there
     balls = {}
     certs = cmd_check_cover(build_parser().parse_args(["check-cover", "--radius", "2"]),
                             None, V, balls)
@@ -402,10 +400,27 @@ def test_certificates_are_byte_stable(capsys):
 
 
 def test_out_directory(tmp_path, capsys):
-    code, _out = run(capsys, "check-ladder", "--out", str(tmp_path))
+    code, out = run(capsys, "check-ladder", "--out", str(tmp_path))
     assert code == 0
     written = (tmp_path / "check-ladder.json").read_text()
-    assert json.loads(written)
+    assert written == out and json.loads(written)
+    code, text = run(capsys, "check-ladder", "--format", "text", "--out", str(tmp_path))
+    assert code == 0 and "claims pass" in text
+    assert (tmp_path / "check-ladder.json").read_text() == written
+
+
+def test_out_that_is_a_file_ends_in_one_error_line(tmp_path, capsys):
+    # the certificates reach stdout before --out is written, and a path that
+    # cannot be a directory is one line on stderr, not a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["check-ladder", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert all(c["status"] == "pass" for c in json.loads(captured.out))
+    assert captured.err.startswith("hamsurf: cannot write --out ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert taken.read_text() == ""
 
 
 def test_text_format(capsys):

@@ -218,6 +218,17 @@ def test_expansion_creates_only_the_cells_the_ball_keeps(V, base, monkeypatch):
         assert all(par[c] == c for c in range(count))
 
 
+def test_numbering_drops_the_germ_tables(V, monkeypatch):
+    # the numbering walk is the germ tables' last reader, so no builder
+    # keeps them while its ball's complex is indexed, nor after
+    workspaces = _workspaces(monkeypatch)
+    ball = expand_to_radius(V, "P", 2)
+    restrict_ball(ball, 1)
+    expand_ball(ball)
+    assert len(workspaces) == 3
+    assert all(b.vgerm is None and b.eside is None for b in workspaces)
+
+
 def test_expand_to_radius_rejects_unknown_base(V):
     with pytest.raises(KeyError):
         expand_to_radius(V, "nope", 2)
