@@ -86,13 +86,14 @@ class Complex2:
         self.facesets = {}  # name -> face ids, as charts.build_V records them
         # the incidence index, read as stored by the accessors below; a
         # letter's source is its edge's first end, or its last when reversed
-        edges = self.edges
+        edges, faces = self.edges, self.faces
         self._sides = sides = {sym: [] for sym in edges}
         self._corners = corners = {v: [] for v in self.vertices}
         for fid in self._face_ids:
-            for i, (sym, sign) in enumerate(self.faces[fid].word):
-                if sym in edges:
-                    sides[sym].append((fid, i, sign))
+            for i, (sym, sign) in enumerate(faces[fid].word):
+                at_sym = sides.get(sym)
+                if at_sym is not None:
+                    at_sym.append((fid, i, sign))
                     at = corners.get(edges[sym][sign < 0])
                     if at is not None:
                         at.append((fid, i))

@@ -157,9 +157,12 @@ class Ball:
         lift = {(f, i): (face_image[f], i) for f, i in cx.corners_at(v)}
         if sorted(lift.values()) != self.v_complex.corners_at(p):
             return None
-        for corner, image in lift.items():
-            (e1, s1), (e2, s2) = cx.corner_germs(*corner)
-            if ((edge_image[e1], s1), (edge_image[e2], s2)) != corner_germs_of[image]:
+        faces = cx.faces
+        for (f, i), image in lift.items():
+            # corner i's germs: letter i-1 reversed (the last at i = 0), letter i
+            word = faces[f].word
+            (e1, s1), (e2, s2) = word[i - 1], word[i]
+            if ((edge_image[e1], -s1), (edge_image[e2], s2)) != corner_germs_of[image]:
                 return None
         return lift
 
@@ -479,7 +482,7 @@ def _canonical_ball(builder, base_root, radius):
     faces, face_image = [], {}
     for idx, (img, nums, f) in enumerate(rows):
         fid = f"f{idx}"
-        word = tuple([(enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f])])
+        word = [(enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f])]
         faces.append(Face(fid, kinds[img], word))
         face_image[fid] = img
     cx = Complex2(vertices=vnames, edges=edges, faces=faces)
@@ -543,12 +546,15 @@ def expand_to_radius(v_complex, base_vertex, radius):
 
 def restrict_ball(ball, radius):
     """The sub-ball of the given radius (0 up to the ball's): the base and
-    the faces within depth radius-1."""
+    the faces with a corner at a vertex of depth <= radius-1, which are
+    the faces of ``face_depth`` <= radius-1."""
     if radius > ball.radius:
         raise ValueError("cannot restrict to a larger radius")
     if radius < 0:
         raise ValueError(f"negative radius {radius}")
-    keep = [f for f in ball.complex.face_ids() if ball.face_depth(f) <= radius - 1]
+    cx, depth = ball.complex, ball.depth
+    at_inner = {f for v in cx.vertices if depth[v] <= radius - 1 for f, _i in cx.corners_at(v)}
+    keep = [f for f in cx.face_ids() if f in at_inner]
     builder = _Builder(ball.v_complex)
     vmap = builder.load(ball, keep)
     return _canonical_ball(builder, vmap[ball.base], radius)
@@ -592,9 +598,14 @@ def verify_cover(ball):
         if vertex_image[s] != image_s or vertex_image[t] != image_t:
             problems.append(f"edge {eid}: covering map does not commute with endpoints")
     for fid in cx.face_ids():
-        word = cx.faces[fid].word
-        if tuple((edge_image[e], s) for e, s in word) != V.faces[ball.face_image[fid]].word:
-            problems.append(f"face {fid}: boundary word image is misaligned")
+        word, image = cx.faces[fid].word, V.faces[ball.face_image[fid]].word
+        if len(word) == len(image):
+            for (e, s), (sym, t) in zip(word, image):
+                if edge_image[e] != sym or s != t:
+                    break
+            else:
+                continue
+        problems.append(f"face {fid}: boundary word image is misaligned")
     vertex_rows = {}
     for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
         interior = v in ball.interior_vertices
@@ -624,7 +635,7 @@ def verify_cover(ball):
             f"vertex {v}: depth {d} requires a complete star at radius {r}" if v in inner
             else f"vertex {v}: interior at depth {d}, but radius {r} makes only depths "
                  f"<= {r - 1} interior")
-    inner_edges = {e for e, (s, t) in cx.edges.items() if s in inner or t in inner}
+    inner_edges = {e for v in inner for e, _s in cx.germs_at(v)}
     for eid in sorted(ball.interior_edges ^ inner_edges, key=lambda s: int(s[1:])):
         problems.append(
             f"edge {eid}: interior flag disagrees with the depths of its ends "

@@ -101,6 +101,18 @@ def test_radius_four_verifies_and_restricts(ball3, ball4):
     assert serialize_ball(restrict_ball(ball4, 3)) == serialize_ball(ball3)
 
 
+@pytest.mark.parametrize("base,radius", [(b, r) for b in "PQR" for r in (1, 2, 3)] + [("P", 4)])
+def test_restriction_to_every_smaller_radius(V, base, radius):
+    # restriction keeps the faces with a corner at depth <= k-1; those are
+    # the faces of face_depth <= k-1, and they make the k ball grown from V
+    ball = expand_to_radius(V, base, radius)
+    for k in range(radius):
+        restricted = restrict_ball(ball, k)
+        assert serialize_ball(restricted) == serialize_ball(expand_to_radius(V, base, k))
+        assert Counter(restricted.face_image.values()) == Counter(
+            ball.face_image[f] for f in ball.complex.face_ids() if ball.face_depth(f) <= k - 1)
+
+
 def test_serialization_deterministic(V):
     a = serialize_ball(expand_to_radius(V, "P", 2))
     b = serialize_ball(expand_to_radius(V, "P", 2))
@@ -525,11 +537,27 @@ def _swapped_face_images(ball):
     return _claiming(ball, face_image=images), v
 
 
+def _replaced_last_letter(ball):
+    # a face with its corner 0 at the base ends in another germ leaving the
+    # same vertex, so only that corner's first germ, the reverse of the
+    # word's last letter, maps wrong; no corner moves and no germ changes
+    cx, v = ball.complex, ball.base
+    fid = next(f for f, i in cx.corners_at(v) if i == 0)
+    face = cx.faces[fid]
+    last = face.word[-1]
+    other = next(g for g in cx.germs_at(cx.src(last))
+                 if ball.edge_image[g[0]] != ball.edge_image[last[0]])
+    faces = [Face(f, face.kind, face.word[:-1] + (other,)) if f == fid else cx.faces[f]
+             for f in cx.face_ids()]
+    return _claiming(ball, cx=Complex2(cx.vertices, cx.edges, faces)), v
+
+
 @pytest.mark.parametrize("damage, germs_map, corners_map", [
     (_swapped_germ_image, False, True),
     (_rotated_word, True, False),
     (_deleted_face, True, False),
     (_swapped_face_images, True, True),
+    (_replaced_last_letter, True, True),
 ])
 def test_each_lift_condition_rejects_on_its_own(ball2, damage, germs_map, corners_map):
     # the damaged vertex keeps its image's germ count, so the count check
@@ -602,6 +630,23 @@ def test_verify_cover_checks_interior_flags_against_depths(ball2):
         in problems
     assert f"edge {e}: interior flag disagrees with the depths of its ends at radius 2" \
         in problems
+
+
+def test_verify_cover_counts_an_inner_edge_from_either_end(ball2):
+    # two edges with one end at depth 1 and the other at depth 2 lose their
+    # claimed flag: at the inner end one has an incoming germ, the other an
+    # outgoing one, and each must still be expected interior
+    cx, depth = ball2.complex, ball2.depth
+    into = min((e for e, (s, t) in cx.edges.items() if (depth[s], depth[t]) == (2, 1)),
+               key=lambda s: int(s[1:]))
+    out_of = min((e for e, (s, t) in cx.edges.items() if (depth[s], depth[t]) == (1, 2)),
+                 key=lambda s: int(s[1:]))
+    claimed = _claiming(ball2)
+    claimed.interior_edges = ball2.interior_edges - {into, out_of}
+    problems = verify_cover(claimed)["problems"]
+    for e in (into, out_of):
+        assert f"edge {e}: interior flag disagrees with the depths of its ends at radius 2" \
+            in problems
 
 
 def test_restrict_rejects_larger_radius(ball1):
