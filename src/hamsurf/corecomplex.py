@@ -48,6 +48,8 @@ class Face:
     """A 2-cell: id, kind (triangle or lozenge) and cyclic boundary word,
     kept as given: (edge symbol, sign) letters, the signs the ints 1 and -1."""
 
+    __slots__ = ("fid", "kind", "word")
+
     def __init__(self, fid, kind, word):
         if kind not in _WORD_LENGTH:
             raise ValueError(f"face {fid}: unknown kind {kind!r}")

@@ -35,8 +35,9 @@ created only to be folded away.
 Cell identifiers are canonical: once per expansion call the ball is
 renumbered by a breadth-first traversal from the base ordered by covering
 images, which makes serializations byte-stable across runs and construction
-histories.  That traversal also gives the depths; ``verify_cover`` checks
-them against a second, independent search (``_depths``).
+histories.  Restriction numbers the ball's own kept cells by the same walk,
+with no workspace.  That traversal also gives the depths; ``verify_cover``
+checks them against a second, independent search (``_depths``).
 
 V's facts read for every ball cell come from tables derived once per builder
 (``_Builder``) and once per ball (``Ball._image_tables``), which live as long
@@ -45,7 +46,7 @@ as their object: none is kept on V or in the module to leak a damaged ball.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from functools import cached_property
 
 from .corecomplex import Complex2, Face, reverse, validate_complex
@@ -227,11 +228,11 @@ class _Builder:
     registers it, or when the tables of two merged classes meet, names a pair
     that folding must identify: the pair waits on ``pending`` until ``fold``.
     Cells attached while ``gen`` is n belong to round n; cells of an earlier
-    round are settled.
+    round are settled.  A face word is its edges; its signs are its image's.
 
     From V it derives, once, ``walks[fid, c]``: V-face fid's germ keys from
-    corner c on, forward and reversed.  ``_canonical_ball`` is the germ
-    tables' last reader and drops them.
+    corner c on, forward and reversed, and shared key tuples: ``germ_keys[sym]``
+    is ((sym, 1), (sym, -1)) and ``side_keys[fid]`` lists (fid, position).
     """
 
     def __init__(self, v_complex):
@@ -242,6 +243,8 @@ class _Builder:
             back = [reverse(key) for key in reversed(word)]
             for c in range(n):
                 self.walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
+        self.germ_keys = {sym: ((sym, 1), (sym, -1)) for sym in V.edges}
+        self.side_keys = {f: [(f, p) for p in range(len(V.faces[f].word))] for f in V.faces}
         self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
         self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
             [], [], [], [], [], [])
@@ -269,18 +272,19 @@ class _Builder:
         self.esym.append(sym)
         self.egen.append(self.gen)
         self.eside.append({})
-        self._register(self.vgerm[_find(self.vpar, src)], (sym, 1), eid, self.eunion)
-        self._register(self.vgerm[_find(self.vpar, tgt)], (sym, -1), eid, self.eunion)
+        out, into = self.germ_keys.get(sym) or ((sym, 1), (sym, -1))  # any image
+        self._register(self.vgerm[_find(self.vpar, src)], out, eid, self.eunion)
+        self._register(self.vgerm[_find(self.vpar, tgt)], into, eid, self.eunion)
         return eid
 
-    def new_face(self, image, word):
+    def new_face(self, image, edges):
         fid = len(self.fpar)
         self.fpar.append(fid)
         self.fimg.append(image)
-        self.fword.append(list(word))
+        self.fword.append(edges)
         self.fgen.append(self.gen)
-        for pos, (eid, _sign) in enumerate(word):
-            self._register(self.eside[_find(self.epar, eid)], (image, pos), fid, self.funion)
+        for key, eid in zip(self.side_keys[image], edges):
+            self._register(self.eside[_find(self.epar, eid)], key, fid, self.funion)
         return fid
 
     def _merge(self, kind, par, img, gen, a, b):
@@ -326,8 +330,7 @@ class _Builder:
         merged = self._merge("face", self.fpar, self.fimg, self.fgen, a, b)
         if merged:
             a, b = merged
-            for (e1, s1), (e2, s2) in zip(self.fword[a], self.fword[b]):
-                assert s1 == s2
+            for e1, e2 in zip(self.fword[a], self.fword[b]):
                 self.eunion(e1, e2)
 
     # folding --------------------------------------------------------------
@@ -360,15 +363,19 @@ class _Builder:
     def load(self, ball, faces):
         """Copy the ball's base and the given faces, with their vertices and
         edges; returns the vertex map.  A ball built by this module is its
-        base plus the closure of its faces, so all its faces copy it whole."""
-        cx = ball.complex
+        base plus the closure of its faces, so all its faces copy it whole.
+        A face whose word signs are not its image word's is a ValueError."""
+        cx, words = ball.complex, self.V.faces
         edges = dict.fromkeys(e for f in faces for e, _s in cx.faces[f].word)
         ends = dict.fromkeys([ball.base] + [v for e in edges for v in cx.edges[e]])
         vmap = {v: self.new_vertex(ball.vertex_image[v]) for v in ends}
         emap = {e: self.new_edge(*(vmap[v] for v in cx.edges[e]), ball.edge_image[e])
                 for e in edges}
         for f in faces:
-            self.new_face(ball.face_image[f], [(emap[e], s) for e, s in cx.faces[f].word])
+            word, image = cx.faces[f].word, ball.face_image[f]
+            if [s for _e, s in word] != [s for _sym, s in words[image].word]:
+                raise ValueError(f"face {f}: word signs differ from its image {image}'s")
+            self.new_face(image, [emap[e] for e, _s in word])
         return vmap
 
     def _walk(self, u, keys):
@@ -396,9 +403,8 @@ class _Builder:
         corners, the last edge walked is left to a fresh one, whose key then
         queues the meeting corners' identification.
         """
-        word = self.V.faces[v_fid].word
-        n = len(word)
         keys, back_keys = self.walks[v_fid, corner]
+        n = len(keys)
         ahead, ahead_at = self._walk(v, keys)
         back, back_at = self._walk(v, back_keys[:n - len(ahead)])
         if len(ahead) + len(back) == n and ahead_at[-1] != back_at[-1]:
@@ -416,8 +422,7 @@ class _Builder:
             a, b = (at[k], at[k + 1]) if sign > 0 else (at[k + 1], at[k])
             ahead.append(self.new_edge(a, b, sym))
         edges = ahead + back[::-1]  # the word's edges from the corner on
-        edges = edges[n - corner:] + edges[:n - corner]
-        self.new_face(v_fid, [(e, sign) for e, (_sym, sign) in zip(edges, word)])
+        self.new_face(v_fid, edges[n - corner:] + edges[:n - corner])
 
     def missing_corners(self, v):
         """The corners of root v's image in V that no face at v fills yet,
@@ -440,55 +445,62 @@ class _Builder:
 
 
 def _canonical_ball(builder, base_root, radius):
-    """Compact the folded builder into an immutable Ball with canonical ids.
-
-    Vertices and edges are numbered by a breadth-first traversal from the
-    base that takes each vertex's germs in sorted (edge image, sign) order;
-    the traversal gives each vertex its depth as it numbers it.  Faces are
-    numbered by (image, edge numbers), which no two faces of a folded
-    complex share, and every id is formatted once, after the numbering.
-    The union-find roots are resolved once, before the walk.  The walk is
-    the germ tables' last reader, so they are dropped before the ball's
-    complex and its incidence index are built.
-    """
-    V, vpar, epar, fpar = builder.V, builder.vpar, builder.epar, builder.fpar
+    """Compact the folded builder into an immutable Ball with canonical ids:
+    ``_numbered_ball`` over its union-find roots, each face's letter signs
+    its image word's.  Only a fold leaves germs naming absorbed edges."""
+    V, vpar, epar, fpar, fimg = builder.V, builder.vpar, builder.epar, builder.fpar, builder.fimg
     vroot = [_find(vpar, v) for v in range(len(vpar))]
     eroot = [_find(epar, e) for e in range(len(epar))]
-    esrc = [vroot[v] for v in builder.esrc]
-    etgt = [vroot[v] for v in builder.etgt]
-    order, vnum, depths, enum = [base_root], {base_root: 0}, [0], {}
+    ends = [(vroot[s], vroot[t]) for s, t in zip(builder.esrc, builder.etgt)]
+    germs, fword, builder.vgerm, builder.eside = builder.vgerm, builder.fword, None, None
+    if eroot != list(range(len(eroot))):  # an edge was folded away
+        for table in filter(None, germs):
+            for key, e in table.items():
+                table[key] = eroot[e]
+        fword = [[eroot[e] for e in word] for word in fword]
+    rows = [(fimg[f], fword[f], V.faces[fimg[f]].word) for f in range(len(fpar)) if fpar[f] == f]
+    return _numbered_ball(V, base_root, radius, germs, ends, builder.vimg, builder.esym, rows)
+
+
+def _numbered_ball(V, base, radius, germs, ends, vimg, esym, rows):
+    """The Ball of the given cells, with canonical ids and depths.
+
+    ``germs[v]`` maps (edge image, sign) to an edge leaving v so, ``ends[e]``
+    is e's (source, target), ``vimg`` and ``esym`` give the cells' images,
+    and a face row is (image, edges, word giving the signs).  A breadth-first
+    walk from the base, taking each vertex's germs in sorted order, numbers
+    vertices and edges and gives the depths; faces go by (image, edge
+    numbers), then row order.  The walk, the germs' last reader, empties
+    them before the complex and its incidence index are built."""
+    order, vname, depths, enum = [base], {base: "v0"}, [0], {}
     for n, v in enumerate(order):
         below = depths[n] + 1
-        germs = builder.vgerm[v]
-        for key in sorted(germs):
-            e = eroot[germs[key]]
-            w = etgt[e] if key[1] > 0 else esrc[e]
+        table = germs[v]
+        for key in sorted(table):
+            e = table[key]
+            w = ends[e][key[1] > 0]
             if e not in enum:
                 enum[e] = len(enum)
-            if w not in vnum:
-                vnum[w] = len(order)
+            if w not in vname:
+                vname[w] = f"v{len(order)}"
                 order.append(w)
                 depths.append(below)
-    builder.vgerm = builder.eside = None
-    vnames = [f"v{n}" for n in range(len(order))]
+    germs.clear()
     enames = [f"e{n}" for n in range(len(enum))]
-    edges, edge_image = {}, {}
-    for eid, e in zip(enames, enum):
-        edges[eid] = (vnames[vnum[esrc[e]]], vnames[vnum[etgt[e]]])
-        edge_image[eid] = builder.esym[e]
-    rows = sorted([(builder.fimg[f], tuple([enum[eroot[e]] for e, _s in builder.fword[f]]), f)
-                   for f in range(len(fpar)) if fpar[f] == f])
+    edges = {eid: (vname[s], vname[t])
+             for eid, (s, t) in zip(enames, map(ends.__getitem__, enum))}
+    edge_image = dict(zip(enames, map(esym.__getitem__, enum)))
+    rows = sorted([(img, tuple([enum[e] for e in es]), n, word)
+                   for n, (img, es, word) in enumerate(rows)])
     kinds = {img: face.kind for img, face in V.faces.items()}
     faces, face_image = [], {}
-    for idx, (img, nums, f) in enumerate(rows):
+    for idx, (img, nums, _n, word) in enumerate(rows):
         fid = f"f{idx}"
-        word = [(enames[n], s) for n, (_e, s) in zip(nums, builder.fword[f])]
-        faces.append(Face(fid, kinds[img], word))
+        faces.append(Face(fid, kinds[img], [(enames[k], s) for k, (_x, s) in zip(nums, word)]))
         face_image[fid] = img
-    cx = Complex2(vertices=vnames, edges=edges, faces=faces)
-    return Ball(cx, V, vnames[0], radius,
-                {name: builder.vimg[v] for name, v in zip(vnames, order)},
-                edge_image, face_image, dict(zip(vnames, depths)))
+    cx = Complex2(vertices=vname.values(), edges=edges, faces=faces)
+    return Ball(cx, V, vname[base], radius, {name: vimg[v] for v, name in vname.items()},
+                edge_image, face_image, dict(zip(vname.values(), depths)))
 
 
 def _expand_round(builder, base, radius):
@@ -552,12 +564,18 @@ def restrict_ball(ball, radius):
         raise ValueError("cannot restrict to a larger radius")
     if radius < 0:
         raise ValueError(f"negative radius {radius}")
-    cx, depth = ball.complex, ball.depth
+    cx, depth, edge_image = ball.complex, ball.depth, ball.edge_image
     at_inner = {f for v in cx.vertices if depth[v] <= radius - 1 for f, _i in cx.corners_at(v)}
-    keep = [f for f in cx.face_ids() if f in at_inner]
-    builder = _Builder(ball.v_complex)
-    vmap = builder.load(ball, keep)
-    return _canonical_ball(builder, vmap[ball.base], radius)
+    keep, faces = [f for f in cx.face_ids() if f in at_inner], cx.faces
+    # each key's first edge in the order the kept faces name them wins
+    germs = defaultdict(dict)
+    for e in dict.fromkeys(e for f in keep for e, _s in faces[f].word):
+        s, t = cx.edges[e]
+        germs[s].setdefault((edge_image[e], 1), e)
+        germs[t].setdefault((edge_image[e], -1), e)
+    rows = [(ball.face_image[f], [e for e, _s in faces[f].word], faces[f].word) for f in keep]
+    return _numbered_ball(ball.v_complex, ball.base, radius, germs, cx.edges,
+                          ball.vertex_image, edge_image, rows)
 
 
 def _depths(cx, base):

@@ -178,6 +178,49 @@ def test_restriction_numbers_germs_outside_the_image(ball2):
     assert digest == "a79ad8496d7630a9b54ee2fbe22338249d4e48e9ccd84f9af2ed37676427bdba"
 
 
+def _restricted_through_a_workspace(ball, radius):
+    """The sub-ball built the other way: the faces of ``face_depth`` <=
+    radius-1 loaded into a builder, which ``_canonical_ball`` numbers."""
+    keep = [f for f in ball.complex.face_ids() if ball.face_depth(f) <= radius - 1]
+    builder = _Builder(ball.v_complex)
+    vmap = builder.load(ball, keep)
+    return _canonical_ball(builder, vmap[ball.base], radius)
+
+
+@pytest.mark.parametrize("radius", range(4))
+@pytest.mark.parametrize("base", "PQR")
+def test_restriction_matches_a_loaded_workspace(V, base, radius):
+    # restrict_ball numbers the ball's own cells with no builder; the
+    # builder that expand_ball loads is an independent second construction
+    ball = expand_to_radius(V, base, radius)
+    for k in range(radius + 1):
+        assert (serialize_ball(restrict_ball(ball, k))
+                == serialize_ball(_restricted_through_a_workspace(ball, k)))
+
+
+@pytest.mark.parametrize("damage", ["key outside the image", "key taken twice"])
+def test_restriction_of_a_damaged_ball_matches_a_loaded_workspace(ball2, damage):
+    # an edge at the base relabelled: e0 (x_a) as y_a, the germ key its
+    # image P lacks of test_restriction_numbers_germs_outside_the_image, or
+    # one outgoing edge as another with a different image, so that one key
+    # names two edges and the first in face order must win; both
+    # constructions number the damage the same way at every radius
+    cx, image = ball2.complex, ball2.edge_image
+    if damage == "key outside the image":
+        e = min((e for e, _s in cx.germs_at(ball2.base) if image[e] == "x_a"),
+                key=lambda s: int(s[1:]))
+        relabelled = {e: "y_a"}
+    else:
+        out = sorted((e for e, s in cx.germs_at(ball2.base) if s == 1), key=lambda s: int(s[1:]))
+        other = next(e for e in out if image[e] != image[out[0]])
+        relabelled = {out[0]: image[other]}
+    damaged = Ball(cx, ball2.v_complex, ball2.base, ball2.radius, ball2.vertex_image,
+                   {**image, **relabelled}, ball2.face_image, ball2.depth)
+    for k in range(3):
+        assert (serialize_ball(restrict_ball(damaged, k))
+                == serialize_ball(_restricted_through_a_workspace(damaged, k)))
+
+
 @pytest.mark.parametrize("radius", range(4))
 @pytest.mark.parametrize("base", "PQR")
 def test_one_workspace_matches_expanding_ball_by_ball(V, base, radius):
@@ -232,12 +275,21 @@ def test_expansion_creates_only_the_cells_the_ball_keeps(V, base, monkeypatch):
 
 def test_numbering_drops_the_germ_tables(V, monkeypatch):
     # the numbering walk is the germ tables' last reader, so no builder
-    # keeps them while its ball's complex is indexed, nor after
-    workspaces = _workspaces(monkeypatch)
+    # keeps them while its ball's complex is indexed, nor after; restriction
+    # numbers the ball's own cells and makes no builder at all
+    workspaces, made = _workspaces(monkeypatch), []
+    init = _Builder.__init__
+
+    def counting(builder, v_complex):
+        made.append(builder)
+        init(builder, v_complex)
+
+    monkeypatch.setattr(_Builder, "__init__", counting)
     ball = expand_to_radius(V, "P", 2)
     restrict_ball(ball, 1)
+    assert len(made) == 1
     expand_ball(ball)
-    assert len(workspaces) == 3
+    assert len(workspaces) == 2 and made == workspaces
     assert all(b.vgerm is None and b.eside is None for b in workspaces)
 
 
@@ -268,11 +320,11 @@ def _attach_fresh(builder, v, v_fid, corner):
     n = len(word)
     at = [v if j == corner else builder.new_vertex(builder.V.src(word[j]))
           for j in range(n)]
-    face_word = []
+    edges = []
     for j, (sym, sign) in enumerate(word):
         a, b = (at[j], at[(j + 1) % n]) if sign > 0 else (at[(j + 1) % n], at[j])
-        face_word.append((builder.new_edge(a, b, sym), sign))
-    builder.new_face(v_fid, face_word)
+        edges.append(builder.new_edge(a, b, sym))
+    builder.new_face(v_fid, edges)
 
 
 @pytest.mark.parametrize("start,at", [(0, 0), (2, 1)])
@@ -293,7 +345,7 @@ def test_attach_identifies_the_corners_where_its_walks_meet(V, start, at):
     assert len(builder.epar) == 4 and sum(p == e for e, p in enumerate(builder.epar)) == 3
     (face,) = builder.fword
     ends = [(_find(builder.vpar, builder.esrc[e]), _find(builder.vpar, builder.etgt[e]))
-            for e, _sign in face]
+            for e in face]
     assert all(ends[j][1] == ends[(j + 1) % 3][0] for j in range(3))
 
 
@@ -348,6 +400,23 @@ def test_fold_refuses_to_merge_settled_cells(V):
     with pytest.raises(FoldConflictError, match="settled edge") as info:
         expand_ball(ball)
     assert info.value.trail[2:] == ("generation", 0)
+
+
+def test_load_refuses_a_face_whose_signs_differ_from_its_image(ball1):
+    # a workspace face keeps only its edges and reads its signs from its
+    # image, so loading a face with one flipped letter must fail, not
+    # realign it; restriction keeps the ball's own words, damage included
+    cx = ball1.complex
+    (e, sign), *rest = cx.faces["f0"].word
+    faces = [Face(f, cx.faces[f].kind, [(e, -sign), *rest] if f == "f0" else cx.faces[f].word)
+             for f in cx.face_ids()]
+    damaged = Ball(Complex2(cx.vertices, cx.edges, faces), ball1.v_complex, ball1.base,
+                   ball1.radius, ball1.vertex_image, ball1.edge_image, ball1.face_image,
+                   ball1.depth)
+    with pytest.raises(ValueError, match="face f0: word signs differ from its image"):
+        expand_ball(damaged)
+    assert "boundary word image is misaligned" in " ".join(
+        verify_cover(restrict_ball(damaged, 1))["problems"])
 
 
 @pytest.mark.parametrize("radius", range(5))
