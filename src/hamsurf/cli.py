@@ -306,7 +306,10 @@ def ball_surface_certs(ball):
     seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
              and any(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)]
     surfaces, failed = {}, []
-    for seed in seeds:
+    # by face depth, the anchor's on an intact ball: a key's result does not
+    # depend on the order of the runs (``propagate_surface``), and runs that
+    # reach a known surface's start state stop there
+    for seed in sorted(seeds, key=ball.face_depth):
         for choice in ("with", "other"):
             try:
                 fs = propagate_surface(ball, seed, choice)
@@ -320,6 +323,8 @@ def ball_surface_certs(ball):
                 surfaces[fs.members] = fs
     witness = {"radius": radius, "seeds": len(seeds), "surfaces": len(surfaces)}
     if failed:
+        rank = {seed: n for n, seed in enumerate(seeds)}
+        failed.sort(key=lambda fail: rank[fail["seed"]])  # stable: "with" first
         witness.update(failed_runs=len(failed), first_failure=failed[0])
     certs.append(check(
         "propagation finds exactly two surfaces over all seeds and choices",

@@ -223,10 +223,14 @@ class _Builder:
     (edge image, sign) -> an edge whose oriented copy of that sign leaves v.
     An edge root e keeps ``eside[e]``: (face image, position) -> a face whose
     boundary word runs along e at that position.  Entries may name merged
-    cells; readers resolve them through ``_find``.  A folded complex has one
-    class under each key, so a key that is already taken when a new cell
-    registers it, or when the tables of two merged classes meet, names a pair
-    that folding must identify: the pair waits on ``pending`` until ``fold``.
+    cells; readers resolve them through ``_find``, but a cell that is its own
+    root is read as it is, without the call.  A folded complex has one class
+    under each key, so a key that is already taken when a new cell registers
+    it (inline, in ``new_edge`` and ``new_face``), or when the tables of two
+    merged classes meet (``_register``), names a pair that folding must
+    identify: the pair waits on ``pending`` until ``fold``.  Growth on the
+    shipped chart never folds: every cell stays its own root
+    (``test_expansion_creates_only_the_cells_the_ball_keeps``).
     Cells attached while ``gen`` is n belong to round n; cells of an earlier
     round are settled.  A face word is its edges; its signs are its image's.
 
@@ -273,8 +277,13 @@ class _Builder:
         self.egen.append(self.gen)
         self.eside.append({})
         out, into = self.germ_keys.get(sym) or ((sym, 1), (sym, -1))  # any image
-        self._register(self.vgerm[_find(self.vpar, src)], out, eid, self.eunion)
-        self._register(self.vgerm[_find(self.vpar, tgt)], into, eid, self.eunion)
+        vpar, vgerm = self.vpar, self.vgerm
+        first = vgerm[src if vpar[src] == src else _find(vpar, src)].setdefault(out, eid)
+        if first != eid:
+            self.pending.append((self.eunion, first, eid))
+        first = vgerm[tgt if vpar[tgt] == tgt else _find(vpar, tgt)].setdefault(into, eid)
+        if first != eid:
+            self.pending.append((self.eunion, first, eid))
         return eid
 
     def new_face(self, image, edges):
@@ -283,8 +292,11 @@ class _Builder:
         self.fimg.append(image)
         self.fword.append(edges)
         self.fgen.append(self.gen)
-        for key, eid in zip(self.side_keys[image], edges):
-            self._register(self.eside[_find(self.epar, eid)], key, fid, self.funion)
+        epar, eside = self.epar, self.eside
+        for key, e in zip(self.side_keys[image], edges):
+            first = eside[e if epar[e] == e else _find(epar, e)].setdefault(key, fid)
+            if first != fid:
+                self.pending.append((self.funion, first, fid))
         return fid
 
     def _merge(self, kind, par, img, gen, a, b):
@@ -334,11 +346,6 @@ class _Builder:
                 self.eunion(e1, e2)
 
     # folding --------------------------------------------------------------
-    def far_end(self, v, key, e):
-        """The root at the other end of edge e, filed under key at root v."""
-        e = _find(self.epar, e)
-        return e, _find(self.vpar, self.etgt[e] if key[1] > 0 else self.esrc[e])
-
     def fold(self):
         """Stallings folding: identify the queued pairs, to a fixpoint.
 
@@ -381,12 +388,17 @@ class _Builder:
     def _walk(self, u, keys):
         """Edges and corners met from root u along the germ keys in turn,
         as far as the germs go: ([edges], [u, corners...])."""
+        vgerm, vpar, epar, esrc, etgt = self.vgerm, self.vpar, self.epar, self.esrc, self.etgt
         edges, corners = [], [u]
         for key in keys:
-            e = self.vgerm[u].get(key)
+            e = vgerm[u].get(key)
             if e is None:
                 break
-            e, u = self.far_end(u, key, e)
+            if epar[e] != e:
+                e = _find(epar, e)
+            u = etgt[e] if key[1] > 0 else esrc[e]
+            if vpar[u] != u:
+                u = _find(vpar, u)
             edges.append(e)
             corners.append(u)
         return edges, corners
@@ -414,30 +426,31 @@ class _Builder:
             else:
                 ahead.pop()
                 ahead_at.pop()
-        gap = range(len(ahead), n - len(back))
-        at = [ahead_at[-1]] + [self.new_vertex(self.V.src(keys[j])) for j in gap[1:]]
-        at.append(back_at[-1])
-        for k, j in enumerate(gap):
+        u, end, last = ahead_at[-1], back_at[-1], n - len(back) - 1
+        v_edges = self.V.edges
+        for j in range(len(ahead), last + 1):  # the gap: letter j from corner u to w
             sym, sign = keys[j]
-            a, b = (at[k], at[k + 1]) if sign > 0 else (at[k + 1], at[k])
-            ahead.append(self.new_edge(a, b, sym))
-        edges = ahead + back[::-1]  # the word's edges from the corner on
-        self.new_face(v_fid, edges[n - corner:] + edges[:n - corner])
+            w = end if j == last else self.new_vertex(v_edges[sym][sign > 0])
+            ahead.append(self.new_edge(u, w, sym) if sign > 0 else self.new_edge(w, u, sym))
+            u = w
+        ahead += reversed(back)  # the word's edges from the corner on
+        self.new_face(v_fid, ahead[n - corner:] + ahead[:n - corner])
 
     def missing_corners(self, v):
         """The corners of root v's image in V that no face at v fills yet,
         as sorted (V fid, corner index) pairs."""
-        faces = self.V.faces
+        faces, epar = self.V.faces, self.epar
         present = set()
         for (_sym, sign), e in self.vgerm[v].items():
-            for img, pos in self.eside[_find(self.epar, e)]:
+            for img, pos in self.eside[e if epar[e] == e else _find(epar, e)]:
                 if faces[img].word[pos][1] == sign:
                     present.add((img, pos))
         return [c for c in self.V.corners_at(self.vimg[v]) if c not in present]
 
     def complete_star(self, v):
         """Attach copies for every missing corner at v; returns count."""
-        v = _find(self.vpar, v)
+        if self.vpar[v] != v:
+            v = _find(self.vpar, v)
         missing = self.missing_corners(v)
         for v_fid, corner in missing:
             self.attach_corner(v, v_fid, corner)
@@ -449,8 +462,8 @@ def _canonical_ball(builder, base_root, radius):
     ``_numbered_ball`` over its union-find roots, each face's letter signs
     its image word's.  Only a fold leaves germs naming absorbed edges."""
     V, vpar, epar, fpar, fimg = builder.V, builder.vpar, builder.epar, builder.fpar, builder.fimg
-    vroot = [_find(vpar, v) for v in range(len(vpar))]
-    eroot = [_find(epar, e) for e in range(len(epar))]
+    vroot = [v if p == v else _find(vpar, v) for v, p in enumerate(vpar)]
+    eroot = [e if p == e else _find(epar, e) for e, p in enumerate(epar)]
     ends = [(vroot[s], vroot[t]) for s, t in zip(builder.esrc, builder.etgt)]
     germs, fword, builder.vgerm, builder.eside = builder.vgerm, builder.fword, None, None
     if eroot != list(range(len(eroot))):  # an edge was folded away
@@ -513,12 +526,18 @@ def _expand_round(builder, base, radius):
     V-corner at the same vertex, and a completed star never loses a corner.
     A second pass over the same vertices would attach nothing.
     """
-    base = _find(builder.vpar, base)
+    vgerm, vpar, epar, esrc, etgt = (
+        builder.vgerm, builder.vpar, builder.epar, builder.esrc, builder.etgt)
+    base = _find(vpar, base)
     depth, targets = {base: 0}, [base]
     for v in targets:
         if depth[v] < radius:
-            for key, e in builder.vgerm[v].items():
-                _e, w = builder.far_end(v, key, e)
+            for (_sym, sign), e in vgerm[v].items():
+                if epar[e] != e:
+                    e = _find(epar, e)
+                w = etgt[e] if sign > 0 else esrc[e]
+                if vpar[w] != w:
+                    w = _find(vpar, w)
                 if w not in depth:
                     depth[w] = depth[v] + 1
                     targets.append(w)

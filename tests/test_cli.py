@@ -314,6 +314,26 @@ def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, statu
             assert set(aut.values()) == {"error"}
 
 
+def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys):
+    # seeds run by face depth, but failures are reported in face-id seed
+    # order; in run order the first failure at radius 4 would be f1006's
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    edits = {"face a triangle : x_a+ y_a+ z_a+": "face a triangle : x_a+ y_b+ z_a+",
+             "face b triangle : x_b+ y_b+ z_b+": "face b triangle : x_b+ y_a+ z_b+"}
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "mutated.charts"
+    bad.write_text(text)
+    code, out = run(capsys, "find-surfaces", "--charts", str(bad), "--radius", "4")
+    assert code == 1
+    witness = {c["ref"]: c for c in json.loads(out)}["surfaces.two"]["witness"]
+    assert witness["failed_runs"] == 1832
+    assert witness["first_failure"] == {
+        "seed": "f1000", "choice": "with", "cell": None,
+        "reason": "seed corner is not on exactly one admissible cycle"}
+
+
 # chart edits that load and build, and once ended in a traceback.  Flipping
 # the signs of x's word makes x equal x', so a propagated face set has a
 # trace that is not one cycle.  With x and z' reordered instead, a link of V
@@ -373,6 +393,15 @@ def test_check_all_certificates_are_pinned(capsys):
     _code, out = run(capsys, "check-all", "--radius", "2")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3"
+
+
+def test_check_all_certificates_are_pinned_at_radius_4(capsys):
+    # the same at radius 4, where the balls are grown through many more
+    # attachments and the propagation seeds run out of face-id order; CI
+    # checks both digests on the other supported CPythons
+    _code, out = run(capsys, "check-all", "--radius", "4")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "69d8b2b1caabdb8593d5c0d68a69c7039ab7ce2227cf78e7b4dab64c6da433d9"
 
 
 @pytest.mark.parametrize("argv", [
