@@ -23,6 +23,11 @@ keeps the developments that are complete bijections.  This finds every
 isomorphism when the side keys are distinct at every edge end (it raises
 CellMapError otherwise) and the faces are connected through their edges,
 with every vertex and edge on some face.
+
+Aut(V) comes from that one search: ``automorphism_group(V)`` is
+``isomorphisms(V, V)``.  The three named involutions theta1-theta3 are read
+out of the group by their edge tables (``theta_maps``), and
+``verify_theta_relations`` reports their relations inside it.
 """
 
 from __future__ import annotations
@@ -30,12 +35,6 @@ from __future__ import annotations
 from collections import deque
 
 from .corecomplex import LOZENGE, reverse
-
-
-# bounds that turn a runaway closure into an error: V's automorphisms have
-# order at most 4 and Aut(V) has 8 elements
-ORDER_LIMIT = 64
-GROUP_LIMIT = 256
 
 
 class CellMapError(ValueError):
@@ -87,22 +86,13 @@ class CellMap:
                 and all(f == g for f, g in self.face_map.items()))
 
     def order(self):
-        """Order of the map as an automorphism (source == target)."""
-        acc = self
-        for n in range(1, ORDER_LIMIT + 1):
-            if acc.is_identity():
-                return n
-            acc = acc.compose(self)
-        raise CellMapError(f"order exceeds {ORDER_LIMIT}")
-
-
-def identity_map(cx):
-    return CellMap(
-        cx, cx,
-        {v: v for v in cx.vertices},
-        {s: (s, 1) for s in cx.edges},
-        {f: f for f in cx.faces},
-    )
+        """Order of the map as an automorphism (source == target).  It is
+        only asked of elements of a finite automorphism group, so some power
+        is the identity and the loop ends."""
+        acc, n = self, 1
+        while not acc.is_identity():
+            acc, n = acc.compose(self), n + 1
+        return n
 
 
 def _aligned(word, shift, flipped):
@@ -129,7 +119,9 @@ def word_match(word, target_word, even_rotation_only):
 
 
 def check_cellmap(m):
-    """All structural violations of a CellMap, as strings; empty iff valid."""
+    """All structural violations of a CellMap, as strings; empty iff valid.
+    Edges and faces are checked in sorted order, whatever order the map was
+    built in."""
     src, tgt = m.source, m.target
     problems = []
     if sorted(m.vertex_map) != sorted(src.vertices):
@@ -138,7 +130,7 @@ def check_cellmap(m):
         problems.append("vertex map is not onto the target vertices")
     if sorted(m.edge_map) != sorted(src.edges):
         problems.append("edge map domain mismatch")
-    for sym, (img, sign) in m.edge_map.items():
+    for sym, (img, sign) in sorted(m.edge_map.items()):
         if img not in tgt.edges:
             problems.append(f"edge {sym}: image {img} undeclared")
             continue
@@ -150,7 +142,7 @@ def check_cellmap(m):
     img_syms = sorted(img for img, _sign in m.edge_map.values())
     if img_syms != sorted(tgt.edges):
         problems.append("edge map is not a bijection on symbols")
-    for fid, gid in m.face_map.items():
+    for fid, gid in sorted(m.face_map.items()):
         face, gface = src.faces[fid], tgt.faces[gid]
         if face.kind != gface.kind:
             problems.append(f"face {fid}: kind changes under the map")
@@ -165,17 +157,6 @@ def check_cellmap(m):
     if sorted(set(m.face_map.values())) != sorted(tgt.faces):
         problems.append("face map is not onto the target faces")
     return problems
-
-
-def _face_image_of_word(cx, word, kind):
-    """The face of cx whose boundary equals word (up to allowed moves)."""
-    for fid in cx.face_ids():
-        face = cx.faces[fid]
-        if face.kind != kind:
-            continue
-        if word_match(word, face.word, even_rotation_only=(kind == LOZENGE)) is not None:
-            return fid
-    return None
 
 
 def _side_key(cx, side, end):
@@ -273,97 +254,54 @@ def automorphism_group(cx):
     return isomorphisms(cx, cx)
 
 
-def map_from_edge_table(cx, table):
-    """Build an automorphism of cx from a symbol table.
-
-    ``table`` maps edge symbols to oriented edges (sym or (sym, sign));
-    entries give both directions of each swap, or single fixed points.  The
-    vertex and face maps are derived; raises CellMapError if the table does
-    not define an automorphism.
-    """
-    edge_map = {}
-    for sym, img in table.items():
-        edge_map[sym] = img if isinstance(img, tuple) else (img, 1)
-    for sym in cx.edges:
-        if sym not in edge_map:
-            edge_map[sym] = (sym, 1)
-    vertex_map = {}
-    for sym, (img, sign) in edge_map.items():
-        for v, w in ((cx.src((sym, 1)), cx.src((img, sign))),
-                     (cx.tgt((sym, 1)), cx.tgt((img, sign)))):
-            if v in vertex_map and vertex_map[v] != w:
-                raise CellMapError(f"edge table inconsistent at vertex {v}")
-            vertex_map[v] = w
-    probe = CellMap(cx, cx, vertex_map, edge_map, {})
-    face_map = {}
-    used = set()
-    for fid in cx.face_ids():
-        face = cx.faces[fid]
-        gid = _face_image_of_word(cx, probe.map_word(face.word), face.kind)
-        if gid is None:
-            raise CellMapError(f"edge table does not map face {fid} to a face")
-        if gid in used:
-            raise CellMapError(f"edge table maps two faces onto {gid}")
-        used.add(gid)
-        face_map[fid] = gid
-    m = CellMap(cx, cx, vertex_map, edge_map, face_map)
-    problems = check_cellmap(m)
-    if problems:
-        raise CellMapError("; ".join(problems))
-    return m
-
-
-# The three involution tables for V, as subscript maps on the fixture's
-# edge symbols.  theta1 flips every lozenge along its long diagonal, theta2
-# reverses arrows while exchanging the x and y families (it takes S to S'),
-# theta3 exchanges the a/b and c/d charts.
-
-def theta1_table():
-    return {
-        "x_a": "x_d", "x_d": "x_a", "x_b": "x_c", "x_c": "x_b",
-        "y_a": "y_d", "y_d": "y_a", "y_b": "y_c", "y_c": "y_b",
-        "z_a": "z_d", "z_d": "z_a", "z_b": "z_c", "z_c": "z_b",
-    }
-
-
-def theta2_table():
-    return {
+# The three involutions of V named by their edge tables: symbol -> oriented
+# image, with unlisted symbols fixed.  theta1 flips every lozenge along its
+# long diagonal, theta2 reverses arrows while exchanging the x and y
+# families (it takes S to S'), theta3 exchanges the a/b and c/d charts.
+THETA_TABLES = {
+    "theta1": {
+        "x_a": ("x_d", 1), "x_d": ("x_a", 1), "x_b": ("x_c", 1), "x_c": ("x_b", 1),
+        "y_a": ("y_d", 1), "y_d": ("y_a", 1), "y_b": ("y_c", 1), "y_c": ("y_b", 1),
+        "z_a": ("z_d", 1), "z_d": ("z_a", 1), "z_b": ("z_c", 1), "z_c": ("z_b", 1),
+    },
+    "theta2": {
         "x_a": ("y_a", -1), "y_a": ("x_a", -1),
         "x_c": ("y_b", -1), "y_b": ("x_c", -1),
         "x_b": ("y_c", -1), "y_c": ("x_b", -1),
         "x_d": ("y_d", -1), "y_d": ("x_d", -1),
-        "z_a": ("z_a", -1),
-        "z_b": ("z_c", -1), "z_c": ("z_b", -1),
-        "z_d": ("z_d", -1),
-    }
+        "z_a": ("z_a", -1), "z_b": ("z_c", -1), "z_c": ("z_b", -1), "z_d": ("z_d", -1),
+    },
+    "theta3": {
+        "x_a": ("x_b", 1), "x_b": ("x_a", 1), "x_c": ("x_d", 1), "x_d": ("x_c", 1),
+        "y_a": ("y_b", 1), "y_b": ("y_a", 1), "y_c": ("y_d", 1), "y_d": ("y_c", 1),
+        "z_a": ("z_b", 1), "z_b": ("z_a", 1), "z_c": ("z_d", 1), "z_d": ("z_c", 1),
+    },
+}
 
 
-def theta3_table():
-    return {
-        "x_a": "x_b", "x_b": "x_a", "x_c": "x_d", "x_d": "x_c",
-        "y_a": "y_b", "y_b": "y_a", "y_c": "y_d", "y_d": "y_c",
-        "z_a": "z_b", "z_b": "z_a", "z_c": "z_d", "z_d": "z_c",
-    }
-
-
-def theta_maps(v_complex):
-    """The three named automorphisms of V built from their tables."""
-    return {
-        "theta1": map_from_edge_table(v_complex, theta1_table()),
-        "theta2": map_from_edge_table(v_complex, theta2_table()),
-        "theta3": map_from_edge_table(v_complex, theta3_table()),
-    }
+def theta_maps(group):
+    """The three named automorphisms of V, read out of ``group`` (Aut(V) as
+    ``automorphism_group(V)`` gives it): for each table in ``THETA_TABLES``
+    the element whose edge map equals it.  Raises CellMapError naming the
+    first table that no element has."""
+    thetas = {}
+    for name, table in THETA_TABLES.items():
+        thetas[name] = next(
+            (m for m in group if m.edge_map == {**{s: (s, 1) for s in m.edge_map}, **table}),
+            None)
+        if thetas[name] is None:
+            raise CellMapError(f"no automorphism of V has the edge table {name}")
+    return thetas
 
 
 def generated_subgroup(generators):
-    """Closure of a generator list under composition: the identity closed
-    under left multiplication by the generators, which in a finite group
-    reaches every product of them."""
-    if not generators:
-        return []
-    ident = identity_map(generators[0].source)
-    elems = {ident.key(): ident}
-    frontier = [ident]
+    """Closure of a generator list under composition: the generators closed
+    under left multiplication by the generators.  In a finite group this
+    reaches every product of them, the identity among them as a power of
+    each.  The generators are elements of a finite automorphism group, so
+    the closure ends."""
+    elems = {g.key(): g for g in generators}
+    frontier = list(elems.values())
     while frontier:
         nxt = []
         for h in frontier:
@@ -374,18 +312,17 @@ def generated_subgroup(generators):
                     elems[k] = prod
                     nxt.append(prod)
         frontier = nxt
-        if len(elems) > GROUP_LIMIT:
-            raise CellMapError("generated group exceeds limit")
     return sorted(elems.values(), key=lambda m: m.key())
 
 
 def verify_theta_relations(thetas, group):
-    """Relation report for the maps ``theta_maps(V)`` inside Aut(V), the
+    """Relation report for the maps ``theta_maps(group)`` inside Aut(V), the
     group given as ``automorphism_group(V)``.
 
-    Checks, and reports rather than assumes: membership of the tables in
-    the full automorphism group, involutivity, pairwise commutation,
-    generation of the whole group and element orders.
+    Checks, and reports rather than assumes: involutivity, pairwise
+    commutation, generation of the whole group and element orders.
+    ``members`` looks each map up in the group by its key; maps read out of
+    the group by ``theta_maps`` are members by construction.
     """
     keys = {m.key() for m in group}
     report = {

@@ -8,8 +8,10 @@ The chart format is line based:
     faceset <name> : <face id> ...
 
 No two records of one kind share a name.  Vertices are inferred from edge
-declarations.  Lozenge words start at a small corner.  ``recheck`` records
-must match the face record of the same name up to rotation and reversal.
+declarations.  Lozenge words start at a small corner.  No face word
+backtracks: no side is followed, cyclically, by the same edge run back.
+``recheck`` records must match the face record of the same name up to
+rotation and reversal.
 The shipped fixture describes the ten-face quotient complex whose facesets
 are named S and S'.
 """
@@ -141,6 +143,10 @@ def validate_chartdata(cd):
             raise ChartError(
                 f"recheck {fid}: word differs from the face record "
                 f"(not a rotation or reversal)")
+    for fid, word in list(cd.triangles.items()) + list(cd.lozenges.items()):
+        for i, (sym, sign) in enumerate(word):
+            if word[i - 1] == (sym, -sign):
+                raise ChartError(f"face {fid}: word backtracks along edge {sym}")
     use = {}
     for word in list(cd.triangles.values()) + list(cd.lozenges.values()):
         for sym, _sign in word:

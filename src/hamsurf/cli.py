@@ -375,7 +375,7 @@ AUT_CLAIMS = (
 def cmd_check_aut(_args, cd, V, _balls):
     try:
         group = automorphism_group(V)
-        thetas = theta_maps(V)
+        thetas = theta_maps(group)
         rep = verify_theta_relations(thetas, group)
     except CellMapError as exc:
         return [error_certificate(claim, ref, str(exc)) for claim, ref in AUT_CLAIMS]

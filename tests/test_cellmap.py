@@ -1,14 +1,14 @@
 import pytest
 
+import hamsurf.cellmap
 from hamsurf.cellmap import (CellMap, CellMapError, automorphism_group, check_cellmap,
-                             generated_subgroup, identity_map, isomorphisms,
-                             map_from_edge_table, theta_maps,
+                             generated_subgroup, isomorphisms, theta_maps,
                              verify_theta_relations, word_match)
 from hamsurf.corecomplex import LOZENGE, TRIANGLE, Complex2, Face
 
 
 def test_identity_is_valid(V):
-    ident = identity_map(V)
+    [ident] = [m for m in automorphism_group(V) if m.is_identity()]
     assert check_cellmap(ident) == []
     assert ident.is_identity()
     assert ident.order() == 1
@@ -44,7 +44,7 @@ DAMAGED_THETA2 = [
     "vertex-not-onto", "edge-undeclared", "edge-ends", "face-kind", "face-word",
     "two-faces-onto-one"])
 def test_check_cellmap_names_each_damage(V, damage, problems):
-    theta2 = theta_maps(V)["theta2"]
+    theta2 = theta_maps(automorphism_group(V))["theta2"]
     assert check_cellmap(theta2) == []
     damaged = CellMap(V, V, {**theta2.vertex_map, **damage.get("vertex", {})},
                       {**theta2.edge_map, **damage.get("edge", {})},
@@ -67,7 +67,7 @@ def test_word_match_parity():
 
 
 def test_theta_tables_are_automorphisms(V):
-    thetas = theta_maps(V)
+    thetas = theta_maps(automorphism_group(V))
     for name, m in thetas.items():
         assert check_cellmap(m) == [], name
         assert m.compose(m).is_identity(), name
@@ -75,7 +75,7 @@ def test_theta_tables_are_automorphisms(V):
 
 
 def test_theta_face_actions(V, chartdata):
-    thetas = theta_maps(V)
+    thetas = theta_maps(automorphism_group(V))
     t1, t2, t3 = thetas["theta1"], thetas["theta2"], thetas["theta3"]
     # theta1 swaps the a/d and b/c charts and fixes every lozenge
     assert {k: t1.face_map[k] for k in "abcd"} == {"a": "d", "b": "c", "c": "b", "d": "a"}
@@ -94,7 +94,7 @@ def test_theta_face_actions(V, chartdata):
 
 
 def test_theta2_vertex_action(V):
-    t2 = theta_maps(V)["theta2"]
+    t2 = theta_maps(automorphism_group(V))["theta2"]
     assert t2.vertex_map == {"P": "P", "Q": "R", "R": "Q"}
 
 
@@ -123,7 +123,8 @@ def test_every_automorphism_preserves_structure(V):
 
 
 def test_theta_relations_report(V):
-    rep = verify_theta_relations(theta_maps(V), automorphism_group(V))
+    group = automorphism_group(V)
+    rep = verify_theta_relations(theta_maps(group), group)
     assert rep["group_order"] == 8
     assert all(rep["members"].values())
     assert all(rep["involutive"].values())
@@ -138,15 +139,19 @@ def test_theta_relations_report(V):
 
 
 def test_theta23_squares_to_theta1(V):
-    thetas = theta_maps(V)
+    thetas = theta_maps(automorphism_group(V))
     prod = thetas["theta2"].compose(thetas["theta3"])
     assert prod.order() == 4
     assert prod.compose(prod) == thetas["theta1"]
 
 
 def test_generated_subgroup_of_single_involution(V):
-    t1 = theta_maps(V)["theta1"]
-    assert len(generated_subgroup([t1])) == 2
+    t1 = theta_maps(automorphism_group(V))["theta1"]
+    subgroup = generated_subgroup([t1])
+    assert len(subgroup) == 2
+    assert [m.is_identity() for m in subgroup].count(True) == 1
+    assert t1 in subgroup
+    assert generated_subgroup([]) == []
 
 
 def test_s_and_sprime_are_isomorphic(S, Sprime):
@@ -169,11 +174,14 @@ def test_isomorphisms_refuse_a_shared_side_key():
         isomorphisms(cx, cx)
 
 
-def test_bad_edge_table_rejected(V):
-    with pytest.raises(CellMapError):
-        map_from_edge_table(V, {"x_a": "y_a"})  # breaks source/target
-    with pytest.raises(CellMapError):
-        map_from_edge_table(V, {"x_a": "x_b"})  # not injective
+def test_bad_edge_table_rejected(V, monkeypatch):
+    # a table that no automorphism has is named in the error
+    group = automorphism_group(V)
+    for table in ({"x_a": ("y_a", 1)},  # breaks source/target
+                  {"x_a": ("x_b", 1)}):  # not injective
+        monkeypatch.setitem(hamsurf.cellmap.THETA_TABLES, "theta2", table)
+        with pytest.raises(CellMapError, match="edge table theta2$"):
+            theta_maps(group)
 
 
 def test_isomorphisms_deterministic(V):

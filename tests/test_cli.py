@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -254,9 +255,9 @@ def test_chart_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
 def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
     calls = []
 
-    def counting(V):
-        calls.append(V)
-        return theta_maps(V)
+    def counting(group):
+        calls.append(group)
+        return theta_maps(group)
 
     monkeypatch.setattr(hamsurf.cellmap, "theta_maps", counting)
     monkeypatch.setattr(hamsurf.cli, "theta_maps", counting)
@@ -290,9 +291,12 @@ def _check_all_on_edited_chart(tmp_path, capsys, edits):
      "surfaces.two", "fail",
      {"cell": None, "reason": "seed corner is not on exactly one admissible cycle"}),
     ({"face z lozenge : z_c+ z_b- z_d+ z_a-": "face z lozenge : z_a+ z_b- z_d+ z_c-"},
-     "aut.swap", "error", {"error": "edge table does not map face z to a face"}),
+     "aut.swap", "error", {"error": "no automorphism of V has the edge table theta2"}),
     ({"faceset S' : a b c d x' y' z'\n": ""},
      "aut.swap", "error", {"error": "chart file declares no faceset \"S'\""}),
+    # every x_a renamed: an entry of the theta1 table names a symbol V lacks
+    ({"x_a": "x_q"},
+     "aut.swap", "error", {"error": "no automorphism of V has the edge table theta1"}),
 ])
 def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, status, detail):
     by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
@@ -312,6 +316,19 @@ def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, statu
             assert [r for r, s in aut.items() if s == "error"] == ["aut.swap"]
         else:
             assert set(aut.values()) == {"error"}
+
+
+def test_backtracking_face_word_yields_fixture_errors(tmp_path, capsys):
+    # x runs x_a+ and, cyclically, straight back along x_a-: the chart is
+    # refused on loading, where V's links would have a self-loop
+    edits = {"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_a- x_b+ x_b- x_a+",
+             "face x' lozenge : x_c- x_b+ x_d- x_a+": "face x' lozenge : x_c- x_d+ x_d- x_c+",
+             "recheck x' : x_c- x_b+ x_d- x_a+": "recheck x' : x_c- x_d+ x_d- x_c+"}
+    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
+    errors = {ref: c["witness"] for ref, c in by_ref.items() if c["status"] != "pass"}
+    assert errors == {ref: {"error": "face x: word backtracks along edge x_a"}
+                      for ref in ("quotient.fixture", "cover.fixture", "surfaces.fixture",
+                                  "aut.fixture")}
 
 
 def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys):
@@ -386,22 +403,37 @@ def test_check_all_exit_code(capsys):
     assert failing == ["aut.commute", "aut.exponent-two", "quotient.genus"]
 
 
+# SHA-256 of the whole certificate JSON of check-all at each radius.  A
+# change that alters a witness on purpose updates these digests, and the
+# check-all-pin job of the Tier-1 workflow with them, and says so in
+# CHANGES.md.
+CHECK_ALL_PINS = {
+    2: "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3",
+    4: "69d8b2b1caabdb8593d5c0d68a69c7039ab7ce2227cf78e7b4dab64c6da433d9",
+}
+
+
 def test_check_all_certificates_are_pinned(capsys):
-    # SHA-256 of the whole certificate JSON of check-all at radius 2.  A
-    # change that alters a witness on purpose updates this digest and says
-    # so in CHANGES.md.
     _code, out = run(capsys, "check-all", "--radius", "2")
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3"
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[2]
 
 
 def test_check_all_certificates_are_pinned_at_radius_4(capsys):
-    # the same at radius 4, where the balls are grown through many more
-    # attachments and the propagation seeds run out of face-id order; CI
-    # checks both digests on the other supported CPythons
+    # at radius 4 the balls are grown through many more attachments and the
+    # propagation seeds run out of face-id order
     _code, out = run(capsys, "check-all", "--radius", "4")
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "69d8b2b1caabdb8593d5c0d68a69c7039ab7ce2227cf78e7b4dab64c6da433d9"
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[4]
+
+
+def test_ci_checks_the_pinned_digests():
+    # the check-all-pin job runs check-all on the other supported CPythons
+    # and compares each output file with a digest of its own
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+                / "tier1.yml").read_text()
+    outputs = dict(re.findall(r"check-all --radius (\d+) > (\S+)", workflow))
+    digests = {name: digest for digest, name in
+               re.findall(r'echo "([0-9a-f]{64})  (\S+)" \| sha256sum -c -', workflow)}
+    assert {int(r): digests.get(name) for r, name in outputs.items()} == CHECK_ALL_PINS
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ import pytest
 import hamsurf.census
 import hamsurf.corecomplex
 import hamsurf.surfaces
-from hamsurf.cellmap import theta_maps
+from hamsurf.cellmap import automorphism_group, theta_maps
 from hamsurf.cli import ball_surface_certs
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
 from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
@@ -588,7 +588,7 @@ def test_projection_of_everything_is_neither(ball2):
 
 
 def test_twisted_projection_swaps_surfaces(V, ball2):
-    th2 = theta_maps(V)["theta2"]
+    th2 = theta_maps(automorphism_group(V))["theta2"]
     seed = interior_lozenge_seeds(ball2)[0]
     for choice in ("with", "other"):
         fs = propagate_surface(ball2, seed, choice)
