@@ -93,11 +93,13 @@ class Ball:
         self.face_image = face_image
         self.depth = depth
         # per-ball tables filled on first use: corner lifts and lifted link
-        # cycles by vertex, and the propagation results that
+        # cycles by vertex, the forcing rule ``surfaces._propagate`` builds
+        # at each vertex it checks, and the propagation results that
         # ``surfaces.propagate_surface`` keeps by (anchor, chosen cycle),
         # which its runs also read to stop early
         self._lifts = {}
         self._type3 = {}
+        self.vertex_rules = {}
         self.propagations = {}
 
     @cached_property
@@ -191,16 +193,17 @@ class Ball:
         return self._type3[v]
 
     @cached_property
-    def face_vertices(self):
-        """The distinct corner vertices of each face, sorted by name."""
-        cx = self.complex
-        return {fid: sorted({cx.src(oe) for oe in cx.faces[fid].word}, key=str)
+    def face_interior_vertices(self):
+        """The distinct interior corner vertices of each face, sorted by name."""
+        cx, interior = self.complex, self.interior_vertices
+        return {fid: sorted({v for v in map(cx.src, cx.faces[fid].word) if v in interior},
+                            key=str)
                 for fid in cx.faces}
 
     @cached_property
     def face_counts(self):
-        """The number of distinct faces with a corner at each vertex."""
-        return Counter(v for vs in self.face_vertices.values() for v in vs)
+        """The number of distinct faces with a corner at each interior vertex."""
+        return Counter(v for vs in self.face_interior_vertices.values() for v in vs)
 
     def face_depth(self, fid):
         # a letter's source is its edge's first end, or its last when reversed

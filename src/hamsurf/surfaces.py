@@ -15,7 +15,11 @@ Propagation reads the admissible (type-3) link cycles of V, enumerated once
 per V, as the ball carries them to its vertices through the covering map
 (``Ball.type3_cycles``, lifted once per ball vertex).  It forces by that
 vertex rule alone: coverage 2 on an interior edge follows from it at the
-edge's interior end (``_propagate``).  Its result depends on the seed only
+edge's interior end (``_propagate``).  The rule is compiled once per ball
+vertex into face-id lists (``_VertexRule``, kept in ``Ball.vertex_rules``):
+a check scans them for the admissible cycles and reads the faces to settle
+from a table keyed by that set, where it would otherwise rebuild corner sets
+at every step.  Its result depends on the seed only
 through the anchor vertex and the chosen link cycle, so each ball keeps
 one result per such pair, its key, and every seed that maps to the key
 shares it (``propagate_surface``).  The same table lets a run stop
@@ -253,6 +257,14 @@ def _propagate(ball, anchor, chosen):
       ends above A, so its true outcome is a contradiction or a strictly
       larger state.
 
+    A check reads v's compiled rule (``_VertexRule``).  Its face lists
+    admit the cycles that testing every corner tag admits, and its step for
+    that set lists the faces in sorted tag order, as sorting the cycles'
+    intersection and the corners off their union does.  The check skips a
+    face already settled that way, which ``settle`` would leave as it is,
+    so faces settle in the order and with the reasons of the direct rule:
+    the trail, the worklist and any contradiction are unchanged.
+
     The run counts the open faces at each interior vertex that its settled
     faces touch; when the count reaches zero, it looks that vertex's key up
     in ``ball.propagations``.  The agreement condition reads only the
@@ -265,20 +277,23 @@ def _propagate(ball, anchor, chosen):
     the size of the ball.
     """
     cx = ball.complex
-    interior_vertices = ball.interior_vertices
-    face_vertices, face_counts = ball.face_vertices, ball.face_counts
+    face_interior_vertices, face_counts = ball.face_interior_vertices, ball.face_counts
+    rules = ball.vertex_rules
     trail = []
     state = {}         # the settled faces, IN or OUT
+    get = state.get
     open_faces = {}    # faces not yet settled at each interior vertex touched
     agreement = {}     # known surface -> whether it agrees with the start
 
-    def cycles_at(v):
-        try:
-            return ball.type3_cycles(v)
-        except Contradiction as exc:
-            raise Contradiction(v, exc.reason, trail) from None
+    def rule_at(v):
+        if v not in rules:
+            try:
+                rules[v] = _VertexRule(v, *ball.type3_cycles(v))
+            except Contradiction as exc:
+                raise Contradiction(v, exc.reason, trail) from None
+        return rules[v]
 
-    anchor_corners = cycles_at(anchor)[1]
+    anchor_corners = rule_at(anchor).corners
 
     def agrees(known):
         # A settles every corner at the anchor as the start does: IN exactly
@@ -301,44 +316,39 @@ def _propagate(ball, anchor, chosen):
     pending = set()
     swept = None       # the vertices the sweep has passed, once it has begun
 
-    def push(v):
-        # a queued vertex reads the state when it is popped, so one entry is
-        # enough; a vertex the sweep has not reached yet is queued there
-        if v in pending or (swept is not None and v not in swept):
-            return
-        pending.add(v)
-        work.append(v)
-
     def settle(fid, value, why):
-        old = state.get(fid)
-        if old == value:
-            return
-        if old is not None:
+        # called only for a face whose state differs from value
+        if fid in state:
             raise Contradiction(fid, f"reassignment via {why}", trail)
         state[fid] = value
         trail.append((fid, "in" if value == IN else "out", why))
-        for v in face_vertices[fid]:
-            if v in interior_vertices:
-                push(v)
-                open_faces[v] = open_faces.get(v, face_counts[v]) - 1
-                if not open_faces[v]:
-                    closed(v)
+        for v in face_interior_vertices[fid]:
+            # a queued vertex reads the state when it is popped, so one entry
+            # is enough; a vertex the sweep has not reached yet is queued there
+            if v not in pending and (swept is None or v in swept):
+                pending.add(v)
+                work.append(v)
+            open_faces[v] = left = open_faces.get(v, face_counts[v]) - 1
+            if not left:
+                closed(v)
 
     def check_vertex(v):
-        cycles, all_tags = cycles_at(v)
-        # c is ruled out by an OUT face with a corner on c, or by an IN face
-        # with a corner at v off c
-        admissible = [c for c in cycles
-                      if not any(state.get(tag[0]) == OUT for tag in c)
-                      and not any(state.get(tag[0]) == IN for tag in all_tags - c)]
-        if not admissible:
+        rule = rules[v] if v in rules else rule_at(v)
+        # a cycle is ruled out by an OUT face with a corner on it, or by an IN
+        # face with a corner at v off it
+        mask = 0
+        for bit, on, off in rule.tests:
+            if OUT not in map(get, on) and IN not in map(get, off):
+                mask |= bit
+        if not mask:
             raise Contradiction(v, "no admissible link cycle", trail)
-        common = frozenset.intersection(*admissible)
-        union = frozenset.union(*admissible)
-        for tag in sorted(common):
-            settle(tag[0], IN, f"forced at {v}")
-        for tag in sorted(all_tags - union):
-            settle(tag[0], OUT, f"excluded at {v}")
+        forced, excluded = rule.steps[mask] if mask in rule.steps else rule.step(mask)
+        for fid in forced:
+            if get(fid) != IN:
+                settle(fid, IN, rule.forced_why)
+        for fid in excluded:
+            if get(fid) != OUT:
+                settle(fid, OUT, rule.excluded_why)
 
     def pop():
         v = work.popleft()
@@ -348,7 +358,9 @@ def _propagate(ball, anchor, chosen):
     try:
         # seed the anchor: its trace is exactly the chosen cycle
         for tag in sorted(anchor_corners):
-            settle(tag[0], IN if tag in chosen else OUT, f"anchor {anchor}")
+            value = IN if tag in chosen else OUT
+            if get(tag[0]) != value:
+                settle(tag[0], value, f"anchor {anchor}")
         # the vertices the seeding queued, then the sweep: every other
         # interior vertex once, by depth, then the vertices queued since the
         # sweep began
@@ -365,6 +377,34 @@ def _propagate(ball, anchor, chosen):
         return stop.surface
     members = frozenset(f for f, s in state.items() if s == IN)
     return _Surface(FaceSet(ball, members), frozenset(state.keys() - members))
+
+
+class _VertexRule:
+    """The vertex rule at v, built once per ball vertex (``Ball.vertex_rules``).
+
+    ``tests``: for each of v's admissible cycles its bit, the faces of its
+    corners and those of v's other corners; it stays admissible while none
+    of the first is OUT and none of the second IN.  ``steps``: for a mask of
+    admissible cycles, filled on first use, the faces with a corner on all
+    of them (IN) and on none (OUT), in corner tag order.
+    """
+
+    __slots__ = ("cycles", "corners", "tests", "steps", "forced_why", "excluded_why")
+
+    def __init__(self, v, cycles, corners):
+        self.cycles, self.corners = cycles, corners
+        self.tests = [(1 << i, sorted(tag[0] for tag in c),
+                       sorted(tag[0] for tag in corners - c))
+                      for i, c in enumerate(cycles)]
+        self.steps = {}
+        self.forced_why, self.excluded_why = f"forced at {v}", f"excluded at {v}"
+
+    def step(self, mask):
+        admissible = [c for i, c in enumerate(self.cycles) if mask >> i & 1]
+        union = frozenset.union(*admissible)
+        self.steps[mask] = ([tag[0] for tag in sorted(frozenset.intersection(*admissible))],
+                            [tag[0] for tag in sorted(self.corners - union)])
+        return self.steps[mask]
 
 
 def periodicity_check(ball, fs):

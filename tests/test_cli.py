@@ -315,7 +315,27 @@ def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, statu
             assert aut["aut.order"] == "pass"
             assert [r for r, s in aut.items() if s == "error"] == ["aut.swap"]
         else:
-            assert set(aut.values()) == {"error"}
+            # a theta table that matches no automorphism leaves the four
+            # claims about the theta maps in error; the order claims read
+            # Aut(V) alone
+            assert [r for r, s in aut.items() if s == "error"] == [
+                "aut.tables", "aut.generate", "aut.commute", "aut.swap"]
+            assert all(by_ref[r]["witness"] == detail for r in aut if aut[r] == "error")
+            group = {r: (by_ref[r]["status"], by_ref[r]["witness"])
+                     for r in ("aut.order", "aut.exponent-two")}
+            assert group == EDITED_AUT_GROUPS[detail["error"]]
+
+
+# the order claims on the charts above whose theta tables match no element
+# of Aut(V): the z edit leaves a group of order 4, the renamed chart V's own
+EDITED_AUT_GROUPS = {
+    "no automorphism of V has the edge table theta2": {
+        "aut.order": ("fail", {"order": 4}),
+        "aut.exponent-two": ("pass", {"element_orders": [1, 2, 2, 2]})},
+    "no automorphism of V has the edge table theta1": {
+        "aut.order": ("pass", {"order": 8}),
+        "aut.exponent-two": ("fail", {"element_orders": [1, 2, 2, 2, 2, 2, 4, 4]})},
+}
 
 
 def test_backtracking_face_word_yields_fixture_errors(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
 from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, LabeledGraph, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
-from hamsurf.surfaces import (Contradiction, FaceSet, SurfaceError, is_enveloping,
+from hamsurf.surfaces import (IN, OUT, Contradiction, FaceSet, SurfaceError, is_enveloping,
                               is_hamiltonian, periodicity_check, propagate_surface,
                               vertex_trace_types)
 from oracles import brute_surfaces
@@ -261,8 +261,9 @@ def test_shared_runs_equal_unshared_runs(V, base, radius, results):
 
 # frozen from verified runs: every (anchor, chosen cycle) key of the ball
 # run in full, its members and OUT faces or its contradiction's cell, reason
-# and trail.  Any change to the forcing rules or their order that changes a
-# result moves them
+# and trail; the damaged digest is the radius-2 ball from P with a lozenge at
+# the base deleted.  Any change to the forcing rules or their order that
+# changes a result moves them
 PROPAGATION_DIGESTS = {
     ("P", 1): "282bca2928ef09760372f00078acff54cb328aa77d695ed97689fa0c07b5c5d8",
     ("Q", 1): "3009858a4b2751041520b9a97ef85b9f6eb34fb2c58ca2e23e965c0f779947f6",
@@ -271,23 +272,111 @@ PROPAGATION_DIGESTS = {
     ("Q", 2): "d4f0821677ed02f65ba7d0a4a77984b158ae4f0c233e7e5e907b0f1cfee8de84",
     ("R", 2): "76df267faac6a3e94200e5fa94b97c6ace9bab1dcc4cf4695a057b737119bb5c",
     ("P", 3): "39205ee47362ca38d817ea1e22d5f88855bb0f7dba8eb3748b21cda2373b578d",
+    ("Q", 3): "35bb7dbb042a010b1001facd440845a2782310f60227431160d9d1a1559845d8",
+    ("R", 3): "01d0f61a9a5a0552a99292e7e775e37ebb36502e7c7a2e8e9cc27a5273644e81",
 }
+DAMAGED_PROPAGATION_DIGEST = "8316d62ef693544b68718e50b2be7394f9afc91a80cdff8b547deea535f85d68"
 
 
-@pytest.mark.parametrize("base, radius", list(PROPAGATION_DIGESTS))
-def test_pinned_propagation_runs(V, base, radius):
-    ball = expand_to_radius(V, base, radius)
-    keys = {hamsurf.surfaces._anchor_cycle(ball, seed, choice)
-            for seed in interior_lozenge_seeds(ball) for choice in ("with", "other")}
+def _run_keys(ball):
+    # the (anchor, chosen cycle) key of every seed and choice that
+    # ``_anchor_cycle`` accepts; on a damaged ball some anchors do not lift
+    keys = set()
+    for seed in interior_lozenge_seeds(ball):
+        for choice in ("with", "other"):
+            try:
+                keys.add(hamsurf.surfaces._anchor_cycle(ball, seed, choice))
+            except (Contradiction, SurfaceError):
+                pass
+    return keys
+
+
+def _runs_digest(ball):
+    # every key of the ball run in full, in key order: its members and OUT
+    # faces, or its contradiction's cell, reason and trail
     runs = []
-    for anchor, chosen in sorted(keys, key=lambda key: (key[0], sorted(key[1]))):
+    for anchor, chosen in sorted(_run_keys(ball), key=lambda key: (key[0], sorted(key[1]))):
         found = _outcome(lambda: hamsurf.surfaces._propagate(ball, anchor, chosen))
         if isinstance(found, hamsurf.surfaces._Surface):
             found = (sorted(found.faceset.members), sorted(found.out))
         runs.append((anchor, sorted(chosen), found))
     assert not ball.propagations
-    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
-    assert digest == PROPAGATION_DIGESTS[base, radius]
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("base, radius", list(PROPAGATION_DIGESTS))
+def test_pinned_propagation_runs(V, base, radius):
+    ball = expand_to_radius(V, base, radius)
+    assert _runs_digest(ball) == PROPAGATION_DIGESTS[base, radius]
+
+
+def test_pinned_propagation_runs_on_a_damaged_ball(V):
+    # the radius-2 ball from P with one lozenge at the base deleted: runs
+    # that end in a contradiction keep their cell, reason and whole trail
+    ball = expand_to_radius(V, "P", 2)
+    cx = ball.complex
+    lozenge = next(f for f, _i in cx.corners_at(ball.base) if cx.faces[f].kind == LOZENGE)
+    assert _runs_digest(_delete_face(ball, lozenge)) == DAMAGED_PROPAGATION_DIGEST
+
+
+@pytest.mark.parametrize("base", ["P", "Q", "R"])
+def test_vertex_rules_restate_the_vertex_rule(V, base):
+    # one full run checks every interior vertex, so it compiles every rule.
+    # For each set of admissible cycles, the steps the run filled and those
+    # filled here settle the faces of the corners on all of them IN and of
+    # those on none OUT, in tag order; and on random states the scan admits
+    # a cycle exactly when no OUT face has a corner on it and no IN face a
+    # corner at v off it
+    ball = expand_to_radius(V, base, 2)
+    key = hamsurf.surfaces._anchor_cycle(ball, interior_lozenge_seeds(ball)[0], "with")
+    hamsurf.surfaces._propagate(ball, *key)
+    assert set(ball.vertex_rules) == ball.interior_vertices
+    rng = random.Random(base)
+    steps = 0
+    for v, rule in ball.vertex_rules.items():
+        cycles, all_tags = ball.type3_cycles(v)
+        filled = dict(rule.steps)
+        assert filled
+        for mask in range(1, 1 << len(cycles)):
+            admissible = [c for i, c in enumerate(cycles) if mask & 1 << i]
+            expected = ([f for f, _i in sorted(frozenset.intersection(*admissible))],
+                        [f for f, _i in sorted(all_tags - frozenset.union(*admissible))])
+            got = filled[mask] if mask in filled else rule.step(mask)
+            assert got == expected == rule.steps[mask], (v, mask)
+            steps += 1
+        assert (rule.forced_why, rule.excluded_why) == (f"forced at {v}", f"excluded at {v}")
+        for _ in range(20):
+            state = {f: rng.choice((IN, OUT)) for f, _i in all_tags if rng.random() < 0.4}
+            scanned = {bit for bit, on, off in rule.tests
+                       if all(state.get(f) != OUT for f in on)
+                       and all(state.get(f) != IN for f in off)}
+            direct = {1 << i for i, c in enumerate(cycles)
+                      if not any(state.get(f) == OUT for f, _i in c)
+                      and not any(state.get(f) == IN for f, _i in all_tags - c)}
+            assert scanned == direct
+    assert steps == 3 * len(ball.interior_vertices)
+
+
+def test_unlifted_vertex_contradicts_with_the_run_trail(V):
+    # around a deleted face the links do not lift: a run that checks such a
+    # vertex raises there with its own trail, which begins at its anchor,
+    # and the vertex gets no rule, so the next run raises with its own trail
+    ball = expand_to_radius(V, "P", 2)
+    cx = ball.complex
+    lozenge = next(f for f, _i in cx.corners_at(ball.base) if cx.faces[f].kind == LOZENGE)
+    broken = _delete_face(ball, lozenge)
+    keys = sorted(_run_keys(broken), key=lambda key: (key[0], sorted(key[1])))
+    assert len(keys) > 1
+    for anchor, chosen in keys:
+        with pytest.raises(Contradiction) as raised:
+            hamsurf.surfaces._propagate(broken, anchor, chosen)
+        exc = raised.value
+        assert exc.reason == "link does not lift to its image link in V"
+        assert exc.cell in broken.interior_vertices and broken.corner_lift(exc.cell) is None
+        assert exc.cell not in broken.vertex_rules
+        assert exc.trail and exc.trail[0][2] == f"anchor {anchor}"
+        assert {fid for fid, _value, why in exc.trail if why == f"anchor {anchor}"} == {
+            f for f, _i in broken.type3_cycles(anchor)[1]}
 
 
 def test_runs_stop_early_at_known_surfaces(V, monkeypatch):
