@@ -46,7 +46,7 @@ as their object: none is kept on V or in the module to leak a damaged ball.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from functools import cached_property
 
 from .corecomplex import Complex2, Face, reverse, validate_complex
@@ -66,16 +66,6 @@ class FoldConflictError(RuntimeError):
         self.trail = trail
 
 
-class Contradiction(Exception):
-    """Propagation dead end; carries the blocking cell and the trail."""
-
-    def __init__(self, cell, reason, trail):
-        super().__init__(f"contradiction at {cell}: {reason}")
-        self.cell = cell
-        self.reason = reason
-        self.trail = trail
-
-
 class Ball:
     """Immutable radius-annotated chunk of the universal cover of V.
 
@@ -92,13 +82,10 @@ class Ball:
         self.edge_image = edge_image
         self.face_image = face_image
         self.depth = depth
-        # per-ball tables filled on first use: corner lifts and lifted link
-        # cycles by vertex, the forcing rule ``surfaces._propagate`` builds
-        # at each vertex it checks, and the propagation results that
-        # ``surfaces.propagate_surface`` keeps by (anchor, chosen cycle),
-        # which its runs also read to stop early
+        # per-ball tables filled on first use: corner lifts by vertex, and
+        # the two that ``surfaces`` fills and reads, the vertex rules by
+        # vertex and the propagation results by (anchor, chosen cycle)
         self._lifts = {}
-        self._type3 = {}
         self.vertex_rules = {}
         self.propagations = {}
 
@@ -169,29 +156,6 @@ class Ball:
                 return None
         return lift
 
-    def type3_cycles(self, v):
-        """The admissible link cycles at v, lifted from V: (cycles, corners).
-
-        The cycles are the type-3 Hamiltonian cycles of v's link as
-        frozensets of corner tags (fid, i), and corners are all corners at v.
-        They are V's own (``Complex2.type3_cycles`` of the image vertex),
-        carried to v by the inverse of ``corner_lift``, a label-preserving
-        isomorphism of the links; lifted on first use and kept for the ball,
-        as ``Complex2.type3_cycles`` keeps them for V.  Raises Contradiction
-        at a vertex whose link does not lift.
-        """
-        if v not in self._type3:
-            lift, entry = self.corner_lift(v), None
-            if lift is not None:
-                corner = {image: c for c, image in lift.items()}
-                entry = (tuple(frozenset(corner[t] for t in cyc)
-                               for cyc in self.v_complex.type3_cycles(self.vertex_image[v])),
-                         frozenset(lift))
-            self._type3[v] = entry
-        if self._type3[v] is None:
-            raise Contradiction(v, "link does not lift to its image link in V", [])
-        return self._type3[v]
-
     @cached_property
     def face_interior_vertices(self):
         """The distinct interior corner vertices of each face, sorted by name."""
@@ -199,11 +163,6 @@ class Ball:
         return {fid: sorted({v for v in map(cx.src, cx.faces[fid].word) if v in interior},
                             key=str)
                 for fid in cx.faces}
-
-    @cached_property
-    def face_counts(self):
-        """The number of distinct faces with a corner at each interior vertex."""
-        return Counter(v for vs in self.face_interior_vertices.values() for v in vs)
 
     def face_depth(self, fid):
         # a letter's source is its edge's first end, or its last when reversed

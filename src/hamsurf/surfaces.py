@@ -11,25 +11,26 @@ surface sheet per edge.  "No multiple vertex" iff the trace of the member
 faces in each (interior) vertex link is one spanning cycle, as
 ``corecomplex.trace_status`` classifies it.
 
-Propagation reads the admissible (type-3) link cycles of V, enumerated once
-per V, as the ball carries them to its vertices through the covering map
-(``Ball.type3_cycles``, lifted once per ball vertex).  It forces by that
-vertex rule alone: coverage 2 on an interior edge follows from it at the
-edge's interior end (``_propagate``).  The rule is compiled once per ball
-vertex into face-id lists (``_VertexRule``, kept in ``Ball.vertex_rules``):
-a check scans them for the admissible cycles and reads the faces to settle
-from a table keyed by that set, where it would otherwise rebuild corner sets
-at every step.  Its result depends on the seed only
-through the anchor vertex and the chosen link cycle, so each ball keeps
-one result per such pair, its key, and every seed that maps to the key
-shares it (``propagate_surface``).  The same table lets a run stop
-early: once its state settles every face at a vertex whose key is known to
-end in a surface that agrees with the run's start, the run ends in that
-surface (the lemma at ``_propagate``), so on V's cover almost every run
-stops after a few steps and all keys share the two surfaces' results.
-Forced steps commute, so the order in which the worklist is processed
-does not change the result; the tests check this by substituting a
-worklist that pops a random entry.
+Propagation forces by the vertex rule alone: the admissible link cycles
+at an interior vertex are the type-3 cycles of its image in V, enumerated
+once per V (``Complex2.type3_cycles``) and carried to the vertex by the
+inverse of ``Ball.corner_lift``.  Coverage 2 on an interior edge follows
+from that rule at the edge's interior end (``_propagate``).  ``_rule``
+lifts a vertex's cycles and compiles them into face-id lists once per ball
+vertex (``_VertexRule``, kept in ``Ball.vertex_rules``): a check scans the
+lists for the admissible cycles and reads the faces to settle from a table
+keyed by that set.  A run's result depends on the seed only through the
+anchor vertex and the chosen link cycle, so each ball keeps one result per
+such pair, its key, and every seed that maps to the key shares it
+(``propagate_surface``).  The same table lets a run stop early: a check
+that narrows a vertex's admissible cycles to one settles every face there,
+so the run's state then holds the start state of that vertex's key with
+that cycle, and when that key is known to end in a surface that agrees
+with the run's start, the run ends in that surface (the lemma at
+``_propagate``).  On V's cover almost every run stops after a few steps,
+and all keys share the two surfaces' results.  Forced steps commute, so
+the order in which the worklist is processed does not change the result;
+the tests check this by substituting a worklist that pops a random entry.
 """
 
 from __future__ import annotations
@@ -38,12 +39,22 @@ from collections import deque
 from functools import cached_property
 
 from .corecomplex import Complex2, LOZENGE, trace_status
-from .cover import Ball, Contradiction
+from .cover import Ball
 from .hamgraph import components
 
 
 class SurfaceError(ValueError):
     pass
+
+
+class Contradiction(Exception):
+    """Propagation dead end; carries the blocking cell and the trail."""
+
+    def __init__(self, cell, reason, trail):
+        super().__init__(f"contradiction at {cell}: {reason}")
+        self.cell = cell
+        self.reason = reason
+        self.trail = trail
 
 
 class FaceSet:
@@ -139,15 +150,6 @@ class _Surface:
         self.out = out
 
 
-class _Known(Exception):
-    """Ends a run that has reached the start state of a key known to end in
-    a surface that agrees with its own start (``_propagate``)."""
-
-    def __init__(self, surface):
-        super().__init__()
-        self.surface = surface
-
-
 def propagate_surface(ball, seed_lozenge, choice):
     """Grow the unique surface compatible with a local choice at a seed.
 
@@ -199,7 +201,7 @@ def _anchor_cycle(ball, seed_lozenge, choice):
         raise SurfaceError("seed lozenge has no interior corner vertex")
     anchor = min(anchors, key=lambda v: (ball.depth[v], int(v[1:])))
 
-    cycles, _all_tags = ball.type3_cycles(anchor)
+    cycles = _rule(ball, anchor, []).cycles
     with_seed = [c for c in cycles if any(tag[0] == seed_lozenge for tag in c)]
     without = [c for c in cycles if not any(tag[0] == seed_lozenge for tag in c)]
     if len(with_seed) != 1:
@@ -265,35 +267,28 @@ def _propagate(ball, anchor, chosen):
     so faces settle in the order and with the reasons of the direct rule:
     the trail, the worklist and any contradiction are unchanged.
 
-    The run counts the open faces at each interior vertex that its settled
-    faces touch; when the count reaches zero, it looks that vertex's key up
-    in ``ball.propagations``.  The agreement condition reads only the
-    faces at the anchor, and it is checked at most once per run for each
-    distinct surface (two on V's cover), not for each key.  A run whose
-    start agrees with no known surface runs in full, as without the table,
-    so a contradiction keeps its cell, reason and trail.  The run state is
-    sparse and the worklist walks the ball's sweep lazily, so a run that
-    stops early costs time in proportion to the faces it settles, not to
-    the size of the ball.
+    The stop is read where a check narrows v's admissible cycles to one
+    cycle c.  Its step then settles every face at v, IN on c and OUT off
+    it, so the run's state contains the start state of the key (v, c),
+    which the check looks up in ``ball.propagations``.  A state that
+    settles every face at v by other steps comes to such a step, or to a
+    refutation, at v's next check, which the worklist or the sweep still
+    owes v.  The agreement condition reads only the faces at the anchor,
+    and it is checked at most once per run for each distinct surface (two
+    on V's cover), not for each key.  A run whose start agrees with no
+    known surface runs in full, as without the table, so a contradiction
+    keeps its cell, reason and trail.  The run state is sparse and the
+    worklist walks the ball's sweep lazily, so a run that stops early costs
+    time in proportion to the faces it settles, not to the size of the
+    ball.
     """
-    cx = ball.complex
-    face_interior_vertices, face_counts = ball.face_interior_vertices, ball.face_counts
-    rules = ball.vertex_rules
+    face_interior_vertices = ball.face_interior_vertices
+    rules, propagations = ball.vertex_rules, ball.propagations
     trail = []
     state = {}         # the settled faces, IN or OUT
     get = state.get
-    open_faces = {}    # faces not yet settled at each interior vertex touched
     agreement = {}     # known surface -> whether it agrees with the start
-
-    def rule_at(v):
-        if v not in rules:
-            try:
-                rules[v] = _VertexRule(v, *ball.type3_cycles(v))
-            except Contradiction as exc:
-                raise Contradiction(v, exc.reason, trail) from None
-        return rules[v]
-
-    anchor_corners = rule_at(anchor).corners
+    anchor_corners = _rule(ball, anchor, trail).corners
 
     def agrees(known):
         # A settles every corner at the anchor as the start does: IN exactly
@@ -303,14 +298,6 @@ def _propagate(ball, anchor, chosen):
                 tag[0] in (known.faceset.members if tag in chosen else known.out)
                 for tag in anchor_corners)
         return agreement[known]
-
-    def closed(v):
-        # every face at v is settled, so the state contains the start state
-        # of v's key (v, its member trace)
-        trace = frozenset(c for c in cx.corners_at(v) if state[c[0]] == IN)
-        known = ball.propagations.get((v, trace))
-        if isinstance(known, _Surface) and agrees(known):
-            raise _Known(known)
 
     work = deque()
     pending = set()
@@ -328,12 +315,10 @@ def _propagate(ball, anchor, chosen):
             if v not in pending and (swept is None or v in swept):
                 pending.add(v)
                 work.append(v)
-            open_faces[v] = left = open_faces.get(v, face_counts[v]) - 1
-            if not left:
-                closed(v)
 
     def check_vertex(v):
-        rule = rules[v] if v in rules else rule_at(v)
+        # returns the known surface the run ends in if this check stops it
+        rule = rules[v] if v in rules else _rule(ball, v, trail)
         # a cycle is ruled out by an OUT face with a corner on it, or by an IN
         # face with a corner at v off it
         mask = 0
@@ -349,44 +334,75 @@ def _propagate(ball, anchor, chosen):
         for fid in excluded:
             if get(fid) != OUT:
                 settle(fid, OUT, rule.excluded_why)
+        if not mask & (mask - 1):
+            # one cycle left: every face at v is settled, the state holds the
+            # start state of v's key with that cycle
+            known = propagations.get((v, rule.cycles[mask.bit_length() - 1]))
+            if isinstance(known, _Surface) and agrees(known):
+                return known
+        return None
 
     def pop():
         v = work.popleft()
         pending.discard(v)
         return v
 
-    try:
-        # seed the anchor: its trace is exactly the chosen cycle
-        for tag in sorted(anchor_corners):
-            value = IN if tag in chosen else OUT
-            if get(tag[0]) != value:
-                settle(tag[0], value, f"anchor {anchor}")
+    def order():
         # the vertices the seeding queued, then the sweep: every other
         # interior vertex once, by depth, then the vertices queued since the
         # sweep began
-        swept = set(pending)
         for _ in range(len(work)):
-            check_vertex(pop())
+            yield pop()
         for v in ball.interior_vertices_by_depth:
             if v not in swept:
                 swept.add(v)
-                check_vertex(v)
+                yield v
         while work:
-            check_vertex(pop())
-    except _Known as stop:
-        return stop.surface
+            yield pop()
+
+    # seed the anchor: its trace is exactly the chosen cycle
+    for tag in sorted(anchor_corners):
+        value = IN if tag in chosen else OUT
+        if get(tag[0]) != value:
+            settle(tag[0], value, f"anchor {anchor}")
+    swept = set(pending)
+    for v in order():
+        known = check_vertex(v)
+        if known is not None:
+            return known
     members = frozenset(f for f, s in state.items() if s == IN)
     return _Surface(FaceSet(ball, members), frozenset(state.keys() - members))
 
 
-class _VertexRule:
-    """The vertex rule at v, built once per ball vertex (``Ball.vertex_rules``).
+def _rule(ball, v, trail):
+    """v's vertex rule, built on first use and kept in ``ball.vertex_rules``.
 
-    ``tests``: for each of v's admissible cycles its bit, the faces of its
-    corners and those of v's other corners; it stays admissible while none
-    of the first is OUT and none of the second IN.  ``steps``: for a mask of
-    admissible cycles, filled on first use, the faces with a corner on all
-    of them (IN) and on none (OUT), in corner tag order.
+    v's admissible cycles are the type-3 cycles of its image in V, carried
+    to v by the inverse of ``corner_lift``, a label-preserving isomorphism
+    of the links.  A vertex whose link does not lift gets no rule: it
+    raises Contradiction with the trail of the run that checks it.
+    """
+    if v not in ball.vertex_rules:
+        lift = ball.corner_lift(v)
+        if lift is None:
+            raise Contradiction(v, "link does not lift to its image link in V", trail)
+        corner = {image: c for c, image in lift.items()}
+        cycles = tuple(frozenset(corner[t] for t in cyc)
+                       for cyc in ball.v_complex.type3_cycles(ball.vertex_image[v]))
+        ball.vertex_rules[v] = _VertexRule(v, cycles, frozenset(lift))
+    return ball.vertex_rules[v]
+
+
+class _VertexRule:
+    """The vertex rule at v, built once per ball vertex (``_rule``).
+
+    ``cycles``: v's admissible cycles as frozensets of corner tags (fid, i);
+    ``corners``: all corner tags at v.  ``tests``: for each cycle its bit,
+    the faces of its corners and those of v's other corners; it stays
+    admissible while none of the first is OUT and none of the second IN.
+    ``steps``: for a mask of admissible cycles, filled on first use, the
+    faces with a corner on all of them (IN) and on none (OUT), in corner tag
+    order.
     """
 
     __slots__ = ("cycles", "corners", "tests", "steps", "forced_why", "excluded_why")

@@ -125,17 +125,16 @@ def test_every_automorphism_preserves_structure(V):
 def test_theta_relations_report(V):
     group = automorphism_group(V)
     rep = verify_theta_relations(theta_maps(group), group)
-    assert rep["group_order"] == 8
     assert all(rep["members"].values())
     assert all(rep["involutive"].values())
     assert rep["generates_group"]
     assert rep["generated_order"] == 8
-    # the two machine-checked deviations from the claimed group structure
+    # the machine-checked deviation from the claimed relations: theta2 and
+    # theta3 do not commute (the other, elements of order 4, is asserted by
+    # test_automorphism_group_order_eight)
     assert rep["commute"]["theta1*theta2"] is True
     assert rep["commute"]["theta1*theta3"] is True
     assert rep["commute"]["theta2*theta3"] is False
-    assert rep["exponent_two"] is False
-    assert rep["element_orders"] == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
 def test_theta23_squares_to_theta1(V):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import deque
 from itertools import combinations, product
 
@@ -146,7 +147,8 @@ def test_lifted_cycles_match_direct_enumeration(V):
             direct = {frozenset(link.edges[i][3] for i in cyc.edge_indices)
                       for cyc in enumerate_hamiltonian_cycles(link)
                       if classify_cycle(cyc) is CycleType.TYPE3}
-            cycles, corners = ball.type3_cycles(v)
+            rule = hamsurf.surfaces._rule(ball, v, [])
+            cycles, corners = rule.cycles, rule.corners
             assert len(direct) == 2
             assert set(cycles) == direct and len(cycles) == len(direct), v
             assert corners == {tag for _u, _w, _lbl, tag in link.edges}
@@ -319,6 +321,49 @@ def test_pinned_propagation_runs_on_a_damaged_ball(V):
     assert _runs_digest(_delete_face(ball, lozenge)) == DAMAGED_PROPAGATION_DIGEST
 
 
+# frozen from verified runs: the number of keys, the number of trail entries
+# and a digest of every key's full-run trail, (face, "in"/"out", reason) in
+# settle order.  A run that ends in a surface returns no trail, so the test
+# reads it from the run's locals when the run builds its surface's FaceSet.
+# Any change to the order in which faces settle, or to their reasons, moves
+# them, also where every result stays the same
+PROPAGATION_TRAIL_DIGESTS = {
+    ("P", 2): (18, 1368,
+        "b1c1fd605af89b98420b1e4e8caaf127d2dcbe82a0bc5a47aed5ab9503b2a83f"),
+    ("P", 3): (98, 34888,
+        "b48ef0cb2e3e2c32807b124f1f4938af5af7c05339845f45c42c1b66874368c3"),
+    ("Q", 3): (98, 34888,
+        "f02d62c2b076795774cc4c1db9e1275114a8b9b9cafab0bf5060fbbc0952f7e0"),
+    ("R", 3): (98, 34888,
+        "53c07c4b181ebd5f464de71188cd9d06cb645257b26938a0d063ab48286e21d7"),
+}
+
+
+@pytest.mark.parametrize("base, radius", list(PROPAGATION_TRAIL_DIGESTS))
+def test_pinned_propagation_trails(V, monkeypatch, base, radius):
+    trails = []
+    faceset = hamsurf.surfaces.FaceSet
+
+    def spy(ambient, members):
+        trails.append(list(sys._getframe(1).f_locals["trail"]))
+        return faceset(ambient, members)
+
+    monkeypatch.setattr(hamsurf.surfaces, "FaceSet", spy)
+    ball = expand_to_radius(V, base, radius)
+    runs = []
+    for anchor, chosen in sorted(_run_keys(ball), key=lambda key: (key[0], sorted(key[1]))):
+        try:
+            hamsurf.surfaces._propagate(ball, anchor, chosen)
+            trail = trails.pop()
+        except Contradiction as exc:
+            trail = exc.trail
+        runs.append((anchor, sorted(chosen), trail))
+    assert not trails and not ball.propagations
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert (len(runs), sum(len(trail) for *_key, trail in runs), digest) == \
+        PROPAGATION_TRAIL_DIGESTS[base, radius]
+
+
 @pytest.mark.parametrize("base", ["P", "Q", "R"])
 def test_vertex_rules_restate_the_vertex_rule(V, base):
     # one full run checks every interior vertex, so it compiles every rule.
@@ -334,7 +379,7 @@ def test_vertex_rules_restate_the_vertex_rule(V, base):
     rng = random.Random(base)
     steps = 0
     for v, rule in ball.vertex_rules.items():
-        cycles, all_tags = ball.type3_cycles(v)
+        cycles, all_tags = rule.cycles, rule.corners
         filled = dict(rule.steps)
         assert filled
         for mask in range(1, 1 << len(cycles)):
@@ -376,15 +421,15 @@ def test_unlifted_vertex_contradicts_with_the_run_trail(V):
         assert exc.cell not in broken.vertex_rules
         assert exc.trail and exc.trail[0][2] == f"anchor {anchor}"
         assert {fid for fid, _value, why in exc.trail if why == f"anchor {anchor}"} == {
-            f for f, _i in broken.type3_cycles(anchor)[1]}
+            f for f, _i in broken.corner_lift(anchor)}
 
 
 def test_runs_stop_early_at_known_surfaces(V, monkeypatch):
     # the 98 keys of the radius-3 ball from P through the table, where a run
-    # stops once it settles every face at a vertex whose key is known to
-    # end in a surface that agrees with its start, against the same keys
-    # run in full on a ball whose table stays empty: about 360 worklist
-    # pops against about 5,400
+    # stops once a check narrows a vertex to one admissible cycle whose key
+    # is known to end in a surface that agrees with its start, against the
+    # same keys run in full on a ball whose table stays empty: 364 worklist
+    # pops against 5,442
     pops = [0]
 
     class CountedPops(deque):
@@ -403,7 +448,7 @@ def test_runs_stop_early_at_known_surfaces(V, monkeypatch):
     for key in ball.propagations:
         hamsurf.surfaces._propagate(fresh, *key)
     assert not fresh.propagations
-    assert 0 < 4 * shared < pops[0]
+    assert (shared, pops[0]) == (364, 5442)
     # the early stops share the two full runs' results
     assert len({id(found) for found in ball.propagations.values()}) == 2
 
