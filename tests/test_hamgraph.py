@@ -8,7 +8,7 @@ import pytest
 
 import hamsurf.hamgraph
 from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth,
-                              classify_cycle, enumerate_hamiltonian_cycles,
+                              classify_cycle, enumerate_hamiltonian_cycles, label_type,
                               label_weight, labeled_isomorphic, labeled_isomorphisms,
                               parse_graph_file)
 from oracles import (brute_weighted_girth, degree, naive_hamiltonian_cycles,
@@ -421,6 +421,29 @@ def test_classify_requires_labels():
     g = cycle_graph(3)
     with pytest.raises(GraphError):
         classify_cycle(enumerate_hamiltonian_cycles(g)[0])
+
+
+@pytest.mark.parametrize("labels, ctype", [
+    ("ttttllll", CycleType.TYPE1),
+    ("ttllllLL", CycleType.TYPE2),
+    ("ttttllLL", CycleType.TYPE3),
+])
+def test_label_type_reads_the_multiset(labels, ctype):
+    # the order of the labels does not matter, only their multiset
+    rng = random.Random(7)
+    for _ in range(5):
+        shuffled = list(labels)
+        rng.shuffle(shuffled)
+        assert label_type(shuffled) is ctype
+        assert label_type(iter(shuffled)) is ctype
+
+
+@pytest.mark.parametrize("labels", [
+    "", "ttttlll", "ttttlllll", "tttllllL", "ttttllL", "ttttllLLL", "tttlllLL",
+    "ttttllLx", "LLLLLLLL",
+])
+def test_label_type_near_misses_are_other(labels):
+    assert label_type(labels) is CycleType.OTHER
 
 
 # --- isomorphism ---------------------------------------------------------

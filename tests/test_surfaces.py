@@ -13,7 +13,7 @@ import hamsurf.surfaces
 from hamsurf.cellmap import automorphism_group, theta_maps
 from hamsurf.cli import ball_surface_certs
 from hamsurf.census import BudgetExceeded, count_surfaces_exhaustive
-from hamsurf.corecomplex import Complex2, LOZENGE, TRIANGLE, trace_status
+from hamsurf.corecomplex import Complex2, Face, LOZENGE, TRIANGLE, trace_status
 from hamsurf.cover import Ball, expand_ball, expand_to_radius
 from hamsurf.hamgraph import (CycleType, LabeledGraph, angular_girth, classify_cycle,
                               enumerate_hamiltonian_cycles, labeled_isomorphic)
@@ -104,6 +104,33 @@ def test_empty_and_partial_traces(V):
 def test_face_set_rejects_unknown_faces(V):
     with pytest.raises(SurfaceError):
         FaceSet(V, ["nope"])
+
+
+def _renamed(cx, tag):
+    # cx's vertices, edges and faces with tag appended to every id
+    return ([v + tag for v in cx.vertices],
+            {sym + tag: (s + tag, t + tag) for sym, (s, t) in cx.edges.items()},
+            [Face(f + tag, cx.faces[f].kind, [(sym + tag, sign) for sym, sign in cx.faces[f].word])
+             for f in cx.face_ids()])
+
+
+def test_disjoint_copies_of_s_are_not_connected(S):
+    # two disjoint copies of S cover every edge twice, so only the
+    # connectivity check can refuse them
+    first, second = _renamed(S, "1"), _renamed(S, "2")
+    two = Complex2(first[0] + second[0], {**first[1], **second[1]}, first[2] + second[2])
+    ok, witness = is_enveloping(FaceSet(two, two.face_ids()))
+    assert not ok
+    assert witness == {"reason": "member faces not connected through shared edges"}
+
+
+def test_union_of_the_two_surfaces_overcovers(ball2):
+    # the two propagated surfaces share their triangles: the first interior
+    # edge, in interior-edge order, carries three of their sides
+    union = set().union(*propagated_pair(ball2))
+    ok, witness = is_enveloping(FaceSet(ball2, union))
+    assert not ok
+    assert witness == {"reason": "edge coverage", "edge": "e0", "coverage": 3}
 
 
 def test_links_are_built_once_per_complex(monkeypatch, V):
@@ -590,13 +617,42 @@ def test_census_matches_propagation(ball2):
 # did not refute, in the fixed face order.  A change to the face order, to
 # the forcing or to what counts as a node moves them (radius 2 from P is
 # pinned above)
-CENSUS_NODES = {("P", 1): 12, ("Q", 1): 11, ("R", 1): 12, ("Q", 2): 30, ("R", 2): 32}
+CENSUS_NODES = {("P", 1): 12, ("Q", 1): 11, ("R", 1): 12, ("Q", 2): 30, ("R", 2): 32,
+                ("Q", 3): 88, ("R", 3): 89}
 
 
 @pytest.mark.parametrize("base, radius", list(CENSUS_NODES))
 def test_census_node_counts(V, base, radius):
     nodes = count_surfaces_exhaustive(expand_to_radius(V, base, radius))[1]
     assert nodes == CENSUS_NODES[base, radius]
+
+
+# SHA-256 of the census decision order (face ids joined by spaces) on the
+# balls grown from V; the order is built from sets, so these also pin that it
+# does not depend on their iteration order
+CENSUS_ORDER_DIGESTS = {
+    ("P", 3): "fc81e62af171f56d0dc0974ed9928d6eab82892da5e6100bba0f126b04c20f8d",
+    ("Q", 3): "2a8335bd6bc417f31312f586a8f8074e325df783f8b0a7229f3a85a14419593b",
+    ("R", 3): "e08f4af08ac5c3dc5064c4f0d2539091a8a187b040aae620c4b75d5c12bf2cf4",
+    ("P", 4): "1e1648e5e4324df02b268272f6ef5c8c28b36030594b890fa2ae30d3157f948e",
+    ("Q", 4): "ae2304e6b1c9d97bac59e4f081a1e09542601a084483d36df1bf3cc1eb8451c1",
+    ("R", 4): "d4f59ae9073cedee1769b04335b95b701dc3de716eb4838edc2a1bb8517874ec",
+}
+
+
+@pytest.mark.parametrize("base, radius", list(CENSUS_ORDER_DIGESTS))
+def test_census_order_pinned(V, base, radius):
+    # rel as count_surfaces_exhaustive builds it: the faces with a side on
+    # an interior edge or on an edge at an interior vertex
+    ball = expand_to_radius(V, base, radius)
+    cx = ball.complex
+    edges = ball.interior_edges | {sym for v in ball.interior_vertices
+                                   for sym, _sign in cx.germs_at(v)}
+    rel = {fid for sym in edges for fid, _i, _s in cx.edge_sides(sym)}
+    order = hamsurf.census._face_order(ball, rel)
+    assert sorted(order) == sorted(rel)
+    digest = hashlib.sha256(" ".join(order).encode()).hexdigest()
+    assert digest == CENSUS_ORDER_DIGESTS[base, radius]
 
 
 @pytest.mark.parametrize("base", ["P", "Q", "R"])
