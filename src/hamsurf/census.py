@@ -46,6 +46,12 @@ Nothing here knows about cycle types or the ladder, and the module
 imports nothing else from the package: agreement with the propagation
 engine is the point of the module.
 
+The fixed order is breadth first through shared edges (``_face_order``):
+it starts at the least constrained face by (face depth, face number),
+and each face placed reads its neighbours off its own edges' sides and
+queues those not yet placed in that key order.  It is built from sets, so
+the tests pin it by digest.
+
 The search is incremental.  Faces, constrained edges and the germs of
 interior vertices are numbered once per call, and assigning a face
 updates only the state of its own cells: per edge, the member sides and
@@ -71,23 +77,19 @@ class BudgetExceeded(RuntimeError):
 def _face_order(ball, rel):
     """The faces of rel in decision order: breadth first through the edges
     of the ball from the shallowest face, so that the local checks
-    constrain every new decision immediately."""
+    constrain every new decision immediately.
+
+    A face's neighbours are the other faces of rel with a side on one of
+    its own edges, read from its word when it is placed; those not yet
+    placed join the frontier in key order.  When the frontier runs dry,
+    the least unplaced face starts the next component."""
     if not rel:
         return []
-    cx = ball.complex
+    faces, sides = ball.complex.faces, ball.complex.edge_sides
     key = {f: (ball.face_depth(f), int(f[1:])) for f in rel}.__getitem__
-
-    neighbors = {f: set() for f in rel}
-    for sym in cx.edges:
-        inc = [fid for fid, _i, _s in cx.edge_sides(sym) if fid in rel]
-        for a in inc:
-            for b in inc:
-                if a != b:
-                    neighbors[a].add(b)
-    start = min(rel, key=key)
-    order = [start]
-    placed = {start}
-    frontier = deque(sorted(neighbors[start], key=key))
+    order = []
+    placed = set()
+    frontier = deque([min(rel, key=key)])
     while len(order) < len(rel):
         if not frontier:
             frontier.append(min(rel - placed, key=key))
@@ -96,7 +98,8 @@ def _face_order(ball, rel):
             continue
         order.append(f)
         placed.add(f)
-        frontier.extend(g for g in sorted(neighbors[f], key=key) if g not in placed)
+        frontier.extend(sorted({g for sym, _sign in faces[f].word for g, _i, _s in sides(sym)
+                                if g in rel and g not in placed}, key=key))
     return order
 
 
@@ -211,28 +214,26 @@ def count_surfaces_exhaustive(ball):
                     unions.append(rb)
         return ok
 
-    def force(e):
-        # the edge rule on edge e: False when it fails, else assign each
-        # undecided face of e the one value the rule leaves it
-        m, o = member_sides[e], open_sides[e]
-        if m > 2 or m + o < 2:
-            return False
-        if o and (m == 2 or m + o == 2):
-            keep = m < 2
-            for k in faces_on[e]:
-                if value[k] is None and not assign(k, keep):
-                    return False
-        return True
-
-    def propagate(mark):
-        # force from every edge of the faces assigned since the mark,
-        # including those this forcing assigns, up to a fixpoint
+    def propagate(mark, todo):
+        # the edge rule on the edges in todo, then on every edge of the faces
+        # assigned since the mark, including those this forcing assigns, up
+        # to a fixpoint: False when it fails on an edge, else each undecided
+        # face of an edge is assigned the one value the rule leaves it
         i = mark
-        while i < len(trail):
-            if not all(force(e) for e in edges_of[trail[i]]):
-                return False
+        while True:
+            for e in todo:
+                m, o = member_sides[e], open_sides[e]
+                if m > 2 or m + o < 2:
+                    return False
+                if o and (m == 2 or m + o == 2):
+                    keep = m < 2
+                    for k in faces_on[e]:
+                        if value[k] is None and not assign(k, keep):
+                            return False
+            if i == len(trail):
+                return True
+            todo = edges_of[trail[i]]
             i += 1
-        return True
 
     def undo(mark, union_mark):
         while len(unions) > union_mark:
@@ -252,7 +253,7 @@ def count_surfaces_exhaustive(ball):
     nodes = 1
     # the edge rule at the root: an edge with fewer than two sides fails
     # whatever is decided, and an edge with exactly two forces them in
-    ok = all(force(e) for e in range(len(edges))) and propagate(0)
+    ok = propagate(0, range(len(edges)))
     k = 0
     while True:
         if ok:
@@ -276,7 +277,7 @@ def count_surfaces_exhaustive(ball):
             k, mark, union_mark = decisions[-1]
             undo(mark, union_mark)
             keep = False
-        ok = assign(k, keep) and propagate(mark)
+        ok = assign(k, keep) and propagate(mark, ())
         if ok:
             nodes += 1
             if nodes > NODE_LIMIT:

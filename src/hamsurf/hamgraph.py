@@ -22,7 +22,6 @@ determinism.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -315,21 +314,17 @@ def moebius_ladder():
     return g
 
 
-_TYPE_MULTISETS = {
-    CycleType.TYPE1: Counter({"t": 4, "l": 4}),
-    CycleType.TYPE2: Counter({"t": 2, "l": 4, "L": 2}),
-    CycleType.TYPE3: Counter({"t": 4, "l": 2, "L": 2}),
+_TYPE_OF_LABELS = {
+    tuple(sorted("ttttllll")): CycleType.TYPE1,
+    tuple(sorted("ttllllLL")): CycleType.TYPE2,
+    tuple(sorted("ttttllLL")): CycleType.TYPE3,
 }
 
 
 def label_type(labels):
     """Cycle type of a multiset of edge labels: type1 = {4t, 4l},
     type2 = {2t, 4l, 2L}, type3 = {4t, 2l, 2L}; anything else is OTHER."""
-    counts = Counter(labels)
-    for ctype, ref in _TYPE_MULTISETS.items():
-        if counts == ref:
-            return ctype
-    return CycleType.OTHER
+    return _TYPE_OF_LABELS.get(tuple(sorted(labels)), CycleType.OTHER)
 
 
 def classify_cycle(cycle):

@@ -35,12 +35,11 @@ the tests check this by substituting a worklist that pops a random entry.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
 
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball
-from .hamgraph import components
 
 
 class SurfaceError(ValueError):
@@ -89,22 +88,31 @@ class FaceSet:
 
 
 def _members_connected(cx, members):
-    adj = {f: set() for f in members}
-    for sym in cx.edges:
-        inc = [fid for fid, _i, _s in cx.edge_sides(sym) if fid in members]
-        for a in inc:
-            adj[a].update(inc)
-    return len(components(adj, adj.__getitem__)) <= 1
+    # one search from one member over the sides of its edges
+    start = next(iter(members))
+    seen, stack = {start}, [start]
+    while stack:
+        for sym, _sign in cx.faces[stack.pop()].word:
+            for g, _i, _s in cx.edge_sides(sym):
+                if g in members and g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return len(seen) == len(members)
 
 
 def is_enveloping(fs):
-    """(ok, witness): every interior edge in exactly 2 members, connected."""
+    """(ok, witness): every interior edge in exactly 2 members, connected.
+
+    A member's letters are its sides, so one pass over the members' words
+    counts the member sides of every edge; the first interior edge off 2,
+    in ``interior_edges`` order, is the witness."""
     if not fs.members:
         return False, {"reason": "empty face set"}
+    faces = fs.cx.faces
+    coverage = Counter(sym for f in fs.members for sym, _sign in faces[f].word)
     for sym in fs.interior_edges:
-        cov = sum(1 for fid, _i, _s in fs.cx.edge_sides(sym) if fid in fs.members)
-        if cov != 2:
-            return False, {"reason": "edge coverage", "edge": sym, "coverage": cov}
+        if coverage[sym] != 2:
+            return False, {"reason": "edge coverage", "edge": sym, "coverage": coverage[sym]}
     if not _members_connected(fs.cx, fs.members):
         return False, {"reason": "member faces not connected through shared edges"}
     return True, {"reason": "ok"}
@@ -201,17 +209,18 @@ def _anchor_cycle(ball, seed_lozenge, choice):
         raise SurfaceError("seed lozenge has no interior corner vertex")
     anchor = min(anchors, key=lambda v: (ball.depth[v], int(v[1:])))
 
-    cycles = _rule(ball, anchor, []).cycles
-    with_seed = [c for c in cycles if any(tag[0] == seed_lozenge for tag in c)]
-    without = [c for c in cycles if not any(tag[0] == seed_lozenge for tag in c)]
-    if len(with_seed) != 1:
+    rule = _rule(ball, anchor, [])
+    # the cycles through a corner of the seed, and the others
+    with_seed = rule.face_bits[seed_lozenge]
+    without = ((1 << len(rule.cycles)) - 1) & ~with_seed
+    if not with_seed or with_seed & (with_seed - 1):
         raise SurfaceError("seed corner is not on exactly one admissible cycle")
     if choice == "with":
-        return anchor, with_seed[0]
+        return anchor, rule.cycles[with_seed.bit_length() - 1]
     if choice == "other":
-        if len(without) != 1:
+        if not without or without & (without - 1):
             raise SurfaceError("no unique companion cycle at the anchor")
-        return anchor, without[0]
+        return anchor, rule.cycles[without.bit_length() - 1]
     raise SurfaceError(f"unknown choice {choice!r}")
 
 
@@ -397,7 +406,9 @@ class _VertexRule:
     """The vertex rule at v, built once per ball vertex (``_rule``).
 
     ``cycles``: v's admissible cycles as frozensets of corner tags (fid, i);
-    ``corners``: all corner tags at v.  ``tests``: for each cycle its bit,
+    ``corners``: all corner tags at v.  ``face_bits``: for each face with a
+    corner at v, the mask of the cycles through one of its corners.
+    ``tests``: for each cycle its bit,
     the faces of its corners and those of v's other corners; it stays
     admissible while none of the first is OUT and none of the second IN.
     ``steps``: for a mask of admissible cycles, filled on first use, the
@@ -405,10 +416,15 @@ class _VertexRule:
     order.
     """
 
-    __slots__ = ("cycles", "corners", "tests", "steps", "forced_why", "excluded_why")
+    __slots__ = ("cycles", "corners", "face_bits", "tests", "steps", "forced_why",
+                 "excluded_why")
 
     def __init__(self, v, cycles, corners):
         self.cycles, self.corners = cycles, corners
+        self.face_bits = dict.fromkeys((tag[0] for tag in corners), 0)
+        for i, c in enumerate(cycles):
+            for tag in c:
+                self.face_bits[tag[0]] |= 1 << i
         self.tests = [(1 << i, sorted(tag[0] for tag in c),
                        sorted(tag[0] for tag in corners - c))
                       for i, c in enumerate(cycles)]
