@@ -246,16 +246,16 @@ def lozenge_families(cx):
 
 
 def flat_piece_census(v_complex):
-    """Surface report for each unprimed/primed lozenge pair in V.
+    """Surface report for each lozenge family of V.
 
-    Each pair closes up into a flat piece (every corner sum 6 units); the
-    report records closedness, Euler characteristic and orientability, which
-    distinguishes the tori from the Klein bottle.
+    In V each family is an unprimed/primed pair that closes up into a flat
+    piece (every corner sum 6 units); the report records closedness, Euler
+    characteristic and orientability, which distinguishes the tori from the
+    Klein bottle.  A family that is no closed surface of Euler
+    characteristic 0, such as a lone lozenge, is a piece of kind None.
     """
     out = []
-    for key, fids in lozenge_families(v_complex):
-        if len(fids) != 2:
-            raise ValueError(f"lozenge family {key} has {len(fids)} members, expected 2")
+    for _key, fids in lozenge_families(v_complex):
         piece = subcomplex(v_complex, fids)
         rep = surface_report(piece)
         kind = None

@@ -36,7 +36,8 @@ from .cellmap import CellMapError, automorphism_group, theta_maps, verify_theta_
 from .census import BudgetExceeded, count_surfaces_exhaustive
 from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
                           surface_report, validate_complex)
-from .cover import expand_to_radius, restrict_ball, serialize_ball, verify_cover
+from .cover import (FoldConflictError, expand_to_radius, restrict_ball, serialize_ball,
+                    verify_cover)
 from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
                        labeled_isomorphic, labeled_isomorphisms, moebius_ladder,
                        parse_graph_file)
@@ -247,27 +248,35 @@ def cmd_check_cover(args, _cd, V, balls):
     if error:
         return [error]
     for base in V.vertices:
-        ball = _ball(balls, V, base, radius)
+        claims = (
+            (f"ball of radius {radius} from {base} verifies as a cover chunk", "cover.verify"),
+            (f"interior links from {base} have angular girth six", "cover.girth"),
+            (f"restricting the radius-{radius} ball reproduces radius {radius-1}",
+             "cover.idempotent"))
+        # a chart whose cover does not fold; the radius r-1 ball below runs
+        # the first r-1 of this ball's rounds, so it folds when this one does
+        try:
+            ball = _ball(balls, V, base, radius)
+        except FoldConflictError as exc:
+            certs += [error_certificate(claim, ref, f"growing the ball from {base}: {exc}")
+                      for claim, ref in claims]
+            continue
         rep = verify_cover(ball)
         certs.append(check(
-            f"ball of radius {radius} from {base} verifies as a cover chunk",
-            "cover.verify", rep["ok"],
+            *claims[0], rep["ok"],
             {"base": base, "cells": rep["cells"],
              "interior_vertices": rep["interior_vertex_count"],
              "problems": rep["problems"][:5]}))
         girths = {v: row.get("girth") for v, row in rep["vertices"].items()
                   if row["interior"]}
         certs.append(check(
-            f"interior links from {base} have angular girth six",
-            "cover.girth", all(g == 6 for g in girths.values()),
+            *claims[1], all(g == 6 for g in girths.values()),
             {"base": base, "girths": sorted(set(girths.values()))}))
         # the restriction is compared with a radius r-1 ball grown from V on
         # its own, which the run's table does not keep
         again = serialize_ball(restrict_ball(ball, radius - 1))
         certs.append(check(
-            f"restricting the radius-{radius} ball reproduces radius {radius-1}",
-            "cover.idempotent",
-            again == serialize_ball(expand_to_radius(V, base, radius - 1)),
+            *claims[2], again == serialize_ball(expand_to_radius(V, base, radius - 1)),
             {"base": base}))
     return certs
 
@@ -279,7 +288,13 @@ def cmd_find_surfaces(args, _cd, V, balls):
         "a smaller ball has no interior triangle, so its surfaces are only link germs")
     if error:
         return [error]
-    return ball_surface_certs(_ball(balls, V, V.vertices[0], radius))
+    base = V.vertices[0]
+    try:
+        ball = _ball(balls, V, base, radius)
+    except FoldConflictError as exc:
+        return [error_certificate(claim, ref, f"growing the ball from {base}: {exc}")
+                for claim, ref in SURFACE_CLAIMS]
+    return ball_surface_certs(ball)
 
 
 def _ball(balls, V, base, radius):
@@ -293,6 +308,16 @@ def _ball(balls, V, base, radius):
     return balls[base, radius]
 
 
+SURFACE_CLAIMS = (
+    ("propagation finds exactly two surfaces over all seeds and choices", "surfaces.two"),
+    ("both propagated face sets are interior-Hamiltonian", "surfaces.hamiltonian"),
+    ("every vertex trace of both surfaces is a type-3 cycle", "surfaces.type-three"),
+    ("both surfaces contain every interior triangle", "surfaces.triangles"),
+    ("the two surfaces project onto S and S', one each", "surfaces.periodicity"),
+    ("the exhaustive census returns the same two face sets", "surfaces.census"),
+)
+
+
 def ball_surface_certs(ball):
     """The two-surface claims on a ball of the universal cover of V.
 
@@ -303,8 +328,8 @@ def ball_surface_certs(ball):
     certs = []
     radius = ball.radius
     cx = ball.complex
-    seeds = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE
-             and any(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)]
+    seeds = [f for f in cx.face_ids()
+             if cx.faces[f].kind == LOZENGE and ball.face_interior_vertices[f]]
     surfaces, failed = {}, []
     # by face depth, the anchor's on an intact ball: a key's result does not
     # depend on the order of the runs (``propagate_surface``), and runs that
@@ -326,33 +351,23 @@ def ball_surface_certs(ball):
         rank = {seed: n for n, seed in enumerate(seeds)}
         failed.sort(key=lambda fail: rank[fail["seed"]])  # stable: "with" first
         witness.update(failed_runs=len(failed), first_failure=failed[0])
-    certs.append(check(
-        "propagation finds exactly two surfaces over all seeds and choices",
-        "surfaces.two", len(surfaces) == 2 and not failed, witness))
+    certs.append(check(*SURFACE_CLAIMS[0], len(surfaces) == 2 and not failed, witness))
     ham = {key: is_hamiltonian(fs)[0] for key, fs in surfaces.items()}
-    certs.append(check(
-        "both propagated face sets are interior-Hamiltonian",
-        "surfaces.hamiltonian", bool(ham) and all(ham.values()),
-        {"ok": sorted(ham.values())}))
+    certs.append(check(*SURFACE_CLAIMS[1], bool(ham) and all(ham.values()),
+                       {"ok": sorted(ham.values())}))
     # a trace that is not one cycle puts its status among the types
     types = {detail.value if status == "cycle" else status
              for fs in surfaces.values() for _v, status, detail in fs.traces}
-    certs.append(check(
-        "every vertex trace of both surfaces is a type-3 cycle",
-        "surfaces.type-three", types == {"type3"}, {"types": sorted(types)}))
+    certs.append(check(*SURFACE_CLAIMS[2], types == {"type3"}, {"types": sorted(types)}))
     tris = {f for f in cx.face_ids() if cx.faces[f].kind == TRIANGLE
             and all(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)}
     certs.append(check(
-        "both surfaces contain every interior triangle",
-        "surfaces.triangles",
-        bool(surfaces) and all(tris <= fs.members for fs in surfaces.values()),
+        *SURFACE_CLAIMS[3], bool(surfaces) and all(tris <= fs.members for fs in surfaces.values()),
         {"interior_triangles": len(tris)}))
     projections = sorted(periodicity_check(ball, fs) for fs in surfaces.values())
-    certs.append(check(
-        "the two surfaces project onto S and S', one each",
-        "surfaces.periodicity", projections == ["S", "S'"],
-        {"projections": projections}))
-    claim, ref = "the exhaustive census returns the same two face sets", "surfaces.census"
+    certs.append(check(*SURFACE_CLAIMS[4], projections == ["S", "S'"],
+                       {"projections": projections}))
+    claim, ref = SURFACE_CLAIMS[5]
     try:
         sols, nodes = count_surfaces_exhaustive(ball)
     except BudgetExceeded as exc:

@@ -82,18 +82,16 @@ class Ball:
         self.edge_image = edge_image
         self.face_image = face_image
         self.depth = depth
-        # per-ball tables filled on first use: corner lifts by vertex, and
-        # the two that ``surfaces`` fills and reads, the vertex rules by
-        # vertex and the propagation results by (anchor, chosen cycle)
-        self._lifts = {}
+        # the tables ``surfaces`` fills and reads: vertex rules by vertex and
+        # propagation results by (anchor, chosen cycle); the ball's own
+        # tables are the cached properties below, each built whole when read
         self.vertex_rules = {}
         self.propagations = {}
 
     @cached_property
     def interior_vertices(self):
         """The vertices whose star is complete: those with a ``corner_lift``."""
-        return frozenset(v for v in self.complex.vertices
-                         if self.corner_lift(v) is not None)
+        return frozenset(v for v, lift in self._lifts.items() if lift is not None)
 
     @cached_property
     def interior_edges(self):
@@ -120,11 +118,13 @@ class Ball:
         labels depend only on the face kind and the corner index).  A vertex
         with fewer or more germs than p, such as every boundary vertex of a
         ball, is rejected on that count before any germ is mapped.
-        Computed on first use and kept for the ball.
         """
-        if v not in self._lifts:
-            self._lifts[v] = self._lift(v)
         return self._lifts[v]
+
+    @cached_property
+    def _lifts(self):
+        """Every vertex's ``corner_lift``, or None, by vertex."""
+        return {v: self._lift(v) for v in self.complex.vertices}
 
     @cached_property
     def _image_tables(self):
@@ -158,7 +158,8 @@ class Ball:
 
     @cached_property
     def face_interior_vertices(self):
-        """The distinct interior corner vertices of each face, sorted by name."""
+        """Each face's distinct interior corner vertices, sorted by name: the
+        one table of them that propagation's seeds, anchors and worklist read."""
         cx, interior = self.complex, self.interior_vertices
         return {fid: sorted({v for v in map(cx.src, cx.faces[fid].word) if v in interior},
                             key=str)

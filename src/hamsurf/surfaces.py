@@ -200,11 +200,9 @@ def propagate_surface(ball, seed_lozenge, choice):
 
 def _anchor_cycle(ball, seed_lozenge, choice):
     """The anchor vertex of a seed and the admissible cycle a choice picks."""
-    cx = ball.complex
-    if cx.faces[seed_lozenge].kind != LOZENGE:
+    if ball.complex.faces[seed_lozenge].kind != LOZENGE:
         raise SurfaceError(f"seed {seed_lozenge} is not a lozenge")
-    anchors = [cx.src(oe) for oe in cx.faces[seed_lozenge].word]
-    anchors = [v for v in anchors if v in ball.interior_vertices]
+    anchors = ball.face_interior_vertices[seed_lozenge]
     if not anchors:
         raise SurfaceError("seed lozenge has no interior corner vertex")
     anchor = min(anchors, key=lambda v: (ball.depth[v], int(v[1:])))

@@ -267,18 +267,24 @@ def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
 
 def _check_all_on_edited_chart(tmp_path, capsys, edits):
     """check-all's certificates by ref on the shipped chart with the edits
-    made, after checking that it exits 1 without a traceback."""
+    made (``_edited_chart_certs``)."""
+    return {c["ref"]: c for c in _edited_chart_certs(tmp_path, capsys, edits)}
+
+
+def _edited_chart_certs(tmp_path, capsys, edits, *options):
+    """check-all's certificates on the shipped chart with the edits made,
+    after checking that it exits 1 and writes nothing to stderr."""
     text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     for old, new in edits.items():
         assert old in text
         text = text.replace(old, new)
     bad = tmp_path / "mutated.charts"
     bad.write_text(text)
-    code = main(["check-all", "--charts", str(bad)])
+    code = main(["check-all", "--charts", str(bad), *options])
     captured = capsys.readouterr()
     assert code == 1
-    assert "Traceback" not in captured.err
-    return {c["ref"]: c for c in json.loads(captured.out)}
+    assert captured.err == ""
+    return json.loads(captured.out)
 
 
 # one-line chart edits that load and build, but whose V breaks a claim
@@ -376,7 +382,14 @@ def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys):
 # trace that is not one cycle.  With x and z' reordered instead, a link of V
 # is disconnected, so it has no Hamiltonian cycle and admits no
 # propagation; the census, finding nothing either, must not pass on
-# agreeing with it
+# agreeing with it.  With y_d for y_b in b and y_b twice in y, every edge
+# is still on three faces, but y and y' share no edge-symbol set, so each
+# is a lozenge family of its own
+FOLD_CONFLICT_EDITS = {
+    "face b triangle : x_b+ y_b+ z_b+": "face b triangle : x_b+ y_d+ z_b+",
+    "face y lozenge : y_b+ y_c- y_d+ y_a-": "face y lozenge : y_b+ y_c- y_b+ y_a-"}
+
+
 @pytest.mark.parametrize("edits, failing", [
     ({"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_c- x_b+ x_d- x_a+"},
      {"surfaces.type-three": {"types": ["paths", "type3"]}}),
@@ -385,6 +398,9 @@ def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys):
       "recheck z' : z_b- z_c+ z_d- z_a+\n": ""},
      {"surfaces.two": {"surfaces": 0, "failed_runs": 96},
       "surfaces.census": {"solutions": 0, "nodes": 8}}),
+    (FOLD_CONFLICT_EDITS,
+     {"quotient.flat-pieces": {"pieces": {"x x'": "torus", "y": None, "y'": None,
+                                          "z z'": "klein_bottle"}}}),
 ])
 def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, edits, failing):
     by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
@@ -393,6 +409,25 @@ def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, edi
         cert = by_ref[ref]
         assert cert["status"] == "fail"
         assert {k: cert["witness"][k] for k in detail} == detail
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_fold_conflict_ends_in_error_certificates(tmp_path, capsys, radius):
+    # on that chart the ball from every base meets a fold that would merge
+    # two settled vertices in its second round: every cover and surfaces
+    # claim is an error naming the base whose ball did not grow
+    certs = [c for c in _edited_chart_certs(tmp_path, capsys, FOLD_CONFLICT_EDITS,
+                                            "--radius", str(radius))
+             if c["ref"].split(".")[0] in ("cover", "surfaces")]
+    assert [c["ref"] for c in certs] == (
+        ["cover.verify", "cover.girth", "cover.idempotent"] * 3
+        + ["surfaces.two", "surfaces.hamiltonian", "surfaces.type-three",
+           "surfaces.triangles", "surfaces.periodicity", "surfaces.census"])
+    bases = ["P"] * 3 + ["Q"] * 3 + ["R"] * 3 + ["P"] * 6
+    for cert, base in zip(certs, bases):
+        assert cert["status"] == "error"
+        assert cert["witness"]["error"].startswith(
+            f"growing the ball from {base}: fold would merge two settled ")
 
 
 def test_check_quotient_reports_the_orientability_failure(capsys):

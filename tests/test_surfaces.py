@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 import hamsurf.census
+import hamsurf.cli
 import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import automorphism_group, theta_maps
@@ -553,11 +554,70 @@ def test_contradiction_is_raised_again_from_the_table(ball2):
 
 def test_bad_seed_and_choice_rejected(ball2):
     tri = sorted(interior_triangles(ball2))[0]
-    with pytest.raises(SurfaceError):
+    with pytest.raises(SurfaceError, match=f"^seed {tri} is not a lozenge$"):
         propagate_surface(ball2, tri, "with")
     seed = interior_lozenge_seeds(ball2)[0]
-    with pytest.raises(SurfaceError):
+    with pytest.raises(SurfaceError, match="^unknown choice 'sideways'$"):
         propagate_surface(ball2, seed, "sideways")
+    # every lozenge of a ball has an interior corner, so the seed's corners
+    # are claimed not interior on a copy of ball2
+    claimed = Ball(ball2.complex, ball2.v_complex, ball2.base, ball2.radius,
+                   ball2.vertex_image, ball2.edge_image, ball2.face_image, ball2.depth)
+    claimed.interior_vertices = ball2.interior_vertices - set(ball2.face_interior_vertices[seed])
+    with pytest.raises(SurfaceError, match="^seed lozenge has no interior corner vertex$"):
+        propagate_surface(claimed, seed, "with")
+
+
+def _scanned_anchor(ball, seed):
+    """The least interior corner of the seed by (depth, number), from its word."""
+    cx = ball.complex
+    corners = [v for v in map(cx.src, cx.faces[seed].word) if v in ball.interior_vertices]
+    return min(corners, key=lambda v: (ball.depth[v], int(v[1:])))
+
+
+@pytest.mark.parametrize("base, radius, damage",
+                         [(b, r, None) for b in "PQR" for r in (1, 2, 3, 4)]
+                         + [("P", 2, "deleted lozenge"), ("P", 2, "base alone interior")])
+def test_seeds_and_anchors_agree_with_the_corner_scan(V, monkeypatch, base, radius, damage):
+    # seeds and anchors read the ball's interior corner table; a scan of the
+    # seed words gives the same ones, on intact balls, on one with a lozenge
+    # at the base deleted, and on one that claims only its base interior, so
+    # that not every lozenge is a seed
+    ball = expand_to_radius(V, base, radius)
+    cx = ball.complex
+    if damage == "deleted lozenge":
+        lozenge = next(f for f, _i in cx.corners_at(ball.base) if cx.faces[f].kind == LOZENGE)
+        ball = _delete_face(ball, lozenge)
+    elif damage == "base alone interior":
+        ball.interior_vertices = frozenset([ball.base])
+    seeds = interior_lozenge_seeds(ball)
+    if damage == "base alone interior":
+        lozenges = [f for f in cx.face_ids() if cx.faces[f].kind == LOZENGE]
+        assert 0 < len(seeds) < len(lozenges)
+    for seed in seeds:
+        try:
+            anchor = hamsurf.surfaces._anchor_cycle(ball, seed, "with")[0]
+        except Contradiction as exc:  # the anchor's link does not lift
+            anchor = exc.cell
+        assert anchor == _scanned_anchor(ball, seed), seed
+
+    # ball_surface_certs runs both choices of exactly the scanned seeds
+    runs = []
+
+    def recorded(_ball, seed, choice):
+        runs.append((seed, choice))
+        raise SurfaceError("recorded")
+
+    def no_census(_ball):
+        raise BudgetExceeded("not run")
+
+    monkeypatch.setattr(hamsurf.cli, "propagate_surface", recorded)
+    monkeypatch.setattr(hamsurf.cli, "count_surfaces_exhaustive", no_census)
+    witness = ball_surface_certs(ball)[0].witness
+    assert sorted(runs) == sorted((seed, choice) for seed in seeds
+                                  for choice in ("with", "other"))
+    assert witness["seeds"] == len(seeds)
+    assert witness["first_failure"]["seed"] == seeds[0]
 
 
 def _delete_faces(ball, fids):
