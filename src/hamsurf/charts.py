@@ -1,4 +1,4 @@
-"""Chart-file loading and construction of the quotient complexes S, S', V.
+"""Chart-file loading and construction of the quotient complex V.
 
 The chart format is line based:
 
@@ -14,6 +14,10 @@ backtracks: no side is followed, cyclically, by the same edge run back.
 rotation and reversal.
 The shipped fixture describes the ten-face quotient complex whose facesets
 are named S and S'.
+
+``build_V`` builds and validates V once.  The quotient surfaces are
+subcomplexes of V, read off it with ``corecomplex.subcomplex`` over a
+faceset: V's validation covers them.
 """
 
 from __future__ import annotations
@@ -196,36 +200,15 @@ def load_default_charts():
         return _validated(fh.read())
 
 
-def _build(cd, face_ids):
-    faces = []
-    for fid in face_ids:
-        if fid in cd.triangles:
-            faces.append(Face(fid, TRIANGLE, cd.triangles[fid]))
-        elif fid in cd.lozenges:
-            faces.append(Face(fid, LOZENGE, cd.lozenges[fid]))
-        else:
-            raise ChartError(f"unknown face {fid!r}")
-    cx = Complex2(vertices=cd.vertices, edges=dict(cd.edges), faces=faces)
-    sub = subcomplex(cx, face_ids)
-    problems = validate_complex(sub)
+def build_V(cd):
+    """The full ten-face quotient complex, carrying the chart's facesets;
+    raises ChartError when it fails ``validate_complex``."""
+    faces = [Face(fid, TRIANGLE, cd.triangles[fid]) for fid in sorted(cd.triangles)]
+    faces += [Face(fid, LOZENGE, cd.lozenges[fid]) for fid in sorted(cd.lozenges)]
+    V = Complex2(vertices=cd.vertices, edges=cd.edges, faces=faces)
+    problems = validate_complex(V)
     if problems:
         raise ChartError("chart data fails validation: " + "; ".join(problems))
-    return sub
-
-
-def build_S(cd):
-    """The surface S: the four triangles plus the S faceset lozenges."""
-    return _build(cd, cd.surface_faces("S"))
-
-
-def build_Sprime(cd):
-    """The sibling surface S': the same triangles plus the primed lozenges."""
-    return _build(cd, cd.surface_faces("S'"))
-
-
-def build_V(cd):
-    """The full ten-face quotient complex, carrying the chart's facesets."""
-    V = _build(cd, tuple(sorted(cd.triangles)) + tuple(sorted(cd.lozenges)))
     V.facesets = dict(cd.facesets)
     return V
 

@@ -30,11 +30,11 @@ from pathlib import Path
 
 from . import __version__
 from .certs import check, error_certificate, to_json, to_text
-from .charts import (ChartError, build_S, build_Sprime, build_V,
-                     flat_piece_census, load_charts, load_default_charts)
+from .charts import (ChartError, build_V, flat_piece_census, load_charts,
+                     load_default_charts)
 from .cellmap import CellMapError, automorphism_group, theta_maps, verify_theta_relations
 from .census import BudgetExceeded, count_surfaces_exhaustive
-from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length,
+from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length, subcomplex,
                           surface_report, validate_complex)
 from .cover import (FoldConflictError, expand_to_radius, restrict_ball, serialize_ball,
                     verify_cover)
@@ -196,7 +196,8 @@ def quotient_surface_certs(S):
 def cmd_check_quotient(_args, cd, V, _balls):
     certs = []
     try:
-        S, Sp = build_S(cd), build_Sprime(cd)
+        S = subcomplex(V, cd.surface_faces("S"))
+        Sp = subcomplex(V, cd.surface_faces("S'"))
     except ChartError as exc:
         return [error_certificate("chart fixture loads", "quotient.fixture", str(exc))]
     certs.append(check(

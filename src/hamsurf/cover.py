@@ -61,8 +61,8 @@ class FoldConflictError(RuntimeError):
     fixture or an expansion bug.  The offending cell trail is attached.
     """
 
-    def __init__(self, kind, trail):
-        super().__init__(f"fold would merge two settled {kind}s: {trail}")
+    def __init__(self, kinds, trail):
+        super().__init__(f"fold would merge two settled {kinds}: {trail}")
         self.trail = trail
 
 
@@ -262,7 +262,7 @@ class _Builder:
                 self.pending.append((self.funion, first, fid))
         return fid
 
-    def _merge(self, kind, par, img, gen, a, b):
+    def _merge(self, kinds, par, img, gen, a, b):
         """Union of the classes of a and b under the lower root, refusing
         two classes with different images or two settled ones; returns
         (kept root, absorbed root), or None when they are one class."""
@@ -270,9 +270,9 @@ class _Builder:
         if a == b:
             return None
         if img[a] != img[b]:
-            raise FoldConflictError(kind, (a, img[a], b, img[b]))
+            raise FoldConflictError(kinds, (a, img[a], b, img[b]))
         if gen[a] < self.gen and gen[b] < self.gen:
-            raise FoldConflictError(kind, (a, b, "generation", gen[a]))
+            raise FoldConflictError(kinds, (a, b, "generation", gen[a]))
         if b < a:
             a, b = b, a
         par[b] = a
@@ -289,12 +289,12 @@ class _Builder:
         tables[a], tables[b] = large, None
 
     def vunion(self, a, b):
-        merged = self._merge("vertex", self.vpar, self.vimg, self.vgen, a, b)
+        merged = self._merge("vertices", self.vpar, self.vimg, self.vgen, a, b)
         if merged:
             self._join(self.vgerm, *merged, self.eunion)
 
     def eunion(self, a, b):
-        merged = self._merge("edge", self.epar, self.esym, self.egen, a, b)
+        merged = self._merge("edges", self.epar, self.esym, self.egen, a, b)
         if merged:
             a, b = merged
             self._join(self.eside, a, b, self.funion)
@@ -302,7 +302,7 @@ class _Builder:
             self.vunion(self.etgt[a], self.etgt[b])
 
     def funion(self, a, b):
-        merged = self._merge("face", self.fpar, self.fimg, self.fgen, a, b)
+        merged = self._merge("faces", self.fpar, self.fimg, self.fgen, a, b)
         if merged:
             a, b = merged
             for e1, e2 in zip(self.fword[a], self.fword[b]):

@@ -1,6 +1,7 @@
 import pytest
 
-from hamsurf.charts import build_S, build_Sprime, build_V, load_default_charts
+from hamsurf.charts import build_V, load_default_charts
+from hamsurf.corecomplex import subcomplex
 from hamsurf.cover import expand_ball, expand_to_radius
 from hamsurf.hamgraph import moebius_ladder
 
@@ -16,13 +17,13 @@ def V(chartdata):
 
 
 @pytest.fixture(scope="session")
-def S(chartdata):
-    return build_S(chartdata)
+def S(chartdata, V):
+    return subcomplex(V, chartdata.surface_faces("S"))
 
 
 @pytest.fixture(scope="session")
-def Sprime(chartdata):
-    return build_Sprime(chartdata)
+def Sprime(chartdata, V):
+    return subcomplex(V, chartdata.surface_faces("S'"))
 
 
 @pytest.fixture(scope="session")

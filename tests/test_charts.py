@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamsurf.cellmap import automorphism_group, word_match
-from hamsurf.charts import (ChartError, build_S, build_Sprime, build_V,
-                            flat_piece_census, load_charts,
+from hamsurf.charts import (ChartError, build_V, flat_piece_census, load_charts,
                             lozenge_families, parse_charts, validate_chartdata)
 from hamsurf.corecomplex import (Complex2, Face, link_circle_length,
                                  subcomplex, surface_report, validate_complex)
@@ -229,7 +228,7 @@ def _checks_pass(cd):
     try:
         validate_chartdata(cd)
         V = build_V(cd)
-        S = build_S(cd)
+        S = subcomplex(V, cd.surface_faces("S"))
     except ChartError:
         return False
     if any(V.edge_face_degree(sym) != 3 for sym in V.edges):

@@ -303,6 +303,8 @@ def _edited_chart_certs(tmp_path, capsys, edits, *options):
     # every x_a renamed: an entry of the theta1 table names a symbol V lacks
     ({"x_a": "x_q"},
      "aut.swap", "error", {"error": "no automorphism of V has the edge table theta1"}),
+    ({"faceset S : a b c d x y z\n": ""},
+     "aut.swap", "error", {"error": "chart file declares no faceset 'S'"}),
 ])
 def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, status, detail):
     by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
@@ -320,6 +322,12 @@ def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, statu
             # only the swap claim reads the facesets
             assert aut["aut.order"] == "pass"
             assert [r for r, s in aut.items() if s == "error"] == ["aut.swap"]
+            # check-quotient reads S and S' off V by faceset: the missing one
+            # leaves its one fixture error in place of its claims
+            quotient = [c for r, c in by_ref.items() if r.startswith("quotient.")]
+            assert [(c["ref"], c["status"], c["witness"]) for c in quotient] == [
+                ("quotient.fixture", "error", detail)]
+            assert by_ref["surfaces.periodicity"]["status"] == "fail"
         else:
             # a theta table that matches no automorphism leaves the four
             # claims about the theta maps in error; the order claims read
@@ -427,7 +435,7 @@ def test_fold_conflict_ends_in_error_certificates(tmp_path, capsys, radius):
     for cert, base in zip(certs, bases):
         assert cert["status"] == "error"
         assert cert["witness"]["error"].startswith(
-            f"growing the ball from {base}: fold would merge two settled ")
+            f"growing the ball from {base}: fold would merge two settled vertices: ")
 
 
 def test_check_quotient_reports_the_orientability_failure(capsys):

@@ -397,7 +397,7 @@ def test_fold_refuses_to_merge_settled_cells(V):
     cx = Complex2(vertex_image, edges, faces)
     depth = {v: int(v != "v0") for v in vertex_image}
     ball = Ball(cx, V, "v0", 1, vertex_image, edge_image, {"f0": "a", "f1": "a"}, depth)
-    with pytest.raises(FoldConflictError, match="settled edge") as info:
+    with pytest.raises(FoldConflictError, match="settled edges: ") as info:
         expand_ball(ball)
     assert info.value.trail[2:] == ("generation", 0)
 
