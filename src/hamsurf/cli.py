@@ -360,8 +360,9 @@ def ball_surface_certs(ball):
     types = {detail.value if status == "cycle" else status
              for fs in surfaces.values() for _v, status, detail in fs.traces}
     certs.append(check(*SURFACE_CLAIMS[2], types == {"type3"}, {"types": sorted(types)}))
+    # a grown ball's triangle has its corners over P, Q and R: three vertices
     tris = {f for f in cx.face_ids() if cx.faces[f].kind == TRIANGLE
-            and all(cx.src(oe) in ball.interior_vertices for oe in cx.faces[f].word)}
+            and len(ball.face_interior_vertices[f]) == 3}
     certs.append(check(
         *SURFACE_CLAIMS[3], bool(surfaces) and all(tris <= fs.members for fs in surfaces.values()),
         {"interior_triangles": len(tris)}))

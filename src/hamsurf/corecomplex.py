@@ -231,34 +231,33 @@ def validate_complex(cx):
     closed.
     """
     violations = []
-    vertices = set(cx.vertices)
+    vertices, edges = set(cx.vertices), cx.edges
     for sym in cx.edge_symbols():
-        for v in cx.edges[sym]:
+        for v in edges[sym]:
             if v not in vertices:
                 violations.append(f"edge {sym}: endpoint {v} is not a declared vertex")
     for fid in cx.face_ids():
         face = cx.faces[fid]
-        want = _WORD_LENGTH[face.kind]
-        if len(face.word) != want:
+        word, want = face.word, _WORD_LENGTH[face.kind]
+        if len(word) != want:
             violations.append(
-                f"face {fid}: {face.kind} word has length {len(face.word)}, expected {want}")
+                f"face {fid}: {face.kind} word has length {len(word)}, expected {want}")
             continue
         bad_sym = False
-        for sym, _sign in face.word:
-            if sym not in cx.edges:
+        for sym, _sign in word:
+            if sym not in edges:
                 violations.append(f"face {fid}: undeclared edge symbol {sym}")
                 bad_sym = True
         if bad_sym:
             continue
-        n = len(face.word)
-        ends = [cx.edges[sym] if sign > 0 else cx.edges[sym][::-1] for sym, sign in face.word]
-        for i in range(n):
-            here = ends[i][1]
-            there = ends[(i + 1) % n][0]
+        # a letter runs from its edge's first end to its last, or back when reversed
+        for i in range(want):
+            (sym, sign), (nxt, nsign) = word[i], word[i + 1 - want]
+            here, there = edges[sym][sign > 0], edges[nxt][nsign < 0]
             if here != there:
                 violations.append(
                     f"face {fid}: boundary word not closed between positions {i} "
-                    f"and {(i + 1) % n} ({here} != {there})")
+                    f"and {(i + 1) % want} ({here} != {there})")
     return violations
 
 

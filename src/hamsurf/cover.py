@@ -128,31 +128,35 @@ class Ball:
 
     @cached_property
     def _image_tables(self):
-        """V's facts: each vertex's germs, sorted, each corner's germs, and
-        each edge's number of face-sides."""
+        """V's facts: each vertex's germs and corners, as sets, each corner's two
+        germs as one flat (sym, sign, sym, sign) tuple, and each edge's face-side count."""
         V = self.v_complex
-        return ({p: sorted(V.germs_at(p)) for p in V.vertices},
-                {c: V.corner_germs(*c) for p in V.vertices for c in V.corners_at(p)},
+        return ({p: (frozenset(V.germs_at(p)), frozenset(V.corners_at(p))) for p in V.vertices},
+                {c: sum(V.corner_germs(*c), ()) for p in V.vertices for c in V.corners_at(p)},
                 {sym: V.edge_face_degree(sym) for sym in V.edges})
 
     def _lift(self, v):
+        # V's germs at p are distinct, as are its corners, so equal counts and sets
+        # make each map a bijection; no set equals the () an image outside V gets
         cx, p = self.complex, self.vertex_image[v]
-        germs_of, corner_germs_of, _degree = self._image_tables
-        germs, image_germs = cx.germs_at(v), germs_of.get(p, [])
-        if len(germs) != len(image_germs):
+        sets_of, corner_germs_of, _degree = self._image_tables
+        germs, corners = cx.germs_at(v), cx.corners_at(v)
+        image_germs, image_corners = sets_of.get(p, ((), ()))
+        if len(germs) != len(image_germs) or len(corners) != len(image_corners):
             return None
         edge_image, face_image = self.edge_image, self.face_image
-        if sorted((edge_image[e], s) for e, s in germs) != image_germs:
+        if {(edge_image[e], s) for e, s in germs} != image_germs:
             return None
-        lift = {(f, i): (face_image[f], i) for f, i in cx.corners_at(v)}
-        if sorted(lift.values()) != self.v_complex.corners_at(p):
+        lift = {(f, i): (face_image[f], i) for f, i in corners}
+        if image_corners != set(lift.values()):
             return None
         faces = cx.faces
         for (f, i), image in lift.items():
             # corner i's germs: letter i-1 reversed (the last at i = 0), letter i
             word = faces[f].word
             (e1, s1), (e2, s2) = word[i - 1], word[i]
-            if ((edge_image[e1], -s1), (edge_image[e2], s2)) != corner_germs_of[image]:
+            sym1, sign1, sym2, sign2 = corner_germs_of[image]
+            if s1 != -sign1 or s2 != sign2 or edge_image[e1] != sym1 or edge_image[e2] != sym2:
                 return None
         return lift
 
@@ -454,13 +458,14 @@ def _numbered_ball(V, base, radius, germs, ends, vimg, esym, rows):
         table = germs[v]
         for key in sorted(table):
             e = table[key]
-            w = ends[e][key[1] > 0]
+            # an edge met again was numbered from its other end: its far end here is too
             if e not in enum:
                 enum[e] = len(enum)
-            if w not in vname:
-                vname[w] = f"v{len(order)}"
-                order.append(w)
-                depths.append(below)
+                w = ends[e][key[1] > 0]
+                if w not in vname:
+                    vname[w] = f"v{len(order)}"
+                    order.append(w)
+                    depths.append(below)
     germs.clear()
     enames = [f"e{n}" for n in range(len(enum))]
     edges = {eid: (vname[s], vname[t])
@@ -560,6 +565,11 @@ def restrict_ball(ball, radius):
                           ball.vertex_image, edge_image, rows)
 
 
+def _by_number(ids):
+    """v<n>/e<n>/f<n> ids given in ``str`` order, in number order: sorted stably by length."""
+    return sorted(ids, key=len)
+
+
 def _depths(cx, base):
     """Graph distance from base on the 1-skeleton of cx, searched afresh."""
     adj = {v: [] for v in cx.vertices}
@@ -607,7 +617,7 @@ def verify_cover(ball):
                 continue
         problems.append(f"face {fid}: boundary word image is misaligned")
     vertex_rows = {}
-    for v in sorted(cx.vertices, key=lambda s: int(s[1:])):
+    for v in _by_number(cx.vertices):
         interior = v in ball.interior_vertices
         row = {"depth": ball.depth[v], "interior": interior}
         if interior:
@@ -617,7 +627,7 @@ def verify_cover(ball):
             if not lifts:
                 problems.append(f"vertex {v}: interior link does not match its image link")
         vertex_rows[v] = row
-    for eid in sorted(cx.edges, key=lambda s: int(s[1:])):
+    for eid in _by_number(cx.edge_symbols()):
         sides = cx.edge_face_degree(eid)
         expected = degree.get(edge_image[eid], 0)
         if eid in ball.interior_edges and sides != expected:
@@ -658,15 +668,15 @@ def verify_cover(ball):
 def serialize_ball(ball):
     """Deterministic text dump, diffable across runs and versions."""
     lines = [f"ball radius={ball.radius} base={ball.base}"]
-    for v in sorted(ball.complex.vertices, key=lambda s: int(s[1:])):
+    for v in _by_number(ball.complex.vertices):
         mark = " interior" if v in ball.interior_vertices else ""
         lines.append(f"vertex {v} depth={ball.depth[v]} image={ball.vertex_image[v]}{mark}")
-    for e in sorted(ball.complex.edges, key=lambda s: int(s[1:])):
+    for e in _by_number(ball.complex.edge_symbols()):
         s, t = ball.complex.edges[e]
         mark = " interior" if e in ball.interior_edges else ""
         lines.append(f"edge {e} : {s} -> {t} image={ball.edge_image[e]}{mark}")
-    for f in sorted(ball.complex.face_ids(), key=lambda s: int(s[1:])):
+    for f in _by_number(ball.complex.face_ids()):
         face = ball.complex.faces[f]
-        word = " ".join(f"{e}{'+' if s > 0 else '-'}" for e, s in face.word)
+        word = " ".join([f"{e}{'+' if s > 0 else '-'}" for e, s in face.word])
         lines.append(f"face {f} {face.kind} : {word} image={ball.face_image[f]}")
     return "\n".join(lines) + "\n"

@@ -202,3 +202,21 @@ def _one_cycle(nodes, links):
         node = b if a == node else a
         steps += 1
     return steps == len(links)
+
+
+def naive_corner_lift(ball, v):
+    """``Ball.corner_lift`` by sorted lists: v's germ images sorted against
+    its image p's germs, its corner images sorted against p's corners, then
+    each corner's two germ images against its image corner's, read from V."""
+    cx, V, p = ball.complex, ball.v_complex, ball.vertex_image[v]
+    germs = sorted((ball.edge_image[e], s) for e, s in cx.germs_at(v))
+    if p not in V.vertices or germs != sorted(V.germs_at(p)):
+        return None
+    lift = {(f, i): (ball.face_image[f], i) for f, i in cx.corners_at(v)}
+    if sorted(lift.values()) != sorted(V.corners_at(p)):
+        return None
+    for (f, i), image in lift.items():
+        (e1, s1), (e2, s2) = cx.corner_germs(f, i)
+        if ((ball.edge_image[e1], s1), (ball.edge_image[e2], s2)) != V.corner_germs(*image):
+            return None
+    return lift

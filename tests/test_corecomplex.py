@@ -139,9 +139,20 @@ def _naive_violations(cx):
     return found
 
 
-def test_indexes_and_violations_match_a_naive_reading(V, S, ball2):
+def _lozenge_edges_rotated(cx):
+    """cx with its first lozenge's edges moved one letter on, each letter
+    keeping its sign: a cyclic rotation of the whole word would stay closed."""
+    fid = next(f for f in cx.face_ids() if cx.faces[f].kind == "lozenge")
+    word = cx.faces[fid].word
+    rotated = [(sym, sign) for (sym, _s), (_x, sign) in zip(word[1:] + word[:1], word)]
+    faces = [Face(f, "lozenge", rotated) if f == fid else cx.faces[f] for f in cx.face_ids()]
+    return Complex2(cx.vertices, cx.edges, faces), fid
+
+
+def test_indexes_and_violations_match_a_naive_reading(V, S, ball2, ball3):
+    rotated, fid = _lozenge_edges_rotated(ball3.complex)
     complexes = [V, S, ball2.complex, unclosed_triangle(),
-                 wrong_arity_and_unknown_symbol(), ghost_endpoint()]
+                 wrong_arity_and_unknown_symbol(), ghost_endpoint(), ball3.complex, rotated]
     for cx in complexes:
         sides, corners, germs = _naive_indexes(cx)
         assert {sym: cx.edge_sides(sym) for sym in cx.edges} == sides
@@ -150,7 +161,10 @@ def test_indexes_and_violations_match_a_naive_reading(V, S, ball2):
         assert all(cx.germs_at(v) == [] for v in cx.vertices if v not in germs)
         assert validate_complex(cx) == _naive_violations(cx)
     # the malformed complexes show each kind of violation
-    assert [len(validate_complex(cx)) for cx in complexes] == [0, 0, 0, 2, 2, 1]
+    assert [len(validate_complex(cx)) for cx in complexes] == [0, 0, 0, 2, 2, 1, 0, 4]
+    assert len(ball3.complex.faces) > 300
+    assert all(p.startswith(f"face {fid}: boundary word not closed")
+               for p in validate_complex(rotated))
     assert wrong_arity_and_unknown_symbol().edge_sides("zz") == []
     assert ghost_endpoint().germs_at("ghost") == [("e", -1)]
 

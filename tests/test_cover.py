@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 
 from hamsurf.cellmap import check_cellmap, isomorphisms
 from hamsurf.corecomplex import LOZENGE, TRIANGLE, Complex2, Face, validate_complex
-from hamsurf.cover import (Ball, FoldConflictError, _Builder, _canonical_ball,
+from hamsurf.cover import (Ball, FoldConflictError, _Builder, _by_number, _canonical_ball,
                            _depths, _find, expand_ball, expand_to_radius,
                            restrict_ball, serialize_ball, verify_cover)
 from hamsurf.hamgraph import angular_girth, labeled_isomorphic
 from hamsurf.surfaces import propagate_surface
+from oracles import naive_corner_lift
 
 
 def test_base_ball(V):
@@ -643,6 +645,55 @@ def test_each_lift_condition_rejects_on_its_own(ball2, damage, germs_map, corner
     assert damaged.corner_lift(v) is None
     assert f"vertex {v}: interior link does not match its image link" \
         in verify_cover(damaged)["problems"]
+
+
+@pytest.mark.parametrize("base", ["P", "Q", "R"])
+def test_corner_lift_matches_a_sorted_reading(V, base):
+    # corner_lift compares counts, then sets; the oracle sorts both sides
+    for radius in (1, 2, 3):
+        ball = expand_to_radius(V, base, radius)
+        lifts = {v: ball.corner_lift(v) for v in ball.complex.vertices}
+        assert lifts == {v: naive_corner_lift(ball, v) for v in ball.complex.vertices}
+        assert sum(lift is not None for lift in lifts.values()) == len(ball.interior_vertices) > 0
+
+
+def _doubled_face(ball):
+    # a second copy of a face at the base: the base's corner images are still
+    # the image's corner set, but one more than the image has
+    cx, v = ball.complex, ball.base
+    fid, _i = cx.corners_at(v)[0]
+    copy = Face(f"f{len(cx.faces)}", cx.faces[fid].kind, cx.faces[fid].word)
+    return _claiming(ball, cx=Complex2(cx.vertices, cx.edges, list(cx.faces.values()) + [copy]),
+                     face_image={**ball.face_image, copy.fid: ball.face_image[fid]}), v
+
+
+@pytest.mark.parametrize("damage", [_swapped_germ_image, _rotated_word, _deleted_face,
+                                    _swapped_face_images, _replaced_last_letter, _doubled_face])
+def test_corner_lift_matches_a_sorted_reading_on_a_damaged_ball(ball2, damage):
+    damaged, v = damage(ball2)
+    for u in damaged.complex.vertices:
+        assert damaged.corner_lift(u) == naive_corner_lift(damaged, u)
+    assert naive_corner_lift(damaged, v) is None
+
+
+def test_by_number_puts_str_ordered_ids_in_number_order():
+    ids = [f"v{n}" for n in range(1201)]
+    in_str_order = sorted(random.Random(5).sample(ids, len(ids)), key=str)
+    assert in_str_order != ids
+    assert _by_number(in_str_order) == sorted(ids, key=lambda s: int(s[1:])) == ids
+
+
+def test_reports_list_cells_in_number_order(ball3):
+    def number(s):
+        return int(s[1:])
+
+    cx = ball3.complex
+    rows = list(verify_cover(ball3)["vertices"])
+    assert rows == sorted(cx.vertices, key=number) != list(cx.vertices)
+    lines = serialize_ball(ball3).splitlines()
+    for kind, ids in (("vertex", cx.vertices), ("edge", cx.edges), ("face", cx.faces)):
+        named = [line.split()[1] for line in lines if line.startswith(f"{kind} ")]
+        assert named == sorted(ids, key=number) != sorted(ids, key=str)
 
 
 def test_interior_flags_are_computed_on_first_read(V, monkeypatch):

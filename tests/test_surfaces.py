@@ -218,6 +218,24 @@ def test_interior_triangles_lie_on_both_surfaces(ball2):
         assert tris <= propagate_surface(ball2, seed, choice).members
 
 
+@pytest.mark.parametrize("base", ["P", "Q", "R"])
+def test_interior_triangles_have_three_interior_corners(V, ball2, base):
+    # ball_surface_certs counts a triangle's entries in face_interior_vertices;
+    # on a ball grown from V its corners lie over P, Q and R, so they are
+    # three distinct vertices and the count agrees with a scan of its word
+    def by_table(ball):
+        cx = ball.complex
+        return {f for f in cx.face_ids() if cx.faces[f].kind == TRIANGLE
+                and len(ball.face_interior_vertices[f]) == 3}
+
+    balls = [expand_to_radius(V, base, radius) for radius in (2, 3, 4)]
+    if base == "P":
+        tri = sorted(interior_triangles(ball2))[0]
+        balls.append(_delete_face(ball2, tri))
+    for ball in balls:
+        assert by_table(ball) == interior_triangles(ball) != set()
+
+
 def _end_state(surface):
     return surface.faceset.members, surface.out
 
