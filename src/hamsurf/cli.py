@@ -25,7 +25,6 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -38,9 +37,9 @@ from .corecomplex import (LOZENGE, TRIANGLE, link_circle_length, subcomplex,
                           surface_report, validate_complex)
 from .cover import (FoldConflictError, expand_to_radius, restrict_ball, serialize_ball,
                     verify_cover)
-from .hamgraph import (angular_girth, classify_cycle, enumerate_hamiltonian_cycles,
-                       labeled_isomorphic, labeled_isomorphisms, moebius_ladder,
-                       parse_graph_file)
+from .hamgraph import (angular_girth, classify_cycle, coxeter_graph,
+                       enumerate_hamiltonian_cycles, labeled_isomorphic,
+                       labeled_isomorphisms, moebius_ladder)
 from .surfaces import (Contradiction, SurfaceError, is_hamiltonian, periodicity_check,
                        propagate_surface)
 
@@ -92,19 +91,11 @@ def cmd_check_ladder(args):
     certs.append(check(
         "angular girth of the ladder is six units",
         "ladder.girth", girth == 6, {"girth": girth}))
-    try:
-        source = (Path(args.coxeter) if args.coxeter
-                  else resources.files("hamsurf.data").joinpath("coxeter.graph"))
-        g = parse_graph_file(source.read_text(encoding="utf-8"))
-        n_cycles = len(enumerate_hamiltonian_cycles(g))
-        certs.append(check(
-            "the 28-vertex cubic girth-7 graph has no Hamiltonian cycle",
-            "ladder.coxeter", n_cycles == 0,
-            {"nodes": g.node_count(), "cycles": n_cycles}))
-    except (OSError, ValueError) as exc:
-        certs.append(error_certificate(
-            "the 28-vertex cubic girth-7 graph has no Hamiltonian cycle",
-            "ladder.coxeter", str(exc)))
+    g = coxeter_graph()
+    n_cycles = len(enumerate_hamiltonian_cycles(g))
+    certs.append(check(
+        "the 28-vertex cubic girth-7 graph has no Hamiltonian cycle",
+        "ladder.coxeter", n_cycles == 0, {"nodes": g.node_count(), "cycles": n_cycles}))
     return certs
 
 
@@ -438,19 +429,18 @@ OPTIONS = {
     "--charts": dict(default=None, help="chart fixture path (default: shipped fixture)"),
     "--radius": dict(type=int, default=2,
                      help="ball radius for cover/surface checks (default 2)"),
-    "--coxeter": dict(default=None, help="path to the 28-vertex graph fixture"),
     "--out": dict(default=None, help="directory to write <command>.json into"),
     "--format": dict(choices=("json", "text"), default="json"),
 }
 
 # the options each subcommand reads, besides --out and --format
 COMMAND_OPTIONS = {
-    "check-ladder": ("--coxeter",),
+    "check-ladder": (),
     "check-quotient": ("--charts",),
     "check-cover": ("--charts", "--radius"),
     "find-surfaces": ("--charts", "--radius"),
     "check-aut": ("--charts",),
-    "check-all": ("--charts", "--radius", "--coxeter"),
+    "check-all": ("--charts", "--radius"),
 }
 
 

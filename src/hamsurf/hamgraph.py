@@ -8,11 +8,12 @@ three labels are
     "l"  small lozenge corner   weight 1
     "L"  large lozenge corner   weight 2
 
-The reference graph is the Moebius ladder on eight nodes: an 8-cycle rim with
-labels alternating l,t and four rungs joining antipodal rim nodes, each
-labeled L.  A rung is an L edge and nothing else: the ladder facts (the
-rungs a cycle uses or omits, its type) are read from the labels, so any
-graph carries them without extra marking.  Links are properly
+Both reference graphs are built here: the Moebius ladder on eight nodes (an
+8-cycle rim with labels alternating l,t and four rungs joining antipodal rim
+nodes, each labeled L) and the unlabeled 28-node Coxeter graph, which has no
+Hamiltonian cycle.  A rung is an L edge and nothing else: the ladder facts
+(the rungs a cycle uses or omits, its type) are read from the labels, so
+any graph carries them without extra marking.  Links are properly
 3-edge-coloured, so an isomorphism between them is developed from one
 node.  Everything in this module is exact integer combinatorics; node
 identifiers are arbitrary hashable objects ordered by ``str`` for
@@ -314,6 +315,26 @@ def moebius_ladder():
     return g
 
 
+def coxeter_graph():
+    """The Coxeter graph: cubic, girth 7 and non-Hamiltonian.
+
+    Three 7-node rings a, b and c with chord steps 1, 2 and 3, and hubs h_i
+    joined to a_i, b_i and c_i; edges unlabeled.  In this node and edge
+    order the search makes 98 branch decisions on it.
+    """
+    g = LabeledGraph()
+    for ring in "abch":
+        for i in range(7):
+            g.add_node(f"{ring}{i}")
+    for ring, step in (("a", 1), ("b", 2), ("c", 3)):
+        for i in range(7):
+            g.add_edge(f"{ring}{i}", f"{ring}{(i + step) % 7}", None)
+    for i in range(7):
+        for ring in "abc":
+            g.add_edge(f"h{i}", f"{ring}{i}", None)
+    return g
+
+
 _TYPE_OF_LABELS = {
     tuple(sorted("ttttllll")): CycleType.TYPE1,
     tuple(sorted("ttllllLL")): CycleType.TYPE2,
@@ -436,30 +457,3 @@ def angular_girth(graph):
     if best is None:
         raise GraphError("graph has no cycle")
     return best
-
-
-def parse_graph_file(text):
-    """Parse the graph fixture format.
-
-    Lines: ``node <id>`` and ``edge <id1> <id2> [label]``; blank lines and
-    ``#`` comments ignored.  A rung is an edge labeled L.  Raises GraphError
-    with the line number on malformed input.
-    """
-    g = LabeledGraph()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "node" and len(parts) == 2:
-            g.add_node(parts[1])
-        elif kind == "edge" and len(parts) in (3, 4):
-            label = parts[3] if len(parts) == 4 else None
-            try:
-                g.add_edge(parts[1], parts[2], label)
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from None
-        else:
-            raise GraphError(f"line {lineno}: malformed record {raw.strip()!r}")
-    return g

@@ -1,8 +1,6 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
 import sys
 from collections import Counter
 from importlib import resources
@@ -19,7 +17,7 @@ from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
 from hamsurf.cli import (COMMANDS, _ladder_rung_witnesses, build_parser, cmd_check_cover, main,
                          run_commands)
-from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth,
+from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth, coxeter_graph,
                               enumerate_hamiltonian_cycles, labeled_isomorphisms,
                               moebius_ladder)
 from oracles import networkx_vertex_transitive
@@ -55,6 +53,22 @@ def test_vertex_transitivity_fails_on_a_ladder_with_moved_rungs(monkeypatch, cap
     _code, out = run(capsys, "check-ladder")
     by_ref = {c["ref"]: c for c in json.loads(out)}
     assert by_ref["ladder.vertex-transitive"]["status"] == "fail"
+
+
+def test_coxeter_claim_fails_on_the_graph_with_a_chord(monkeypatch, capsys):
+    # the chord a0-a2 gives the Coxeter graph 24 Hamiltonian cycles, the
+    # count networkx confirms in test_hamgraph
+    def with_chord():
+        g = coxeter_graph()
+        g.add_edge("a0", "a2", None)
+        return g
+
+    monkeypatch.setattr(hamsurf.cli, "coxeter_graph", with_chord)
+    code, out = run(capsys, "check-ladder")
+    assert code == 1
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert by_ref["ladder.coxeter"]["status"] == "fail"
+    assert by_ref["ladder.coxeter"]["witness"] == {"nodes": 28, "cycles": 24}
 
 
 def test_rung_witnesses_name_the_first_counterexample():
@@ -477,14 +491,16 @@ CHECK_ALL_PINS = {
 
 
 def test_check_all_certificates_are_pinned(capsys):
-    _code, out = run(capsys, "check-all", "--radius", "2")
+    code, out = run(capsys, "check-all", "--radius", "2")
+    assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[2]
 
 
 def test_check_all_certificates_are_pinned_at_radius_4(capsys):
     # at radius 4 the balls are grown through many more attachments and the
     # propagation seeds run out of face-id order
-    _code, out = run(capsys, "check-all", "--radius", "4")
+    code, out = run(capsys, "check-all", "--radius", "4")
+    assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[4]
 
 
@@ -509,6 +525,9 @@ def test_ci_checks_the_pinned_digests():
     # the census node bound is a constant, not an option
     ["find-surfaces", "--budget", "5"],
     ["check-all", "--budget", "5"],
+    # the Coxeter graph is built in code, not read from a file
+    ["check-ladder", "--coxeter", "x.graph"],
+    ["check-all", "--coxeter", "x.graph"],
 ])
 def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
@@ -612,34 +631,6 @@ def test_chart_that_is_not_utf8_yields_error_certificates(tmp_path, capsys, comm
                           "aut.fixture"], "check-quotient": ["quotient.fixture"]}[command]
     assert [c["ref"] for c in errors] == refs
     assert all("can't decode byte 0xff" in c["witness"]["error"] for c in errors)
-
-
-def test_coxeter_file_is_read_as_utf8_whatever_the_locale(tmp_path):
-    # under the C locale with UTF-8 mode off, a locale-encoding read fails
-    # on the dash of the comment line
-    shipped = resources.files("hamsurf.data").joinpath("coxeter.graph")
-    graph = tmp_path / "coxeter.graph"
-    graph.write_text("# Coxeter graph \u2014 28 nodes\n" + shipped.read_text(encoding="utf-8"),
-                     encoding="utf-8")
-    src = str(Path(hamsurf.cli.__file__).parents[1])
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "hamsurf.cli", "check-ladder", "--coxeter", str(graph)],
-        env=env, capture_output=True, text=True, timeout=120)
-    by_ref = {c["ref"]: c for c in json.loads(done.stdout)}
-    assert by_ref["ladder.coxeter"]["status"] == "pass"
-    assert by_ref["ladder.coxeter"]["witness"] == {"nodes": 28, "cycles": 0}
-
-
-def test_coxeter_file_that_is_not_utf8_yields_an_error_certificate(tmp_path, capsys):
-    bad = tmp_path / "latin1.graph"
-    bad.write_bytes("# Coxeter graph \u00b7 28 nodes\n".encode("latin-1"))
-    code, out = run(capsys, "check-ladder", "--coxeter", str(bad))
-    assert code == 1
-    by_ref = {c["ref"]: c for c in json.loads(out)}
-    assert by_ref["ladder.coxeter"]["status"] == "error"
-    assert "can't decode byte 0xb7" in by_ref["ladder.coxeter"]["witness"]["error"]
 
 
 @pytest.mark.parametrize("radius", [-1, 0])

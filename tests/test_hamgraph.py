@@ -2,15 +2,14 @@ import math
 import random
 import sys
 from collections import Counter
-from importlib import resources
 
 import pytest
 
 import hamsurf.hamgraph
 from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth,
-                              classify_cycle, enumerate_hamiltonian_cycles, label_type,
-                              label_weight, labeled_isomorphic, labeled_isomorphisms,
-                              parse_graph_file)
+                              classify_cycle, coxeter_graph, enumerate_hamiltonian_cycles,
+                              label_type, label_weight, labeled_isomorphic,
+                              labeled_isomorphisms)
 from oracles import (brute_weighted_girth, degree, naive_hamiltonian_cycles,
                      networkx_connected, networkx_hamiltonian_count,
                      networkx_isomorphic, networkx_isomorphisms,
@@ -207,7 +206,7 @@ def test_coxeter_search_effort():
         cycles = enumerate_hamiltonian_cycles(g)
     finally:
         sys.setprofile(None)
-    assert cycles == [] and 0 < len(calls) <= 100
+    assert cycles == [] and len(calls) == 98
 
 
 def test_repeated_calls_agree():
@@ -240,11 +239,6 @@ def test_parallel_closing_edges_are_refused():
     assert naive_hamiltonian_cycles(g) == set()
 
 
-def coxeter_graph():
-    text = resources.files("hamsurf.data").joinpath("coxeter.graph").read_text()
-    return parse_graph_file(text)
-
-
 @pytest.mark.parametrize("name, count", [
     ("heawood_graph", 24), ("moebius_kantor_graph", 6),
     ("pappus_graph", 36), ("desargues_graph", 24)])
@@ -264,7 +258,7 @@ def test_complete_graph_cycle_counts():
 
 def test_coxeter_with_a_chord_against_networkx():
     # the Coxeter graph has no Hamiltonian cycle; one chord gives it some,
-    # so a search that prunes too much shows at the size of the fixture
+    # so a search that prunes too much shows on a 28-node graph
     g = coxeter_graph()
     g.add_edge("a0", "a2", None)
     assert len(enumerate_hamiltonian_cycles(g)) == networkx_hamiltonian_count(g) == 24
@@ -649,23 +643,21 @@ def test_angular_girth_against_brute_force():
     assert checked >= 15
 
 
-# --- fixture parsing ------------------------------------------------------
+# --- the Coxeter graph ---------------------------------------------------
 
-def test_parse_graph_file_roundtrip():
-    text = "node a\nnode b\nnode c\nedge a b L\nedge b c\n# comment\n"
-    g = parse_graph_file(text)
-    assert g.node_count() == 3 and len(g.edges) == 2
-    assert rungs(g) == {frozenset(("a", "b"))}
+def test_coxeter_graph_is_the_fano_plane_construction():
+    # an independent definition: the 3-subsets of {0..6} that are not lines
+    # of a Fano plane, joined when disjoint
+    from itertools import combinations
 
-
-def test_parse_graph_file_errors():
-    with pytest.raises(GraphError, match="line 1"):
-        parse_graph_file("edge a a\n")
-    with pytest.raises(GraphError, match="line 2"):
-        parse_graph_file("node a\nwhat is this\n")
-    # a rung is an edge labeled L; there is no separate rung record
-    with pytest.raises(GraphError, match="line 3: malformed record 'rung a b'"):
-        parse_graph_file("node a\nnode b\nrung a b\n")
+    lines = {frozenset((i, (i + 1) % 7, (i + 3) % 7)) for i in range(7)}
+    triples = [t for t in map(frozenset, combinations(range(7), 3)) if t not in lines]
+    fano = LabeledGraph()
+    for t, u in combinations(triples, 2):
+        if not t & u:
+            fano.add_edge(t, u, None)
+    assert fano.node_count() == 28
+    assert networkx_isomorphic(coxeter_graph(), fano)
 
 
 def test_coxeter_fixture_shape():
