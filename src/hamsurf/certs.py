@@ -10,21 +10,36 @@ certificate files are byte-stable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 
 PASS, FAIL, ERROR = "pass", "fail", "error"
 
 
-@dataclass
 class Certificate:
-    claim: str
-    ref: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    version: str = __version__
-    fixture_digest: str = ""
+    """One checked claim: ``claim`` says what is claimed, ``ref`` is its
+    stable identifier, ``status`` is PASS, FAIL or ERROR, ``witness`` holds
+    the computed values, ``version`` is the tool version and
+    ``fixture_digest`` the SHA-256 of the charts it was computed from (""
+    when none).  These six attributes are all it holds, so ``vars`` of a
+    certificate is its JSON record, and two certificates are equal when
+    all six are."""
+
+    def __init__(self, claim, ref, status, witness):
+        self.claim = claim
+        self.ref = ref
+        self.status = status
+        self.witness = witness
+        self.version = __version__
+        self.fixture_digest = ""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"Certificate({vars(self)!r})"
 
     def ok(self):
         return self.status == PASS

@@ -23,7 +23,6 @@ faceset: V's validation covers them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .cellmap import word_match
@@ -42,16 +41,23 @@ class ChartError(ValueError):
     pass
 
 
-@dataclass
 class ChartData:
-    """Parsed and validated chart file."""
+    """Parsed and validated chart file.
 
-    edges: dict = field(default_factory=dict)     # sym -> (src, tgt)
-    triangles: dict = field(default_factory=dict)  # fid -> word
-    lozenges: dict = field(default_factory=dict)   # fid -> word
-    rechecks: dict = field(default_factory=dict)   # fid -> word
-    facesets: dict = field(default_factory=dict)   # name -> tuple of fids
-    digest: str = ""
+    ``edges`` maps each symbol to its (source, target) vertices;
+    ``triangles``, ``lozenges`` and ``rechecks`` map face ids to boundary
+    words; ``facesets`` maps a name to its tuple of face ids; ``digest`` is
+    the SHA-256 of the chart text.  A new one is empty, and ``parse_charts``
+    fills it.
+    """
+
+    def __init__(self):
+        self.edges = {}
+        self.triangles = {}
+        self.lozenges = {}
+        self.rechecks = {}
+        self.facesets = {}
+        self.digest = ""
 
     @property
     def vertices(self):

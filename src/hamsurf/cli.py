@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -483,8 +482,9 @@ def run_commands(args, names):
             certs.append(error_certificate("chart fixture loads", ref, str(charts)))
         else:
             cd, V = charts
-            certs += [replace(c, fixture_digest=cd.digest)
-                      for c in command(args, cd, V, balls)]
+            for c in command(args, cd, V, balls):
+                c.fixture_digest = cd.digest
+                certs.append(c)
     return certs
 
 

@@ -27,8 +27,7 @@ explicit tables keyed on them.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth, classify_cycle,
                        components, enumerate_hamiltonian_cycles, label_type, label_weight)
@@ -261,15 +260,11 @@ def validate_complex(cx):
     return violations
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    is_closed_surface: bool
-    euler_characteristic: int
-    orientable: bool | None
-    genus_or_crosscaps: int | None
-    vertex_count: int
-    edge_count: int
-    face_count: int
+# orientable and genus_or_crosscaps are None when the complex is not a
+# closed surface
+SurfaceReport = namedtuple("SurfaceReport", [
+    "is_closed_surface", "euler_characteristic", "orientable", "genus_or_crosscaps",
+    "vertex_count", "edge_count", "face_count"])
 
 
 def orientation_parities(cx):

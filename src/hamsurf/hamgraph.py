@@ -23,7 +23,7 @@ determinism.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 LABEL_WEIGHTS = {"t": 1, "l": 1, "L": 2}
@@ -117,8 +117,7 @@ class CycleType(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class HamCycle:
+class HamCycle(namedtuple("HamCycle", ["nodes", "edge_indices", "labels"])):
     """A Hamiltonian cycle, identified by its edge set.
 
     ``nodes`` is the canonical node sequence: lexicographically least (by
@@ -129,9 +128,7 @@ class HamCycle:
     edge.
     """
 
-    nodes: tuple
-    edge_indices: frozenset
-    labels: tuple
+    __slots__ = ()
 
     @property
     def rung_count(self):

@@ -462,6 +462,19 @@ def test_check_quotient_reports_the_orientability_failure(capsys):
     assert by_ref["quotient.flat-pieces"]["status"] == "pass"
 
 
+def test_sibling_claim_fails_when_s_prime_differs_from_s(tmp_path, capsys):
+    # z in place of z': S' is no longer a closed surface, so its report
+    # differs from S's and the two reports must compare unequal
+    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    bad = tmp_path / "bad_sibling.charts"
+    bad.write_text(text.replace("faceset S' : a b c d x' y' z'", "faceset S' : a b c d x' y' z"))
+    code, out = run(capsys, "check-quotient", "--charts", str(bad))
+    assert code == 1
+    by_ref = {c["ref"]: c for c in json.loads(out)}
+    assert by_ref["quotient.sibling"]["status"] == "fail"
+    assert by_ref["quotient.sibling"]["witness"] == {"chi": -2, "closed": False}
+
+
 def test_check_aut_reports_the_group_structure_failures(capsys):
     code, out = run(capsys, "check-aut")
     assert code == 1
@@ -692,11 +705,27 @@ def test_census_budget_propagates(tmp_path, capsys):
 
 def test_certificate_renderers():
     certs = [check("demo claim", "demo.ref", True, {"n": 1}),
-             Certificate(claim="other", ref="demo.other", status="fail")]
+             Certificate(claim="other", ref="demo.other", status="fail", witness={})]
     js = to_json(certs)
     assert json.loads(js)[0]["claim"] == "demo claim"
     text = to_text(certs)
     assert "1/2 claims pass" in text
+
+
+def test_certificates_are_equal_exactly_when_all_six_fields_are():
+    def demo():
+        return check("demo claim", "demo.ref", True, {"n": 1})
+
+    assert demo() == demo()
+    assert vars(demo()) == {"claim": "demo claim", "ref": "demo.ref", "status": "pass",
+                            "witness": {"n": 1}, "version": hamsurf.__version__,
+                            "fixture_digest": ""}
+    other_witness, stamped = demo(), demo()
+    other_witness.witness = {"n": 2}
+    stamped.fixture_digest = "0" * 64
+    assert other_witness != demo()
+    assert stamped != demo()
+    assert demo() != vars(demo())
 
 
 def test_s_faceset_that_is_no_surface_yields_certificates(tmp_path, capsys):

@@ -228,6 +228,13 @@ def test_lozenge_torus_report():
     assert link_circle_length(cx, "o") == 6
 
 
+def test_reports_that_differ_in_one_field_are_unequal():
+    rep = surface_report(lozenge_torus())
+    assert rep == surface_report(lozenge_torus())
+    assert rep._replace(face_count=rep.face_count + 1) != rep
+    assert rep._replace(orientable=None) != rep
+
+
 def test_lozenge_klein_bottle_report():
     cx = lozenge_klein()
     assert validate_complex(cx) == []

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import hamsurf.hamgraph
-from hamsurf.hamgraph import (CycleType, GraphError, LabeledGraph, angular_girth,
+from hamsurf.hamgraph import (CycleType, GraphError, HamCycle, LabeledGraph, angular_girth,
                               classify_cycle, coxeter_graph, enumerate_hamiltonian_cycles,
                               label_type, label_weight, labeled_isomorphic,
                               labeled_isomorphisms)
@@ -333,6 +333,16 @@ def test_ladder_census(ladder):
     cycles = enumerate_hamiltonian_cycles(ladder)
     assert len(cycles) == 5
     assert Counter(c.rung_count for c in cycles) == Counter({0: 1, 2: 4})
+
+
+def test_cycles_are_hashable_immutable_values(ladder):
+    cycle = enumerate_hamiltonian_cycles(ladder)[0]
+    again = HamCycle(nodes=cycle.nodes, edge_indices=cycle.edge_indices, labels=cycle.labels)
+    assert again == cycle and len({again, cycle}) == 1
+    assert again.rung_count == cycle.labels.count("L")
+    for name in ("nodes", "rung_count", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cycle, name, ())
 
 
 def test_ladder_cycle_types(ladder):

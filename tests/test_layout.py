@@ -32,6 +32,21 @@ def test_imports_sit_at_module_level():
     assert inside == []
 
 
+def test_no_module_imports_dataclasses():
+    # a @dataclass generates its methods with exec when its module is
+    # imported, about 0.4-0.6 ms a class, and dataclasses loads inspect,
+    # ast, dis and tokenize, about 5-6 ms of import hamsurf.cli even with a
+    # bytecode cache; records are plain classes or namedtuples instead
+    found = [
+        (name, node.lineno)
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names))]
+    assert found == []
+
+
 def test_no_private_names_imported_from_sibling_modules():
     private = [
         (name, node.module, alias.name)
