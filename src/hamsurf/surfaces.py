@@ -9,7 +9,10 @@ Formalization used throughout: a surface "visits every edge precisely
 once" iff every (interior) edge lies in exactly two member faces, one
 surface sheet per edge.  "No multiple vertex" iff the trace of the member
 faces in each (interior) vertex link is one spanning cycle, as
-``corecomplex.trace_status`` classifies it.
+``corecomplex.trace_status`` classifies it.  In a ball, traces are
+classified once per lifted trace: the interior vertices over one vertex of
+V whose member corners lift to the same corners there share one reading
+(``FaceSet.traces``).
 
 Propagation forces by the vertex rule alone: the admissible link cycles
 at an interior vertex are the type-3 cycles of its image in V, enumerated
@@ -64,7 +67,8 @@ class FaceSet:
     """
 
     def __init__(self, ambient, members):
-        if isinstance(ambient, Ball):
+        self.ball = ambient if isinstance(ambient, Ball) else None
+        if self.ball is not None:
             self.cx = ambient.complex
             self.interior_vertices = sorted(ambient.interior_vertices, key=str)
             self.interior_edges = sorted(ambient.interior_edges, key=str)
@@ -82,9 +86,33 @@ class FaceSet:
     @cached_property
     def traces(self):
         """(v, status, detail) of ``trace_status`` at each interior vertex,
-        in ``interior_vertices`` order; computed once per face set."""
-        return [(v, *trace_status(self.cx.vertex_link(v), self.members))
-                for v in self.interior_vertices]
+        in ``interior_vertices`` order; computed once per face set.
+
+        In a ball, ``corner_lift(v)`` is a label-preserving isomorphism of
+        v's link onto the link of its image p, so it carries the trace of
+        the members at v onto the lifted member corners at p.  Two vertices
+        with one key, p and those lifted corners, have isomorphic traces and
+        so one status, path count and cycle type: the first is classified
+        on its own link and the later ones share its result.  Never shared:
+        a vertex with no lift (a damaged ball may still claim it interior),
+        and a violation, whose detail may name a germ of v's own link.
+        """
+        cx, members, ball = self.cx, self.members, self.ball
+        shared = {}
+        out = []
+        for v in self.interior_vertices:
+            lift = ball.corner_lift(v) if ball is not None else None
+            if lift is not None:
+                key = (ball.vertex_image[v],
+                       frozenset(lift[c] for c in cx.corners_at(v) if c[0] in members))
+                if key in shared:
+                    out.append((v, *shared[key]))
+                    continue
+            status, detail = trace_status(cx.vertex_link(v), members)
+            if lift is not None and status != "violation":
+                shared[key] = status, detail
+            out.append((v, status, detail))
+        return out
 
 
 def _members_connected(cx, members):

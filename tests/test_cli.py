@@ -499,6 +499,7 @@ def test_check_all_exit_code(capsys):
 # CHANGES.md.
 CHECK_ALL_PINS = {
     2: "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3",
+    3: "1f201cc102a0fe2ba3b59bc0e9fdcd47e47190ece0ff1e7c895f9d0642c89986",
     4: "69d8b2b1caabdb8593d5c0d68a69c7039ab7ce2227cf78e7b4dab64c6da433d9",
 }
 
@@ -507,6 +508,14 @@ def test_check_all_certificates_are_pinned(capsys):
     code, out = run(capsys, "check-all", "--radius", "2")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[2]
+
+
+def test_check_all_certificates_are_pinned_at_radius_3(capsys):
+    # the radius of the surfaces-r3 workload: the surface predicates read
+    # the 49 interior vertices of the ball from P
+    code, out = run(capsys, "check-all", "--radius", "3")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[3]
 
 
 def test_check_all_certificates_are_pinned_at_radius_4(capsys):

@@ -135,8 +135,10 @@ def test_union_of_the_two_surfaces_overcovers(ball2):
 
 
 def test_links_are_built_once_per_complex(monkeypatch, V):
-    # the surface predicates read each interior vertex's link of the ball
-    # once, however many face sets and predicates read it; V's own links,
+    # the surface predicates read a ball link only at the first interior
+    # vertex of each (image, lifted trace) key, and once however many face
+    # sets and predicates read it: both surfaces have one key over each of
+    # P, Q and R, first met at the same three vertices.  V's own links,
     # which propagation lifts its cycles from, are built before counting
     ball = expand_to_radius(V, "P", 3)
     for v in V.vertices:
@@ -152,10 +154,76 @@ def test_links_are_built_once_per_complex(monkeypatch, V):
     for _ in range(2):
         certs = {c.ref: c for c in ball_surface_certs(ball)}
         assert certs["surfaces.hamiltonian"].ok() and certs["surfaces.type-three"].ok()
-    assert len(built) == len(ball.interior_vertices) == 49
+    assert len(ball.interior_vertices) == 49
+    assert len(built) == 3
     for _ in range(2):
         with pytest.raises(KeyError):
             V.vertex_link("nope")
+
+
+def _direct_traces(fs):
+    # the reference: every interior vertex classified on its own link
+    return [(v, *trace_status(fs.cx.vertex_link(v), fs.members)) for v in fs.interior_vertices]
+
+
+@pytest.mark.parametrize("base, radius", [(base, r) for r in (2, 3) for base in "PQR"])
+def test_shared_traces_equal_direct_traces(V, base, radius):
+    # every face set of a ball reads, vertex by vertex, what each vertex's
+    # own link gives: the two surfaces (cycles), all faces and the empty set,
+    # and seeded random subsets of every density
+    ball = expand_to_radius(V, base, radius)
+    faces = ball.complex.face_ids()
+    rng = random.Random(10 * radius + "PQR".index(base))
+    face_sets = [faces, [], *propagated_pair(ball)]
+    for _ in range(20):
+        density = rng.random()
+        face_sets.append([f for f in faces if rng.random() < density])
+    statuses = set()
+    for members in face_sets:
+        fs = FaceSet(ball, members)
+        assert fs.traces == _direct_traces(fs)
+        statuses |= {status for _v, status, _detail in fs.traces}
+    assert statuses == {"empty", "paths", "cycle", "violation"}
+    # all faces have one key per image vertex, yet more distinct violation
+    # details: a violation shared by key would name another vertex's germ
+    details = {detail for _v, _status, detail in FaceSet(ball, faces).traces}
+    assert len(details) > 3
+
+
+def test_unlifted_vertices_are_classified_on_their_own_links(V):
+    # a lozenge at the base deleted: the base and the lozenge's other
+    # corner vertices still claim complete stars but have no lift
+    ball = expand_to_radius(V, "P", 2)
+    cx = ball.complex
+    lozenge = next(f for f, _i in cx.corners_at(ball.base) if cx.faces[f].kind == LOZENGE)
+    broken = _delete_faces(ball, {lozenge})
+    assert ball.base in broken.interior_vertices and broken.corner_lift(ball.base) is None
+    faces = broken.complex.face_ids()
+    rng = random.Random(0)
+    face_sets = [faces, *(set(pair) - {lozenge} for pair in propagated_pair(ball))]
+    face_sets += [[f for f in faces if rng.random() < 0.5] for _ in range(5)]
+    for members in face_sets:
+        fs = FaceSet(broken, members)
+        assert fs.traces == _direct_traces(fs)
+
+
+@pytest.mark.parametrize("base, radius", [(base, r) for r in (2, 3, 4) for base in "PQR"])
+def test_surfaces_lift_to_their_projections_at_every_vertex(V, base, radius):
+    # the fact the shared traces rest on: at each interior vertex a
+    # propagated surface's corners lift onto the corners at the image of the
+    # face set it projects to, so it has one key per vertex of V
+    ball = expand_to_radius(V, base, radius)
+    cx = ball.complex
+    for members in propagated_pair(ball):
+        fs = FaceSet(ball, members)
+        named = set(V.facesets[periodicity_check(ball, fs)])
+        keys = set()
+        for v in fs.interior_vertices:
+            lift, p = ball.corner_lift(v), ball.vertex_image[v]
+            lifted = frozenset(lift[c] for c in cx.corners_at(v) if c[0] in fs.members)
+            assert lifted == {c for c in V.corners_at(p) if c[0] in named}
+            keys.add((p, lifted))
+        assert len(keys) == 3
 
 
 # --- link facts lifted from V ---------------------------------------------------
