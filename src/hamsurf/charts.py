@@ -23,7 +23,7 @@ faceset: V's validation covers them.
 from __future__ import annotations
 
 import hashlib
-from importlib import resources
+from pathlib import Path
 
 from .cellmap import word_match
 from .corecomplex import (
@@ -66,12 +66,6 @@ class ChartData:
             verts.add(s)
             verts.add(t)
         return sorted(verts)
-
-    def lozenge_records(self):
-        """All lozenge boundary records including the recheck copies."""
-        out = [(fid, word) for fid, word in sorted(self.lozenges.items())]
-        out += [(fid, word) for fid, word in sorted(self.rechecks.items())]
-        return out
 
     def surface_faces(self, name):
         try:
@@ -180,10 +174,7 @@ def validate_chartdata(cd):
                 f"got {len(tris)} + {len(lozs)}")
 
 
-def _validated(text):
-    cd = parse_charts(text)
-    validate_chartdata(cd)
-    return cd
+DEFAULT_CHARTS = Path(__file__).parent / "data" / "brady_v.charts"
 
 
 def load_charts(path):
@@ -195,15 +186,14 @@ def load_charts(path):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ChartError(f"{path}: {exc}") from None
-    return _validated(text)
+    cd = parse_charts(text)
+    validate_chartdata(cd)
+    return cd
 
 
 def load_default_charts():
-    """Load the chart fixture shipped inside the package, read as
-    ``load_charts`` reads a file."""
-    fixture = resources.files("hamsurf.data").joinpath("brady_v.charts")
-    with fixture.open(encoding="utf-8", newline="") as fh:
-        return _validated(fh.read())
+    """Load the chart fixture shipped inside the package (``DEFAULT_CHARTS``)."""
+    return load_charts(DEFAULT_CHARTS)
 
 
 def build_V(cd):

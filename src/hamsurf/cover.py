@@ -104,8 +104,8 @@ class Ball:
     @cached_property
     def interior_vertices_by_depth(self):
         """The interior vertices by depth, then by number: propagation's sweep."""
-        return tuple(sorted(self.interior_vertices,
-                            key=lambda v: (self.depth[v], int(v[1:]))))
+        return tuple(sorted(_by_number(sorted(self.interior_vertices)),
+                            key=self.depth.__getitem__))
 
     def corner_lift(self, v):
         """The corner bijection (f, i) -> (face_image[f], i) at v, or None.
@@ -639,14 +639,14 @@ def verify_cover(ball):
     # the interior flags follow the depths: a vertex is interior exactly at
     # depth <= radius-1, an edge exactly when it has an end at such a vertex
     inner = {v for v in cx.vertices if ball.depth[v] <= ball.radius - 1}
-    for v in sorted(ball.interior_vertices ^ inner, key=lambda s: int(s[1:])):
+    for v in _by_number(sorted(ball.interior_vertices ^ inner)):
         d, r = ball.depth[v], ball.radius
         problems.append(
             f"vertex {v}: depth {d} requires a complete star at radius {r}" if v in inner
             else f"vertex {v}: interior at depth {d}, but radius {r} makes only depths "
                  f"<= {r - 1} interior")
     inner_edges = {e for v in inner for e, _s in cx.germs_at(v)}
-    for eid in sorted(ball.interior_edges ^ inner_edges, key=lambda s: int(s[1:])):
+    for eid in _by_number(sorted(ball.interior_edges ^ inner_edges)):
         problems.append(
             f"edge {eid}: interior flag disagrees with the depths of its ends "
             f"at radius {ball.radius}")

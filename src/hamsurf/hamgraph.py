@@ -178,9 +178,8 @@ def enumerate_hamiltonian_cycles(graph):
     AssertionError): a leaf is a Hamiltonian cycle, as a full edge set,
     whatever the stack's order.  Sibling branches differ on an edge, so
     each cycle is found once, and parallel edges give distinct cycles.
-    On the 28-node Coxeter graph the search makes 98 branch decisions
-    (the node-by-node path search it replaced made 4,168 steps).  The
-    result is sorted by canonical node sequence, then by sorted edge
+    On the 28-node Coxeter graph the search makes 98 branch decisions.
+    The result is sorted by canonical node sequence, then by sorted edge
     indices.
 
     Raises GraphError on graphs with fewer than 3 nodes or disconnected

@@ -43,6 +43,7 @@ from functools import cached_property
 
 from .corecomplex import Complex2, LOZENGE, trace_status
 from .cover import Ball
+from .hamgraph import components
 
 
 class SurfaceError(ValueError):
@@ -115,33 +116,23 @@ class FaceSet:
         return out
 
 
-def _members_connected(cx, members):
-    # one search from one member over the sides of its edges
-    start = next(iter(members))
-    seen, stack = {start}, [start]
-    while stack:
-        for sym, _sign in cx.faces[stack.pop()].word:
-            for g, _i, _s in cx.edge_sides(sym):
-                if g in members and g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-    return len(seen) == len(members)
-
-
 def is_enveloping(fs):
     """(ok, witness): every interior edge in exactly 2 members, connected.
 
     A member's letters are its sides, so one pass over the members' words
     counts the member sides of every edge; the first interior edge off 2,
     in ``interior_edges`` order, is the witness."""
-    if not fs.members:
+    members = fs.members
+    if not members:
         return False, {"reason": "empty face set"}
-    faces = fs.cx.faces
-    coverage = Counter(sym for f in fs.members for sym, _sign in faces[f].word)
+    faces, edge_sides = fs.cx.faces, fs.cx.edge_sides
+    coverage = Counter(sym for f in members for sym, _sign in faces[f].word)
     for sym in fs.interior_edges:
         if coverage[sym] != 2:
             return False, {"reason": "edge coverage", "edge": sym, "coverage": coverage[sym]}
-    if not _members_connected(fs.cx, fs.members):
+    # members are adjacent across the sides of their edges
+    if len(components(members, lambda f: (g for sym, _sign in faces[f].word
+                                          for g, _i, _s in edge_sides(sym) if g in members))) > 1:
         return False, {"reason": "member faces not connected through shared edges"}
     return True, {"reason": "ok"}
 
@@ -237,7 +228,7 @@ def _anchor_cycle(ball, seed_lozenge, choice):
 
     rule = _rule(ball, anchor, [])
     # the cycles through a corner of the seed, and the others
-    with_seed = rule.face_bits[seed_lozenge]
+    with_seed = sum(bit for bit, on, _off in rule.tests if seed_lozenge in on)
     without = ((1 << len(rule.cycles)) - 1) & ~with_seed
     if not with_seed or with_seed & (with_seed - 1):
         raise SurfaceError("seed corner is not on exactly one admissible cycle")
@@ -308,9 +299,11 @@ def _propagate(ball, anchor, chosen):
     which the check looks up in ``ball.propagations``.  A state that
     settles every face at v by other steps comes to such a step, or to a
     refutation, at v's next check, which the worklist or the sweep still
-    owes v.  The agreement condition reads only the faces at the anchor,
-    and it is checked at most once per run for each distinct surface (two
-    on V's cover), not for each key.  A run whose start agrees with no
+    owes v.  The agreement condition reads only the faces at the anchor.
+    On V's cover it is checked once per run that stops early, and holds
+    there: on each ball of radius 2-5 from P, Q and R, every run but the
+    two that find the surfaces makes one check and stops (16 / 96 / 424 /
+    1,672 checks per ball).  A run whose start agrees with no
     known surface runs in full, as without the table, so a contradiction
     keeps its cell, reason and trail.  The run state is sparse and the
     worklist walks the ball's sweep lazily, so a run that stops early costs
@@ -322,17 +315,13 @@ def _propagate(ball, anchor, chosen):
     trail = []
     state = {}         # the settled faces, IN or OUT
     get = state.get
-    agreement = {}     # known surface -> whether it agrees with the start
     anchor_corners = _rule(ball, anchor, trail).corners
 
     def agrees(known):
         # A settles every corner at the anchor as the start does: IN exactly
         # on the chosen cycle, OUT elsewhere
-        if known not in agreement:
-            agreement[known] = all(
-                tag[0] in (known.faceset.members if tag in chosen else known.out)
-                for tag in anchor_corners)
-        return agreement[known]
+        return all(tag[0] in (known.faceset.members if tag in chosen else known.out)
+                   for tag in anchor_corners)
 
     work = deque()
     pending = set()
@@ -432,9 +421,7 @@ class _VertexRule:
     """The vertex rule at v, built once per ball vertex (``_rule``).
 
     ``cycles``: v's admissible cycles as frozensets of corner tags (fid, i);
-    ``corners``: all corner tags at v.  ``face_bits``: for each face with a
-    corner at v, the mask of the cycles through one of its corners.
-    ``tests``: for each cycle its bit,
+    ``corners``: all corner tags at v.  ``tests``: for each cycle its bit,
     the faces of its corners and those of v's other corners; it stays
     admissible while none of the first is OUT and none of the second IN.
     ``steps``: for a mask of admissible cycles, filled on first use, the
@@ -442,15 +429,10 @@ class _VertexRule:
     order.
     """
 
-    __slots__ = ("cycles", "corners", "face_bits", "tests", "steps", "forced_why",
-                 "excluded_why")
+    __slots__ = ("cycles", "corners", "tests", "steps", "forced_why", "excluded_why")
 
     def __init__(self, v, cycles, corners):
         self.cycles, self.corners = cycles, corners
-        self.face_bits = dict.fromkeys((tag[0] for tag in corners), 0)
-        for i, c in enumerate(cycles):
-            for tag in c:
-                self.face_bits[tag[0]] |= 1 << i
         self.tests = [(1 << i, sorted(tag[0] for tag in c),
                        sorted(tag[0] for tag in corners - c))
                       for i, c in enumerate(cycles)]

@@ -1,9 +1,15 @@
 import pytest
 
-from hamsurf.charts import build_V, load_default_charts
+from hamsurf.charts import DEFAULT_CHARTS, build_V, load_default_charts
 from hamsurf.corecomplex import subcomplex
 from hamsurf.cover import expand_ball, expand_to_radius
 from hamsurf.hamgraph import moebius_ladder
+
+
+@pytest.fixture(scope="session")
+def chart_text():
+    """The text of the chart file shipped inside the package."""
+    return DEFAULT_CHARTS.read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,18 @@
-from importlib import resources
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamsurf.charts
 from hamsurf.cellmap import automorphism_group, word_match
-from hamsurf.charts import (ChartError, build_V, flat_piece_census, load_charts,
-                            lozenge_families, parse_charts, validate_chartdata)
+from hamsurf.charts import (DEFAULT_CHARTS, ChartError, build_V, flat_piece_census,
+                            load_charts, lozenge_families, parse_charts, validate_chartdata)
 from hamsurf.corecomplex import (Complex2, Face, link_circle_length,
                                  subcomplex, surface_report, validate_complex)
 from hamsurf.hamgraph import labeled_isomorphic, moebius_ladder
 from oracles import brute_orientable
 from test_acceptance import Criterion, check_quotient_surface
-
-
-def fixture_text():
-    return resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
 
 
 # --- loading -------------------------------------------------------------
@@ -26,29 +22,43 @@ def test_shipped_fixture_counts(chartdata):
     assert len(chartdata.vertices) == 3
     assert len(chartdata.triangles) == 4
     assert len(chartdata.lozenges) == 6
-    assert len(chartdata.lozenge_records()) == 9
+    assert len(chartdata.lozenges) + len(chartdata.rechecks) == 9
     assert set(chartdata.facesets) == {"S", "S'"}
     assert len(chartdata.digest) == 64
 
 
-def test_load_charts_from_path(tmp_path):
+def test_load_charts_from_path(tmp_path, chart_text):
     p = tmp_path / "v.charts"
-    p.write_text(fixture_text())
+    p.write_text(chart_text)
     cd = load_charts(p)
     assert len(cd.edges) == 12
 
 
-def test_wrong_arity_rejected():
-    text = fixture_text().replace(
+def test_default_charts_load_through_load_charts(monkeypatch):
+    # the packaged chart goes through the one file reader that --charts uses
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_charts(path)
+
+    monkeypatch.setattr(hamsurf.charts, "load_charts", counting)
+    cd = hamsurf.charts.load_default_charts()
+    assert len(calls) == 1
+    assert len(cd.edges) == 12
+
+
+def test_wrong_arity_rejected(chart_text):
+    text = chart_text.replace(
         "face x lozenge : x_c+ x_b- x_d+ x_a-",
         "face x lozenge : x_c+ x_b- x_d+ x_a- x_a+")
     with pytest.raises(ChartError, match=r"line \d+.*5 sides"):
         parse_charts(text)
 
 
-def test_undeclared_symbol_rejected():
-    text = fixture_text().replace("face a triangle : x_a+ y_a+ z_a+",
-                                  "face a triangle : w_a+ y_a+ z_a+")
+def test_undeclared_symbol_rejected(chart_text):
+    text = chart_text.replace("face a triangle : x_a+ y_a+ z_a+",
+                              "face a triangle : w_a+ y_a+ z_a+")
     with pytest.raises(ChartError, match="w_a"):
         parse_charts(text)
 
@@ -59,8 +69,8 @@ def test_malformed_records_rejected():
             parse_charts(bad + "\n")
 
 
-def test_duplicate_ids_rejected():
-    text = fixture_text() + "edge x_a : Q -> P\n"
+def test_duplicate_ids_rejected(chart_text):
+    text = chart_text + "edge x_a : Q -> P\n"
     with pytest.raises(ChartError, match="duplicate edge"):
         parse_charts(text)
 
@@ -69,30 +79,32 @@ def test_duplicate_ids_rejected():
     ("faceset S : a b c d x y z", r"line \d+: duplicate faceset S$"),
     ("recheck x' : x_c- x_b+ x_d- x_a+", r"line \d+: duplicate recheck x'$"),
 ], ids=["faceset", "recheck"])
-def test_repeated_names_rejected(record, message):
+def test_repeated_names_rejected(chart_text, record, message):
     # a second faceset or recheck record of a name would replace the first
-    assert record in fixture_text()
+    assert record in chart_text
     with pytest.raises(ChartError, match=message):
-        parse_charts(fixture_text() + record + "\n")
+        parse_charts(chart_text + record + "\n")
 
 
-def test_faceset_with_repeated_faces_rejected():
+def test_faceset_with_repeated_faces_rejected(chart_text):
     # four triangles and three lozenges counted with repeats: S has four faces
-    cd = parse_charts(fixture_text().replace("faceset S : a b c d x y z",
-                                             "faceset S : a a a a x y z"))
+    cd = parse_charts(chart_text.replace("faceset S : a b c d x y z",
+                                         "faceset S : a a a a x y z"))
     with pytest.raises(ChartError, match=r"faceset S: .*\['a'\]"):
         validate_chartdata(cd)
 
 
-def test_recheck_mismatch_rejected():
-    text = fixture_text().replace("recheck x' : x_c- x_b+ x_d- x_a+",
-                                  "recheck x' : x_c- x_b+ x_a- x_d+")
+def test_recheck_mismatch_rejected(chart_text):
+    text = chart_text.replace("recheck x' : x_c- x_b+ x_d- x_a+",
+                              "recheck x' : x_c- x_b+ x_a- x_d+")
     cd = parse_charts(text)
     with pytest.raises(ChartError, match="recheck x'"):
         validate_chartdata(cd)
 
 
-RECORDS = [line for line in fixture_text().splitlines() if line.split("#", 1)[0].strip()]
+# the shipped records, read at collection to build the edit strategy
+RECORDS = [line for line in DEFAULT_CHARTS.read_text(encoding="utf-8").splitlines()
+           if line.split("#", 1)[0].strip()]
 LINE_EDIT = st.tuples(
     st.sampled_from(["delete line", "duplicate line", "replace token", "delete token"]),
     st.integers(0, len(RECORDS) - 1), st.integers(0, 40),

@@ -3,7 +3,6 @@ import json
 import re
 import sys
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -234,10 +233,9 @@ def test_check_cover_keeps_only_the_balls_read_again(V):
     assert sorted(balls) == [(b, 2) for b in "PQR"]
 
 
-def test_every_chart_certificate_carries_the_chart_digest(capsys):
+def test_every_chart_certificate_carries_the_chart_digest(capsys, chart_text):
     _code, out = run(capsys, "check-all", "--radius", "2")
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256(chart_text.encode()).hexdigest()
     by_digest = {}
     for c in json.loads(out):
         by_digest.setdefault(c["fixture_digest"], []).append(c["ref"])
@@ -247,12 +245,11 @@ def test_every_chart_certificate_carries_the_chart_digest(capsys):
     assert not any(ref.startswith("ladder.") for ref in by_digest[digest])
 
 
-def test_chart_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
+def test_chart_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys, chart_text):
     # line ends are part of the file: a CRLF copy of the fixture gets its own
     # digest and the same verdicts
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     crlf = tmp_path / "crlf.charts"
-    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    crlf.write_bytes(chart_text.replace("\n", "\r\n").encode())
     digest = hashlib.sha256(crlf.read_bytes()).hexdigest()
     lf_digest = "3ed03d4d35879b11be97398a3ab9d936b671ac8bacf07c9e5c54d166794713f0"
     assert digest != lf_digest
@@ -279,16 +276,16 @@ def test_check_aut_builds_the_theta_maps_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def _check_all_on_edited_chart(tmp_path, capsys, edits):
+def _check_all_on_edited_chart(chart_text, tmp_path, capsys, edits):
     """check-all's certificates by ref on the shipped chart with the edits
     made (``_edited_chart_certs``)."""
-    return {c["ref"]: c for c in _edited_chart_certs(tmp_path, capsys, edits)}
+    return {c["ref"]: c for c in _edited_chart_certs(chart_text, tmp_path, capsys, edits)}
 
 
-def _edited_chart_certs(tmp_path, capsys, edits, *options):
+def _edited_chart_certs(chart_text, tmp_path, capsys, edits, *options):
     """check-all's certificates on the shipped chart with the edits made,
     after checking that it exits 1 and writes nothing to stderr."""
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    text = chart_text
     for old, new in edits.items():
         assert old in text
         text = text.replace(old, new)
@@ -320,8 +317,9 @@ def _edited_chart_certs(tmp_path, capsys, edits, *options):
     ({"faceset S : a b c d x y z\n": ""},
      "aut.swap", "error", {"error": "chart file declares no faceset 'S'"}),
 ])
-def test_chart_mutations_end_in_certificates(tmp_path, capsys, edits, ref, status, detail):
-    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
+def test_chart_mutations_end_in_certificates(tmp_path, capsys, chart_text,
+                                             edits, ref, status, detail):
+    by_ref = _check_all_on_edited_chart(chart_text, tmp_path, capsys, edits)
     cert = by_ref[ref]
     assert cert["status"] == status
     if status == "fail":
@@ -366,23 +364,23 @@ EDITED_AUT_GROUPS = {
 }
 
 
-def test_backtracking_face_word_yields_fixture_errors(tmp_path, capsys):
+def test_backtracking_face_word_yields_fixture_errors(tmp_path, capsys, chart_text):
     # x runs x_a+ and, cyclically, straight back along x_a-: the chart is
     # refused on loading, where V's links would have a self-loop
     edits = {"face x lozenge : x_c+ x_b- x_d+ x_a-": "face x lozenge : x_a- x_b+ x_b- x_a+",
              "face x' lozenge : x_c- x_b+ x_d- x_a+": "face x' lozenge : x_c- x_d+ x_d- x_c+",
              "recheck x' : x_c- x_b+ x_d- x_a+": "recheck x' : x_c- x_d+ x_d- x_c+"}
-    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
+    by_ref = _check_all_on_edited_chart(chart_text, tmp_path, capsys, edits)
     errors = {ref: c["witness"] for ref, c in by_ref.items() if c["status"] != "pass"}
     assert errors == {ref: {"error": "face x: word backtracks along edge x_a"}
                       for ref in ("quotient.fixture", "cover.fixture", "surfaces.fixture",
                                   "aut.fixture")}
 
 
-def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys):
+def test_first_failure_is_the_first_in_seed_order(tmp_path, capsys, chart_text):
     # seeds run by face depth, but failures are reported in face-id seed
     # order; in run order the first failure at radius 4 would be f1006's
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
+    text = chart_text
     edits = {"face a triangle : x_a+ y_a+ z_a+": "face a triangle : x_a+ y_b+ z_a+",
              "face b triangle : x_b+ y_b+ z_b+": "face b triangle : x_b+ y_a+ z_b+"}
     for old, new in edits.items():
@@ -424,8 +422,9 @@ FOLD_CONFLICT_EDITS = {
      {"quotient.flat-pieces": {"pieces": {"x x'": "torus", "y": None, "y'": None,
                                           "z z'": "klein_bottle"}}}),
 ])
-def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, edits, failing):
-    by_ref = _check_all_on_edited_chart(tmp_path, capsys, edits)
+def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, chart_text,
+                                                          edits, failing):
+    by_ref = _check_all_on_edited_chart(chart_text, tmp_path, capsys, edits)
     assert by_ref["quotient.links-ladder"]["status"] == "fail"
     for ref, detail in failing.items():
         cert = by_ref[ref]
@@ -434,11 +433,11 @@ def test_validated_chart_edits_end_in_failing_certificates(tmp_path, capsys, edi
 
 
 @pytest.mark.parametrize("radius", [2, 3, 4])
-def test_fold_conflict_ends_in_error_certificates(tmp_path, capsys, radius):
+def test_fold_conflict_ends_in_error_certificates(tmp_path, capsys, chart_text, radius):
     # on that chart the ball from every base meets a fold that would merge
     # two settled vertices in its second round: every cover and surfaces
     # claim is an error naming the base whose ball did not grow
-    certs = [c for c in _edited_chart_certs(tmp_path, capsys, FOLD_CONFLICT_EDITS,
+    certs = [c for c in _edited_chart_certs(chart_text, tmp_path, capsys, FOLD_CONFLICT_EDITS,
                                             "--radius", str(radius))
              if c["ref"].split(".")[0] in ("cover", "surfaces")]
     assert [c["ref"] for c in certs] == (
@@ -462,12 +461,12 @@ def test_check_quotient_reports_the_orientability_failure(capsys):
     assert by_ref["quotient.flat-pieces"]["status"] == "pass"
 
 
-def test_sibling_claim_fails_when_s_prime_differs_from_s(tmp_path, capsys):
+def test_sibling_claim_fails_when_s_prime_differs_from_s(tmp_path, capsys, chart_text):
     # z in place of z': S' is no longer a closed surface, so its report
     # differs from S's and the two reports must compare unequal
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     bad = tmp_path / "bad_sibling.charts"
-    bad.write_text(text.replace("faceset S' : a b c d x' y' z'", "faceset S' : a b c d x' y' z"))
+    bad.write_text(chart_text.replace("faceset S' : a b c d x' y' z'",
+                                      "faceset S' : a b c d x' y' z"))
     code, out = run(capsys, "check-quotient", "--charts", str(bad))
     assert code == 1
     by_ref = {c["ref"]: c for c in json.loads(out)}
@@ -626,11 +625,10 @@ def test_radius_six_exceeds_the_cap(capsys):
     assert certs[0]["witness"] == {"error": "radius 6 exceeds cap 5"}
 
 
-def test_chart_that_fails_to_build_yields_error_certificates(tmp_path, capsys):
+def test_chart_that_fails_to_build_yields_error_certificates(tmp_path, capsys, chart_text):
     # parses, but triangle a's boundary word no longer closes up
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     bad = tmp_path / "open.charts"
-    bad.write_text(text.replace("face a triangle : x_a+", "face a triangle : x_a-"))
+    bad.write_text(chart_text.replace("face a triangle : x_a+", "face a triangle : x_a-"))
     code, out = run(capsys, "check-all", "--charts", str(bad))
     assert code == 1
     by_ref = {c["ref"]: c for c in json.loads(out) if c["status"] == "error"}
@@ -694,13 +692,12 @@ def test_link_girths_are_computed_once_per_vertex_of_v(capsys, monkeypatch):
     assert len(calls) == 4
 
 
-def test_census_budget_propagates(tmp_path, capsys):
+def test_census_budget_propagates(tmp_path, capsys, chart_text):
     # with z's corners reordered the radius-2 census keeps 1,328 solutions
     # in 2,706 nodes, and at radius 3 it passes the node limit: the run
     # ends in an error certificate, not in exhausted memory
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     bad = tmp_path / "mutated.charts"
-    bad.write_text(text.replace("face z lozenge : z_c+ z_b- z_d+ z_a-",
+    bad.write_text(chart_text.replace("face z lozenge : z_c+ z_b- z_d+ z_a-",
                                 "face z lozenge : z_a+ z_b- z_d+ z_c-"))
     code = main(["check-all", "--radius", "3", "--charts", str(bad)])
     captured = capsys.readouterr()
@@ -737,11 +734,10 @@ def test_certificates_are_equal_exactly_when_all_six_fields_are():
     assert demo() != vars(demo())
 
 
-def test_s_faceset_that_is_no_surface_yields_certificates(tmp_path, capsys):
+def test_s_faceset_that_is_no_surface_yields_certificates(tmp_path, capsys, chart_text):
     # y' in place of y: V is unchanged, but S's link at P is not one circle
-    text = resources.files("hamsurf.data").joinpath("brady_v.charts").read_text()
     bad = tmp_path / "bad_s.charts"
-    bad.write_text(text.replace("faceset S : a b c d x y z", "faceset S : a b c d x y' z"))
+    bad.write_text(chart_text.replace("faceset S : a b c d x y z", "faceset S : a b c d x y' z"))
     code, out = run(capsys, "check-all", "--charts", str(bad))
     assert code == 1
     by_ref = {}
