@@ -20,6 +20,8 @@ a set of faces traces a single spanning cycle in a link, and of its type;
 ``Complex2.vertex_link`` builds a link, ``Complex2.type3_cycles``
 enumerates its type-3 Hamiltonian cycles and ``Complex2.link_girth``
 computes its angular girth, each once per complex and vertex.
+``Complex2.cover_tables`` derives, once per complex, the tables that the
+balls of its universal cover read.
 
 Cell identifiers are stable opaque strings; maps between complexes are
 explicit tables keyed on them.
@@ -69,6 +71,37 @@ class Face:
         return "l" if i % 2 == 0 else "L"
 
 
+# The facts of a complex V that the balls of its cover read (``cover``), by
+# cell of V, in tuples and frozensets:
+# walks[fid, c]: face fid's germ keys from corner c on, forward and reversed;
+# germ_keys[sym]: ((sym, 1), (sym, -1)); side_keys[fid]: its (fid, position)s;
+# star_sets[p]: p's germs and corners, as two frozensets;
+# corner_germ_pairs[fid, i]: the corner's two germs as one (sym, sign, sym,
+# sign) tuple; edge_degree[sym]: the edge's face-side count.
+CoverTables = namedtuple("CoverTables", [
+    "walks", "germ_keys", "side_keys", "star_sets", "corner_germ_pairs", "edge_degree"])
+
+
+def _derive_cover_tables(cx):
+    """The CoverTables of cx."""
+    walks = {}
+    for fid, face in cx.faces.items():
+        word, n = face.word, len(face.word)
+        back = tuple(reverse(key) for key in reversed(word))
+        for c in range(n):
+            walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
+    return CoverTables(
+        walks=walks,
+        germ_keys={sym: ((sym, 1), (sym, -1)) for sym in cx.edges},
+        side_keys={f: tuple((f, p) for p in range(len(face.word)))
+                   for f, face in cx.faces.items()},
+        star_sets={p: (frozenset(cx.germs_at(p)), frozenset(cx.corners_at(p)))
+                   for p in cx.vertices},
+        corner_germ_pairs={c: sum(cx.corner_germs(*c), ())
+                           for p in cx.vertices for c in cx.corners_at(p)},
+        edge_degree={sym: cx.edge_face_degree(sym) for sym in cx.edges})
+
+
 class Complex2:
     """An immutable 2-complex; construct, then query.
 
@@ -106,6 +139,7 @@ class Complex2:
         self._links = {}
         self._type3 = {}
         self._girth = {}
+        self._cover_tables = None
 
     def __repr__(self):
         return (f"Complex2({len(self.vertices)} vertices, "
@@ -190,6 +224,14 @@ class Complex2:
         if v not in self._girth:
             self._girth[v] = angular_girth(self.vertex_link(v))
         return self._girth[v]
+
+    def cover_tables(self):
+        """The ``CoverTables`` that the balls of this complex's cover read;
+        derived on first use and kept for the complex, so callers must not
+        change them."""
+        if self._cover_tables is None:
+            self._cover_tables = _derive_cover_tables(self)
+        return self._cover_tables
 
 
 def trace_status(link, members):

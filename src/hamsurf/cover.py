@@ -39,9 +39,11 @@ histories.  Restriction numbers the ball's own kept cells by the same walk,
 with no workspace.  That traversal also gives the depths; ``verify_cover``
 checks them against a second, independent search (``_depths``).
 
-V's facts read for every ball cell come from tables derived once per builder
-(``_Builder``) and once per ball (``Ball._image_tables``), which live as long
-as their object: none is kept on V or in the module to leak a damaged ball.
+V's facts read for every ball cell come from the tables V derives on first
+use and keeps (``Complex2.cover_tables``), held in tuples and frozensets so
+that no builder or ball can change another's reading.  Balls are kept by
+their callers alone: none is kept on V or in the module to leak a damaged
+ball.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from functools import cached_property
 
-from .corecomplex import Complex2, Face, reverse, validate_complex
+from .corecomplex import Complex2, Face, validate_complex
 
 
 class FoldConflictError(RuntimeError):
@@ -97,7 +99,7 @@ class Ball:
     def interior_edges(self):
         """The edges that carry as many face-sides as their image in V."""
         cx, edge_image = self.complex, self.edge_image
-        degree = self._image_tables[-1]
+        degree = self._image_tables.edge_degree
         return frozenset(e for e in cx.edges
                          if cx.edge_face_degree(e) == degree.get(edge_image[e], 0))
 
@@ -128,18 +130,17 @@ class Ball:
 
     @cached_property
     def _image_tables(self):
-        """V's facts: each vertex's germs and corners, as sets, each corner's two
-        germs as one flat (sym, sign, sym, sign) tuple, and each edge's face-side count."""
-        V = self.v_complex
-        return ({p: (frozenset(V.germs_at(p)), frozenset(V.corners_at(p))) for p in V.vertices},
-                {c: sum(V.corner_germs(*c), ()) for p in V.vertices for c in V.corners_at(p)},
-                {sym: V.edge_face_degree(sym) for sym in V.edges})
+        """V's cover tables (``Complex2.cover_tables``): V derives and keeps
+        them, and every ball of V reads the same ones; the ball keeps only
+        this reference, and V keeps nothing of the ball."""
+        return self.v_complex.cover_tables()
 
     def _lift(self, v):
         # V's germs at p are distinct, as are its corners, so equal counts and sets
         # make each map a bijection; no set equals the () an image outside V gets
         cx, p = self.complex, self.vertex_image[v]
-        sets_of, corner_germs_of, _degree = self._image_tables
+        tables = self._image_tables
+        sets_of, corner_germs_of = tables.star_sets, tables.corner_germ_pairs
         germs, corners = cx.germs_at(v), cx.corners_at(v)
         image_germs, image_corners = sets_of.get(p, ((), ()))
         if len(germs) != len(image_germs) or len(corners) != len(image_corners):
@@ -201,21 +202,15 @@ class _Builder:
     Cells attached while ``gen`` is n belong to round n; cells of an earlier
     round are settled.  A face word is its edges; its signs are its image's.
 
-    From V it derives, once, ``walks[fid, c]``: V-face fid's germ keys from
-    corner c on, forward and reversed, and shared key tuples: ``germ_keys[sym]``
-    is ((sym, 1), (sym, -1)) and ``side_keys[fid]`` lists (fid, position).
+    It reads V's ``walks``, ``germ_keys`` and ``side_keys`` from V's cover
+    tables (``Complex2.cover_tables``), which V derives once and every
+    builder shares; a builder's own tables are the per-cell ones above.
     """
 
     def __init__(self, v_complex):
-        self.V = V = v_complex
-        self.walks = {}
-        for fid, face in V.faces.items():
-            word, n = face.word, len(face.word)
-            back = [reverse(key) for key in reversed(word)]
-            for c in range(n):
-                self.walks[fid, c] = word[c:] + word[:c], back[n - c:] + back[:n - c]
-        self.germ_keys = {sym: ((sym, 1), (sym, -1)) for sym in V.edges}
-        self.side_keys = {f: [(f, p) for p in range(len(V.faces[f].word))] for f in V.faces}
+        self.V = v_complex
+        tables = v_complex.cover_tables()
+        self.walks, self.germ_keys, self.side_keys = tables.walks, tables.germ_keys, tables.side_keys
         self.vpar, self.vimg, self.vgen, self.vgerm = [], [], [], []
         self.epar, self.esrc, self.etgt, self.esym, self.egen, self.eside = (
             [], [], [], [], [], [])
@@ -601,7 +596,7 @@ def verify_cover(ball):
     """
     cx, V = ball.complex, ball.v_complex
     vertex_image, edge_image = ball.vertex_image, ball.edge_image
-    degree = ball._image_tables[-1]
+    degree = ball._image_tables.edge_degree
     problems = list(validate_complex(cx))
     for eid, (s, t) in cx.edges.items():
         image_s, image_t = V.edges[edge_image[eid]]

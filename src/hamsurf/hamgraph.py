@@ -81,16 +81,6 @@ class LabeledGraph:
     def node_count(self):
         return len(self._nodes)
 
-    def adjacency(self):
-        """node -> list of (neighbor, edge index), deterministic order."""
-        adj = {n: [] for n in self._nodes}
-        for idx, (u, v, _lbl, _tag) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        for n in adj:
-            adj[n].sort(key=lambda p: (str(p[0]), p[1]))
-        return adj
-
 
 def components(nodes, neighbours):
     """Connected components of the graph on ``nodes`` whose adjacency is
@@ -120,12 +110,13 @@ class CycleType(Enum):
 class HamCycle(namedtuple("HamCycle", ["nodes", "edge_indices", "labels"])):
     """A Hamiltonian cycle, identified by its edge set.
 
-    ``nodes`` is the canonical node sequence: lexicographically least (by
-    ``str``) over all rotations and both directions, so equal cycles always
-    canonicalize identically.  ``edge_indices`` is the identity used for
-    duplicate elimination, which distinguishes cycles through parallel
-    edges.  ``labels`` is the sorted label multiset, "" for an unlabeled
-    edge.
+    ``nodes`` is the canonical node sequence: it starts at the least node
+    and reads the lesser way round, comparing nodes by their index in
+    ``str`` order (so by ``str`` where no two nodes share one), so equal
+    cycles always canonicalize identically.  ``edge_indices`` is the
+    identity used for duplicate elimination, which distinguishes cycles
+    through parallel edges.  ``labels`` is the sorted label multiset, ""
+    for an unlabeled edge.
     """
 
     __slots__ = ()
@@ -136,24 +127,26 @@ class HamCycle(namedtuple("HamCycle", ["nodes", "edge_indices", "labels"])):
         return self.labels.count("L")
 
 
-def _make_cycle(graph, node_seq, edge_idx_seq):
-    """The HamCycle of a closed path that starts at the least node, whose
-    canonical reading is the lesser of the path and its reversal."""
-    back = node_seq[:1] + node_seq[:0:-1]
-    labels = (graph.edges[idx][2] or "" for idx in edge_idx_seq)
-    return HamCycle(nodes=min(node_seq, back, key=lambda seq: tuple(map(str, seq))),
-                    edge_indices=frozenset(edge_idx_seq),
-                    labels=tuple(sorted(labels)))
+def _make_cycle(graph, order, seq, edge_seq):
+    """The sort key and HamCycle of a closed walk of node indices (into
+    ``order``) that starts at index 0: its canonical reading is the lesser
+    of the walk and its reversal, mapped to node ids once."""
+    seq = min(seq, seq[:1] + seq[:0:-1])
+    labels = (graph.edges[idx][2] or "" for idx in edge_seq)
+    return (seq, sorted(edge_seq)), HamCycle(nodes=tuple([order[i] for i in seq]),
+                                             edge_indices=frozenset(edge_seq),
+                                             labels=tuple(sorted(labels)))
 
 
 def enumerate_hamiltonian_cycles(graph):
     """All Hamiltonian cycles of ``graph``, duplicate-free, sorted.
 
-    Depth-first search over edge decisions, IN or OUT, on an
-    integer-indexed copy of the graph; every decision goes on a trail and
-    is undone from it.  A Hamiltonian cycle puts exactly two edges IN at
-    every node and closes no cycle before its n-th edge, so after each
-    decision three rules force what no cycle can do otherwise:
+    Depth-first search over edge decisions, IN or OUT, on a copy of the
+    graph whose nodes are their indices in ``str`` order (``sorted_nodes``);
+    every decision goes on a trail and is undone from it.  A Hamiltonian
+    cycle puts exactly two edges IN at every node and closes no cycle
+    before its n-th edge, so after each decision three rules force what no
+    cycle can do otherwise:
 
     * a node with two IN edges puts its other edges OUT, as a third would
       give it degree 3;
@@ -179,8 +172,10 @@ def enumerate_hamiltonian_cycles(graph):
     whatever the stack's order.  Sibling branches differ on an edge, so
     each cycle is found once, and parallel edges give distinct cycles.
     On the 28-node Coxeter graph the search makes 98 branch decisions.
-    The result is sorted by canonical node sequence, then by sorted edge
-    indices.
+    The result is sorted by canonical sequence of node indices, then by
+    sorted edge indices, and node ids are looked up once per cycle.  Where
+    no two nodes share a ``str``, that is the order of the cycles' ``str``
+    sequences.
 
     Raises GraphError on graphs with fewer than 3 nodes or disconnected
     graphs.
@@ -280,18 +275,18 @@ def enumerate_hamiltonian_cycles(graph):
         seq, edge_seq, x, e = [], [], 0, None
         for _ in range(n):
             f = next(f for f in inc[x] if state[f] and f != e)
-            seq.append(order[x])
+            seq.append(x)
             edge_seq.append(f)
             u, v = ends[f]
             x, e = (v if u == x else u), f
         if x != 0 or len(set(seq)) != n:
             raise AssertionError("a leaf's IN edges are not one Hamiltonian cycle")
-        return _make_cycle(graph, tuple(seq), edge_seq)
+        return _make_cycle(graph, order, tuple(seq), edge_seq)
 
     if min(free) >= 2 and settle([e for es in inc if len(es) == 2 for e in es]):
         search()
-    return sorted(cycles, key=lambda c: (tuple(str(x) for x in c.nodes),
-                                         sorted(c.edge_indices)))
+    cycles.sort(key=lambda keyed: keyed[0])
+    return [cycle for _key, cycle in cycles]
 
 
 def moebius_ladder():
@@ -424,30 +419,37 @@ def angular_girth(graph):
 
     Computed as the shortest weighted cycle through each edge: remove the
     edge, run Dijkstra between its endpoints, add the edge weight back.
-    Raises on unlabeled edges or acyclic graphs.
+    The search runs on node positions in ``graph.nodes``, with each edge's
+    ends and weight read once; heap ties go by position, which cannot
+    change a minimum.  Raises on unlabeled edges or acyclic graphs.
     """
     if any(lbl is None for (_u, _v, lbl, _t) in graph.edges):
         raise GraphError("angular girth needs all edges labeled")
-    adj = graph.adjacency()
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    ends = [(index[u], index[v], label_weight(lbl)) for u, v, lbl, _tag in graph.edges]
+    adj = [[] for _ in index]
+    for idx, (u, v, w) in enumerate(ends):
+        adj[u].append((v, w, idx))
+        adj[v].append((u, w, idx))
     best = None
-    for skip_idx, (u, v, lbl, _tag) in enumerate(graph.edges):
+    for skip_idx, (u, v, w) in enumerate(ends):
         dist = {u: 0}
-        heap = [(0, str(u), u)]
+        heap = [(0, u)]
         while heap:
-            d, _key, node = heapq.heappop(heap)
-            if d > dist.get(node, d):
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
                 continue
             if node == v:
                 break
-            for nbr, idx in adj[node]:
+            for nbr, nw, idx in adj[node]:
                 if idx == skip_idx:
                     continue
-                nd = d + label_weight(graph.edges[idx][2])
+                nd = d + nw
                 if nbr not in dist or nd < dist[nbr]:
                     dist[nbr] = nd
-                    heapq.heappush(heap, (nd, str(nbr), nbr))
+                    heapq.heappush(heap, (nd, nbr))
         if v in dist:
-            total = dist[v] + label_weight(lbl)
+            total = dist[v] + w
             if best is None or total < best:
                 best = total
     if best is None:

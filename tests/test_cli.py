@@ -14,8 +14,8 @@ import hamsurf.corecomplex
 import hamsurf.surfaces
 from hamsurf.cellmap import theta_maps
 from hamsurf.certs import Certificate, check, to_json, to_text
-from hamsurf.cli import (COMMANDS, _ladder_rung_witnesses, build_parser, cmd_check_cover, main,
-                         run_commands)
+from hamsurf.cli import (COMMANDS, MAX_RADIUS, _ladder_rung_witnesses, build_parser,
+                         cmd_check_cover, main, run_commands)
 from hamsurf.hamgraph import (HamCycle, LabeledGraph, angular_girth, coxeter_graph,
                               enumerate_hamiltonian_cycles, labeled_isomorphisms,
                               moebius_ladder)
@@ -500,6 +500,7 @@ CHECK_ALL_PINS = {
     2: "31ccda1fea660a8ab547f006622714737c1319a280bbd9d6eca67c8e535ccfa3",
     3: "1f201cc102a0fe2ba3b59bc0e9fdcd47e47190ece0ff1e7c895f9d0642c89986",
     4: "69d8b2b1caabdb8593d5c0d68a69c7039ab7ce2227cf78e7b4dab64c6da433d9",
+    5: "b2849298244a74db777ad32d21d8897338e9fe73821fb3bf4647e558b32c9e11",
 }
 
 
@@ -523,6 +524,14 @@ def test_check_all_certificates_are_pinned_at_radius_4(capsys):
     code, out = run(capsys, "check-all", "--radius", "4")
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[4]
+
+
+def test_check_all_certificates_are_pinned_at_the_radius_cap(capsys):
+    # MAX_RADIUS: the largest balls that V's cover tables serve
+    assert MAX_RADIUS == 5
+    code, out = run(capsys, "check-all", "--radius", "5")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_PINS[5]
 
 
 def test_ci_checks_the_pinned_digests():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamsurf.corecomplex
 from hamsurf.cellmap import check_cellmap, isomorphisms
-from hamsurf.corecomplex import LOZENGE, TRIANGLE, Complex2, Face, validate_complex
+from hamsurf.cli import main
+from hamsurf.corecomplex import (LOZENGE, TRIANGLE, Complex2, CoverTables, Face,
+                                 validate_complex)
 from hamsurf.cover import (Ball, FoldConflictError, _Builder, _by_number, _canonical_ball,
                            _depths, _find, expand_ball, expand_to_radius,
                            restrict_ball, serialize_ball, verify_cover)
@@ -293,6 +296,44 @@ def test_numbering_drops_the_germ_tables(V, monkeypatch):
     expand_ball(ball)
     assert len(workspaces) == 2 and made == workspaces
     assert all(b.vgerm is None and b.eside is None for b in workspaces)
+
+
+def test_check_all_derives_V_cover_tables_once(monkeypatch, capsys):
+    # the builders and balls of one run read the one set of tables their V
+    # keeps, and none of them can change it for the others
+    derived, builders, balls = [], [], []
+    derive, builder_init, ball_init = (
+        hamsurf.corecomplex._derive_cover_tables, _Builder.__init__, Ball.__init__)
+
+    def deriving(cx):
+        derived.append(derive(cx))
+        return derived[-1]
+
+    def making_builder(builder, v_complex):
+        builders.append(builder)
+        builder_init(builder, v_complex)
+
+    def making_ball(ball, *args):
+        balls.append(ball)
+        ball_init(ball, *args)
+
+    monkeypatch.setattr(hamsurf.corecomplex, "_derive_cover_tables", deriving)
+    monkeypatch.setattr(_Builder, "__init__", making_builder)
+    monkeypatch.setattr(Ball, "__init__", making_ball)
+    assert main(["check-all", "--radius", "2"]) == 1
+    capsys.readouterr()
+    assert (len(derived), len(builders), len(balls)) == (1, 6, 9)
+    tables = derived[0]
+    assert all(b.walks is tables.walks and b.germ_keys is tables.germ_keys
+               and b.side_keys is tables.side_keys for b in builders)
+    assert all(b._image_tables is tables for b in balls) and len(derived) == 1
+    assert isinstance(tables, CoverTables) and isinstance(tables, tuple)
+    assert all(type(keys) is tuple for walk in tables.walks.values() for keys in walk)
+    for table in (tables.walks, tables.germ_keys, tables.side_keys, tables.star_sets,
+                  tables.corner_germ_pairs):
+        assert all(type(value) is tuple for value in table.values())
+    assert all(type(keys) is frozenset for pair in tables.star_sets.values() for keys in pair)
+    assert all(type(count) is int for count in tables.edge_degree.values())
 
 
 def test_expand_to_radius_rejects_unknown_base(V):

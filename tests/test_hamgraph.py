@@ -189,6 +189,60 @@ def test_parallel_edge_ties_are_sorted_by_edge_indices():
     assert Counter(c.nodes for c in cycles) == Counter({c.nodes: 16 for c in cycles})
 
 
+def str_keyed_cycles(g, cycles):
+    """The given cycles in the canonical form and order keyed on ``str``:
+    each cycle's walk from the least node by ``str``, read the way whose
+    ``str`` tuple is less, and the list sorted by those tuples, then by
+    sorted edge indices; walked on g's edges alone."""
+    start, keyed = min(g.nodes, key=str), []
+    for c in cycles:
+        walk, x, left = [start], start, set(c.edge_indices)
+        while len(walk) < len(c.edge_indices):
+            e = min(e for e in left if x in g.edges[e][:2])
+            left.discard(e)
+            u, v = g.edges[e][:2]
+            x = v if u == x else u
+            walk.append(x)
+        walk = tuple(walk)
+        nodes = min(walk, walk[:1] + walk[:0:-1], key=lambda seq: tuple(map(str, seq)))
+        keyed.append((nodes, c.edge_indices))
+    return sorted(keyed, key=lambda k: (tuple(map(str, k[0])), sorted(k[1])))
+
+
+def renumbered(rng, G):
+    """G's nodes as distinct integers from 10 to 999, added in random order:
+    by ``str`` 100 comes before 20, so ``str`` and number order differ."""
+    names = dict(zip(G.nodes, rng.sample(range(10, 1000), len(G))))
+    g = LabeledGraph()
+    for n in rng.sample(list(G.nodes), len(G)):
+        g.add_node(names[n])
+    for u, v in G.edges:
+        g.add_edge(names[u], names[v], None)
+    return g
+
+
+def test_cycles_keep_the_str_keyed_form_and_order(ladder, V):
+    # the search reads node indices in str order; where node strs are
+    # distinct that is the str order itself, on every graph
+    import networkx as nx
+
+    graphs = [ladder, coxeter_graph(), from_networkx(nx.tutte_graph())]
+    graphs += [V.vertex_link(p) for p in V.vertices]
+    rng = random.Random(4417)
+    while len(graphs) < 6 + 12:
+        G = nx.random_regular_graph(3, rng.choice((8, 10, 12)), seed=rng.randrange(10**6))
+        if nx.is_connected(G):
+            graphs.append(renumbered(rng, G))
+    with_cycles = 0
+    for g in graphs:
+        cycles = enumerate_hamiltonian_cycles(g)
+        assert len({str(n) for n in g.nodes}) == g.node_count()
+        assert [(c.nodes, c.edge_indices) for c in cycles] == str_keyed_cycles(g, cycles)
+        with_cycles += bool(cycles)
+    assert with_cycles >= 12
+    assert any(sorted(g.nodes, key=str) != sorted(g.nodes) for g in graphs[6:])
+
+
 def test_coxeter_search_effort():
     # the search branches 98 times on the Coxeter graph; left out, either
     # degree rule costs thousands of branches, so a weaker search shows
@@ -677,7 +731,10 @@ def test_coxeter_fixture_shape():
     assert all(degree(g, n) == 3 for n in g.nodes)
     # unweighted girth 7, via breadth-first search per edge
     from collections import deque
-    adj = g.adjacency()
+    adj = {n: [] for n in g.nodes}
+    for idx, (u, v, _l, _t) in enumerate(g.edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
     girth = None
     for idx, (u, v, _l, _t) in enumerate(g.edges):
         dist = {u: 0}
